@@ -40,10 +40,6 @@ def _check_precision(args) -> int:
     return args.precision
 
 
-def _parse_unit_rational(text: str) -> Fraction:
-    return parse_rational(text)
-
-
 def _emit(args, payload: dict, plain_lines: list) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -64,7 +60,7 @@ def cmd_eval(args) -> int:
         _emit(args, {"value": _rational_payload(value, precision)},
               [str(value), render_decimal(value, precision)])
         return 0
-    x = _parse_unit_rational(args.x)
+    x = parse_rational(args.x)
     if args.enclose is not None:
         enclosure = eval_minkowski_enclosure(dist, x, args.enclose)
         payload = {
@@ -97,7 +93,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     precision = _check_precision(args)
     dist = parse_distribution(args.dist)
-    x = _parse_unit_rational(args.x)
+    x = parse_rational(args.x)
     if args.periodic:
         seq = decode_periodic(dist, x, max_steps=args.max_steps)
         if isinstance(seq, NotDetected):
@@ -120,7 +116,7 @@ def cmd_decode(args) -> int:
 
 def cmd_qmark(args) -> int:
     precision = _check_precision(args)
-    value = eval_question_mark(_parse_unit_rational(args.x))
+    value = eval_question_mark(parse_rational(args.x))
     _emit(args, {"value": _rational_payload(value, precision)},
           [str(value), render_decimal(value, precision)])
     return 0

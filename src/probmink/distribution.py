@@ -3,12 +3,16 @@
 Three families keep every quantity rational: the dyadic distribution
 p_i = 2^-i, geometric distributions with rational success probability, and
 an explicit head of probabilities completed by a geometric tail. Each family
-supplies the probability mass p_i, the prefix sums (cumulative mass strictly
-below a digit), and an exact digit search used by the decoder.
+supplies one integer method, `affine(i) -> (P, Q, L)`, with prefix(i) = P/L
+(cumulative mass strictly below digit i) and pmf(i) = Q/L, computed from
+closed forms; `prefix` and `pmf` are built from it. The codec composes the
+unreduced triples directly. Each family also has an exact digit search used
+by the decoder.
 
 Instances are immutable and hashable; all operations are pure.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,13 +23,23 @@ from .fmt import parse_rational
 class Distribution:
     """Common interface for the built-in families."""
 
+    def affine(self, i: int) -> tuple:
+        """Integers (P, Q, L) with prefix(i) == P/L and pmf(i) == Q/L, for i >= 1.
+
+        L > 0 and the triple need not be reduced. Digit i's branch of the
+        expansion is the affine map y -> (P + Q*y) / L.
+        """
+        raise NotImplementedError
+
     def pmf(self, i: int) -> Fraction:
         """Mass of digit i, for i >= 1; always strictly inside (0,1)."""
-        raise NotImplementedError
+        _, q, l = self.affine(i)
+        return Fraction(q, l)
 
     def prefix(self, i: int) -> Fraction:
         """Cumulative mass of digits strictly below i; prefix(1) == 0."""
-        raise NotImplementedError
+        p, _, l = self.affine(i)
+        return Fraction(p, l)
 
     def max_p(self) -> Fraction:
         """The largest single-digit mass."""
@@ -53,13 +67,9 @@ class Distribution:
 class Dyadic(Distribution):
     """p_i = 2^-i, so prefix(i) = 1 - 2^(1-i)."""
 
-    def pmf(self, i: int) -> Fraction:
+    def affine(self, i: int) -> tuple:
         self._check_digit(i)
-        return Fraction(1, 1 << i)
-
-    def prefix(self, i: int) -> Fraction:
-        self._check_digit(i)
-        return 1 - Fraction(2, 1 << i)
+        return (1 << i) - 2, 1, 1 << i
 
     def max_p(self) -> Fraction:
         return Fraction(1, 2)
@@ -89,13 +99,13 @@ class Geometric(Distribution):
         if not 0 < q < 1:
             raise DomainError(f"geometric parameter must lie strictly in (0,1), got {q}")
 
-    def pmf(self, i: int) -> Fraction:
+    def affine(self, i: int) -> tuple:
+        # with q = s/t and u = t - s: prefix = 1 - (u/t)^(i-1), pmf = s u^(i-1) / t^i
         self._check_digit(i)
-        return self.q * (1 - self.q) ** (i - 1)
-
-    def prefix(self, i: int) -> Fraction:
-        self._check_digit(i)
-        return 1 - (1 - self.q) ** (i - 1)
+        s, t = self.q.numerator, self.q.denominator
+        u_pow = (t - s) ** (i - 1)
+        l = t**i
+        return l - t * u_pow, s * u_pow, l
 
     def max_p(self) -> Fraction:
         # the pmf is strictly decreasing in i
@@ -143,43 +153,43 @@ class CustomPrefixTail(Distribution):
         total = sum(head, Fraction(0))
         if total >= 1:
             raise DomainError(f"head probabilities must sum below 1, got {total}")
-        # cumulative sums: _cum[i-1] == prefix(i) for 1 <= i <= len(head)+1
-        cum = [Fraction(0)]
+        # integer cumulative sums over H, the lcm of the head denominators:
+        # _cum_num[i-1] == prefix(i) * H for 1 <= i <= len(head)+1
+        lcm = math.lcm(*(p.denominator for p in head))
+        cum = [0]
         for p in head:
-            cum.append(cum[-1] + p)
-        object.__setattr__(self, "_cum", tuple(cum))
+            cum.append(cum[-1] + p.numerator * (lcm // p.denominator))
+        object.__setattr__(self, "_lcm", lcm)
+        object.__setattr__(self, "_cum_num", tuple(cum))
 
-    @property
-    def _head_mass(self) -> Fraction:
-        return self._cum[-1]
-
-    def pmf(self, i: int) -> Fraction:
+    def affine(self, i: int) -> tuple:
+        # head digits over H, the lcm of the head denominators; tail digit
+        # k+1+j over H rd^(j+1), with prefix = 1 - (1-s) r^j and r = rn/rd
         self._check_digit(i)
+        cum, h = self._cum_num, self._lcm
         if i <= len(self.head):
-            return self.head[i - 1]
+            return cum[i - 1], cum[i] - cum[i - 1], h
         j = i - len(self.head) - 1
-        return (1 - self._head_mass) * (1 - self.tail_ratio) * self.tail_ratio**j
-
-    def prefix(self, i: int) -> Fraction:
-        self._check_digit(i)
-        if i <= len(self.head) + 1:
-            return self._cum[i - 1]
-        j = i - len(self.head) - 1
-        return self._head_mass + (1 - self._head_mass) * (1 - self.tail_ratio**j)
+        rn, rd = self.tail_ratio.numerator, self.tail_ratio.denominator
+        rest = (h - cum[-1]) * rn**j
+        l = h * rd ** (j + 1)
+        return l - rest * rd, rest * (rd - rn), l
 
     def max_p(self) -> Fraction:
         # the tail decreases from its head term, so only the tail head competes
-        return max(self.head + ((1 - self._head_mass) * (1 - self.tail_ratio),))
+        return max(self.head + (self.pmf(len(self.head) + 1),))
 
     def digit_of(self, x: Fraction) -> int:
+        num, den = x.numerator, x.denominator
+        cum, h = self._cum_num, self._lcm
         for i in range(1, len(self.head) + 1):
-            if x < self._cum[i]:
+            if num * h < cum[i] * den:
                 return i
-        # tail: smallest j >= 1 with (1-s) r^j < 1 - x, digit is len(head) + j
-        rem = 1 - self._head_mass
-        an, ad = rem.numerator, rem.denominator
+        # tail: smallest j >= 1 with (1-s) r^j < 1 - x, digit is len(head) + j;
+        # 1 - s = an/ad and 1 - x = bn/bd, compared by cross-multiplication
+        an, ad = h - cum[-1], h
         rn, rd = self.tail_ratio.numerator, self.tail_ratio.denominator
-        bn, bd = (1 - x).numerator, (1 - x).denominator
+        bn, bd = den - num, den
         j, rpn, rpd = 1, rn, rd
         while an * rpn * bd >= ad * rpd * bn:
             rpn *= rn

@@ -6,9 +6,16 @@ digits. Eventually periodic streams encode to exact rationals by solving
 the period's affine fixed point; decoding inverts one digit at a time with
 exact arithmetic. Cylinders are the half-open intervals of points sharing
 a fixed digit prefix.
+
+The codec runs on the distribution's integer triples: digit d's branch is
+y -> (P + Q*y) / L with (P, Q, L) = dist.affine(d). Encoding composes a
+word's branches into one unreduced map y -> (A + B*y) / D by
+(A, B, D) <- (A*L + B*P, B*Q, D*L), with no gcd; only the result is reduced.
+Decoding keeps the point as a Fraction and shifts it by (x*L - P) / Q, so
+every reduction in `shift` is a gcd against the small integers L and Q,
+never between two large ones.
 """
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,23 +133,25 @@ def _check_unit_interval(x: Fraction) -> None:
         raise DomainError(f"point must lie in [0,1), got {x}")
 
 
+def _compose(dist: Distribution, word) -> tuple:
+    """Integers (A, B, D): the word's branches composed as y -> (A + B*y) / D."""
+    a, b, den = 0, 1, 1
+    for d in word:
+        p, q, l = dist.affine(d)
+        a, b, den = a * l + b * p, b * q, den * l
+    return a, b, den
+
+
 def encode(dist: Distribution, seq: DigitSeq) -> Fraction:
     """The exact point of [0,1) whose digit stream is `seq`.
 
     The preperiod composes affine maps x -> prefix(d) + pmf(d)*x; the
-    period's composite has contraction strictly below 1, so its fixed
-    point is solved exactly.
+    period's composite (A_p + B_p*y) / D_p has contraction strictly below
+    1, so its fixed point A_p / (D_p - B_p) is solved exactly.
     """
-    offset, scale = Fraction(0), Fraction(1)
-    for d in seq.preperiod:
-        offset += scale * dist.prefix(d)
-        scale *= dist.pmf(d)
-    per_offset, per_scale = Fraction(0), Fraction(1)
-    for d in seq.period:
-        per_offset += per_scale * dist.prefix(d)
-        per_scale *= dist.pmf(d)
-    fixed = per_offset / (1 - per_scale)
-    return offset + scale * fixed
+    a, b, den = _compose(dist, seq.preperiod)
+    a_p, b_p, den_p = _compose(dist, seq.period)
+    return Fraction(a * (den_p - b_p) + b * a_p, den * (den_p - b_p))
 
 
 def shift(dist: Distribution, x: Fraction) -> tuple:
@@ -152,7 +161,9 @@ def shift(dist: Distribution, x: Fraction) -> tuple:
     """
     _check_unit_interval(x)
     c = dist.digit_of(x)
-    return c, (x - dist.prefix(c)) / dist.pmf(c)
+    p, q, l = dist.affine(c)
+    # dividing by Fraction(q) keeps an int x exact
+    return c, (x * l - p) / Fraction(q)
 
 
 def decode(dist: Distribution, x: Fraction, n: int) -> tuple:
@@ -182,13 +193,14 @@ def decode_periodic(dist: Distribution, x: Fraction, max_steps: int = 4096):
     digits = []
     cur = x
     while len(digits) <= max_steps:
-        if cur in seen:
-            j = seen[cur]
+        key = (cur.numerator, cur.denominator)
+        if key in seen:
+            j = seen[key]
             seq = DigitSeq(tuple(digits[:j]), tuple(digits[j:]))
             if encode(dist, seq) != x:
                 raise ProbminkError(f"period detection produced an inconsistent stream for {x}")
             return seq
-        seen[cur] = len(digits)
+        seen[key] = len(digits)
         c, cur = shift(dist, cur)
         digits.append(c)
     return NotDetected(tuple(digits[:max_steps]))
@@ -204,9 +216,13 @@ def cylinder(dist: Distribution, word) -> Cylinder:
     digits = tuple(int(d) for d in word)
     if not digits:
         raise DomainError("cylinder word must be nonempty")
-    inf = encode(dist, DigitSeq(digits, (1,)))
-    sup = encode(dist, DigitSeq(digits[:-1] + (digits[-1] + 1,), (1,)))
-    measure = math.prod((dist.pmf(d) for d in digits), start=Fraction(1))
+    # the all-ones tail encodes to 0, so each endpoint is its word's map at 0
+    a, b, den = _compose(dist, digits[:-1])
+    p, q, l = dist.affine(digits[-1])
+    p_up, _, l_up = dist.affine(digits[-1] + 1)
+    inf = Fraction(a * l + b * p, den * l)
+    sup = Fraction(a * l_up + b * p_up, den * l_up)
+    measure = Fraction(b * q, den * l)
     if sup - inf != measure:
         raise ProbminkError(f"cylinder endpoints disagree with the product measure for {digits}")
     return Cylinder(digits, inf, sup, measure)

@@ -143,15 +143,6 @@ def integral_quadrature(dist: Distribution, depth: int, cap: int) -> QuadratureE
     )
 
 
-def _corner_sum_uncapped(dist: Distribution, depth: int) -> Fraction:
-    """Corner sum over all depth-`depth` cylinders with no digit cap."""
-    a = alpha(dist)
-    corner = Fraction(2, 3)
-    for _ in range(depth):
-        corner = 2 * a - a * corner
-    return corner
-
-
 @dataclass(frozen=True)
 class MCEstimate:
     """Seeded Monte Carlo estimate with exact mean and sample variance."""

@@ -23,7 +23,7 @@ from .expansion import (
     encode,
     shift,
 )
-from .series import AltSeriesValue, _finite_sum, alt_series_exact, prefix_enclosure
+from .series import AltSeriesValue, alt_series_exact, prefix_enclosure
 
 
 def eval_minkowski(dist: Distribution, arg, max_steps: int = 4096) -> Fraction:
@@ -53,8 +53,7 @@ def eval_minkowski_enclosure(dist: Distribution, x: Fraction, depth: int) -> Alt
     """
     digits, remainder = decode(dist, x, depth)
     if remainder == 0:
-        partial, s_n, sign = _finite_sum(digits)
-        exact = partial + sign * Fraction(2, 3 << s_n)
+        exact = alt_series_exact(DigitSeq(tuple(digits), (1,)))
         return AltSeriesValue(exact, exact, exact)
     return prefix_enclosure(digits)
 

@@ -8,6 +8,11 @@ series with ratio (-1)^r * 2^(-Q) (r the period length, Q its digit sum).
 
 The same engine serves digit streams from distribution-driven expansions
 and continued-fraction digits of rationals.
+
+The sums run on integers. Over digits d_1..d_n with digit sum s_n, the
+accumulator m = (m << d) + sign gives the partial sum as exactly
+2m / 2^(s_n), and a period closes in one division (see alt_series_exact).
+Only results are built as Fractions, so each value costs one gcd.
 """
 
 from dataclasses import dataclass
@@ -39,21 +44,22 @@ class AltSeriesValue:
 
 
 def _finite_sum(digits) -> tuple:
-    """Sum the series over a finite digit list.
+    """Sum the series over a finite digit list, as integers.
 
-    Returns (total, s_n, sign) where s_n is the digit sum and sign the
-    sign (-1)^n carried by the next term after the list.
+    Returns (m, s_n, sign): the partial sum is 2m / 2^(s_n), s_n is the
+    digit sum and sign the sign (-1)^n carried by the next term after the
+    list.
     """
-    total = Fraction(0)
+    m = 0
     s = 0
     sign = 1
     for d in digits:
         if d < 1:
             raise DomainError(f"digits must be >= 1, got {d}")
         s += d
-        total += sign * Fraction(2, 1 << s)
+        m = (m << d) + sign
         sign = -sign
-    return total, s, sign
+    return m, s, sign
 
 
 def alt_series_exact(stream) -> Fraction:
@@ -61,15 +67,19 @@ def alt_series_exact(stream) -> Fraction:
 
     A finite list is a finite sum (empty list gives 0). A DigitSeq is the
     full infinite series: prefix sum plus the period block's geometric
-    limit, scaled into place by the sign and remaining power of two.
+    limit, scaled into place by the sign and remaining power of two. With
+    block sign b and period digit sum Q, the blocks sum to 2 m_b / (2^Q - b),
+    so the value is one fraction
+
+        2 (m_h (2^Q - b) + sign m_b) / (2^(s_pre) (2^Q - b)).
     """
     if isinstance(stream, DigitSeq):
-        head, s_pre, sign = _finite_sum(stream.preperiod)
-        block, q_sum, block_sign = _finite_sum(stream.period)
-        ratio = block_sign * Fraction(1, 1 << q_sum)
-        tail = block / (1 - ratio)
-        return head + sign * Fraction(1, 1 << s_pre) * tail
-    return _finite_sum(tuple(stream))[0]
+        m_h, s_pre, sign = _finite_sum(stream.preperiod)
+        m_b, q_sum, block_sign = _finite_sum(stream.period)
+        den = (1 << q_sum) - block_sign
+        return Fraction(2 * (m_h * den + sign * m_b), den << s_pre)
+    m, s, _ = _finite_sum(tuple(stream))
+    return Fraction(2 * m, 1 << s)
 
 
 def alt_series_periodic_closed_form(v: int, w: int) -> Fraction:
@@ -88,11 +98,12 @@ def prefix_enclosure(digits) -> AltSeriesValue:
     The omitted tail is an alternating series whose first term carries
     sign (-1)^n and magnitude at most 2^(-s_n), so the band is one-sided.
     """
-    partial, s_n, sign = _finite_sum(tuple(digits))
-    band = Fraction(1, 1 << s_n)
+    m, s_n, sign = _finite_sum(tuple(digits))
+    partial = Fraction(2 * m, 1 << s_n)
+    other = Fraction(2 * m + sign, 1 << s_n)
     if sign > 0:
-        return AltSeriesValue(partial, partial, partial + band)
-    return AltSeriesValue(partial, partial - band, partial)
+        return AltSeriesValue(partial, partial, other)
+    return AltSeriesValue(partial, other, partial)
 
 
 def alt_series_truncated(stream, n: int) -> AltSeriesValue:
@@ -108,6 +119,6 @@ def alt_series_truncated(stream, n: int) -> AltSeriesValue:
         return prefix_enclosure(stream.digits(n))
     digits = tuple(stream)
     if len(digits) <= n:
-        total, _, _ = _finite_sum(digits)
+        total = alt_series_exact(digits)
         return AltSeriesValue(total, total, total)
     return prefix_enclosure(digits[:n])

@@ -4,12 +4,17 @@ Each routine deliberately avoids the shipped code path it checks: the
 corner sum enumerates words instead of running the recursion, the
 question-mark oracle walks the Stern-Brocot tree instead of summing a
 series, and the partial-sum helpers add terms one at a time.
+
+The `ref_*` routines are the plain `Fraction` forms of the integer kernels
+in `series`, `expansion` and `distribution`: each step builds and reduces
+a Fraction. The kernels must equal them bit for bit.
 """
 
 import itertools
 from fractions import Fraction
 
-from probmink import DigitSeq, alt_series_exact, encode
+from probmink import CustomPrefixTail, DigitSeq, Dyadic, Geometric, alt_series_exact, encode
+from probmink.integral import alpha
 
 
 def partial_sums(digits):
@@ -79,3 +84,94 @@ def continued_fraction_value(digits) -> Fraction:
     for a in reversed(tuple(digits)):
         value = Fraction(1, a + value)
     return value
+
+
+def corner_sum_uncapped(dist, depth):
+    """Corner sum over all depth-`depth` cylinders with no digit cap."""
+    a = alpha(dist)
+    corner = Fraction(2, 3)
+    for _ in range(depth):
+        corner = 2 * a - a * corner
+    return corner
+
+
+def _custom_tail(dist, i):
+    """(head mass s, tail ratio r, tail index j) for a custom tail digit i."""
+    return sum(dist.head, Fraction(0)), dist.tail_ratio, i - len(dist.head) - 1
+
+
+def ref_pmf(dist, i):
+    """Mass of digit i from each family's textbook formula."""
+    if isinstance(dist, Dyadic):
+        return Fraction(1, 1 << i)
+    if isinstance(dist, Geometric):
+        return dist.q * (1 - dist.q) ** (i - 1)
+    if isinstance(dist, CustomPrefixTail):
+        if i <= len(dist.head):
+            return dist.head[i - 1]
+        s, r, j = _custom_tail(dist, i)
+        return (1 - s) * (1 - r) * r**j
+    raise TypeError(f"no reference formula for {dist!r}")
+
+
+def ref_prefix(dist, i):
+    """Cumulative mass below digit i from each family's textbook formula."""
+    if isinstance(dist, Dyadic):
+        return 1 - Fraction(2, 1 << i)
+    if isinstance(dist, Geometric):
+        return 1 - (1 - dist.q) ** (i - 1)
+    if isinstance(dist, CustomPrefixTail):
+        if i <= len(dist.head) + 1:
+            return sum(dist.head[: i - 1], Fraction(0))
+        s, r, j = _custom_tail(dist, i)
+        return s + (1 - s) * (1 - r**j)
+    raise TypeError(f"no reference formula for {dist!r}")
+
+
+def ref_finite_sum(digits):
+    """(total, s_n, sign): the finite series summed one Fraction term at a time."""
+    total = Fraction(0)
+    s = 0
+    sign = 1
+    for d in digits:
+        s += d
+        total += sign * Fraction(2, 1 << s)
+        sign = -sign
+    return total, s, sign
+
+
+def ref_alt_series_exact(stream):
+    """Series value: prefix sum plus the period block's geometric limit."""
+    if isinstance(stream, DigitSeq):
+        head, s_pre, sign = ref_finite_sum(stream.preperiod)
+        block, q_sum, block_sign = ref_finite_sum(stream.period)
+        ratio = block_sign * Fraction(1, 1 << q_sum)
+        tail = block / (1 - ratio)
+        return head + sign * Fraction(1, 1 << s_pre) * tail
+    return ref_finite_sum(tuple(stream))[0]
+
+
+def ref_prefix_enclosure(digits):
+    """(lower, upper) of the one-sided alternating-tail band after `digits`."""
+    partial, s_n, sign = ref_finite_sum(tuple(digits))
+    band = Fraction(1, 1 << s_n)
+    return (partial, partial + band) if sign > 0 else (partial - band, partial)
+
+
+def ref_encode(dist, seq):
+    """Point of a stream by composing Fraction affine maps digit by digit."""
+    offset, scale = Fraction(0), Fraction(1)
+    for d in seq.preperiod:
+        offset += scale * ref_prefix(dist, d)
+        scale *= ref_pmf(dist, d)
+    per_offset, per_scale = Fraction(0), Fraction(1)
+    for d in seq.period:
+        per_offset += per_scale * ref_prefix(dist, d)
+        per_scale *= ref_pmf(dist, d)
+    return offset + scale * (per_offset / (1 - per_scale))
+
+
+def ref_shift(dist, x):
+    """One decoding step, (digit, (x - prefix) / pmf), in Fraction arithmetic."""
+    c = dist.digit_of(x)
+    return c, (x - ref_prefix(dist, c)) / ref_pmf(dist, c)

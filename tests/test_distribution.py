@@ -68,7 +68,12 @@ def test_prefix_is_cumulative_pmf():
 
 def test_digit_of_inverts_prefix():
     rng = random.Random(91)
-    dists = (Dyadic(), Geometric(F(1, 3)), CustomPrefixTail((F(1, 10),), F(1, 2)))
+    dists = (
+        Dyadic(),
+        Geometric(F(1, 3)),
+        CustomPrefixTail((F(1, 10),), F(1, 2)),
+        CustomPrefixTail((F(1, 7), F(2, 9), F(1, 12)), F(3, 5)),
+    )
     for d in dists:
         for i in range(1, 10):
             assert d.digit_of(d.prefix(i)) == i

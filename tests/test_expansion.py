@@ -20,6 +20,7 @@ from probmink import (
     shift,
 )
 
+
 F = Fraction
 DISTS = (Dyadic(), Geometric(F(1, 3)))
 
@@ -45,6 +46,25 @@ def test_canonical_form():
     assert DigitSeq((1,), (2, 1)) == DigitSeq((), (1, 2))
     # a terminating stream is a tail of ones
     assert DigitSeq((5, 1, 1), (1,)) == DigitSeq((5,), (1,))
+    # thousands of absorbable digits, ending part-way through the period
+    pre = (7, 1, 3) + (2, 1, 3) * 2000
+    seq = DigitSeq(pre, (2, 1, 3))
+    assert (seq.preperiod, seq.period) == ((7,), (1, 3, 2))
+    seq = DigitSeq((4,) + (1,) * 5000, (1,))
+    assert (seq.preperiod, seq.period) == ((4,), (1,))
+    rng = random.Random(5)
+    for _ in range(300):
+        per = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 5)))
+        per = DigitSeq((), per).period
+        pre = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 3))) + per * rng.randint(0, 4)
+        pre += per[rng.randint(0, len(per)):]
+        seq = DigitSeq(pre, per)
+        # same stream, with no absorbable preperiod digit left
+        n = len(pre) + 2 * len(per)
+        assert seq.digits(n) == (pre + per * 3)[:n]
+        assert seq.period in {per[i:] + per[:i] for i in range(len(per))}
+        assert not seq.preperiod or seq.preperiod[-1] != seq.period[-1]
+        assert len(seq.preperiod) <= len(pre)
 
 
 def test_equality_iff_same_stream():

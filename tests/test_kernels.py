@@ -1,0 +1,152 @@
+"""The integer kernels against their plain Fraction references, bit for bit.
+
+Fractions are always held in lowest terms, so `==` on two Fractions
+compares their numerators and denominators exactly.
+"""
+
+import random
+from fractions import Fraction
+
+from probmink import (
+    CustomPrefixTail,
+    DigitSeq,
+    Dyadic,
+    Geometric,
+    alt_series_exact,
+    alt_series_truncated,
+    cylinder,
+    decode_periodic,
+    encode,
+    prefix_enclosure,
+    shift,
+)
+from probmink.series import _finite_sum
+
+from oracles import (
+    ref_alt_series_exact,
+    ref_encode,
+    ref_finite_sum,
+    ref_pmf,
+    ref_prefix,
+    ref_prefix_enclosure,
+    ref_shift,
+)
+
+F = Fraction
+FAMILIES = (
+    Dyadic(),
+    Geometric(F(1, 2)),
+    Geometric(F(1, 3)),
+    Geometric(F(2, 5)),
+    Geometric(F(3, 4)),
+    Geometric(F(1, 10)),
+    Geometric(F(5, 7)),
+    CustomPrefixTail((F(1, 3), F(1, 4)), F(1, 2)),
+    CustomPrefixTail((F(1, 10),), F(1, 2)),
+    CustomPrefixTail((F(1, 7), F(2, 9), F(1, 12)), F(3, 5)),
+    CustomPrefixTail((F(1, 6), F(1, 10), F(1, 15), F(1, 4)), F(9, 10)),
+)
+
+
+def _random_seq(rng, max_pre, max_per, max_digit):
+    pre = tuple(rng.randint(1, max_digit) for _ in range(rng.randint(0, max_pre)))
+    per = tuple(rng.randint(1, max_digit) for _ in range(rng.randint(1, max_per)))
+    return DigitSeq(pre, per)
+
+
+def _check_series(stream):
+    assert alt_series_exact(stream) == ref_alt_series_exact(stream)
+    digits = stream.digits(40) if isinstance(stream, DigitSeq) else tuple(stream)
+    m, s, sign = _finite_sum(digits)
+    total, ref_s, ref_sign = ref_finite_sum(digits)
+    assert (F(2 * m, 1 << s), s, sign) == (total, ref_s, ref_sign)
+    enc = prefix_enclosure(digits)
+    assert (enc.lower, enc.upper) == ref_prefix_enclosure(digits)
+    assert enc.value == total
+
+
+def _check_codec(dist, seq, shifts):
+    x = encode(dist, seq)
+    assert x == ref_encode(dist, seq)
+    for _ in range(shifts):
+        if not 0 <= x < 1:
+            break
+        step = shift(dist, x)
+        assert step == ref_shift(dist, x)
+        x = step[1]
+
+
+def test_affine_matches_reference_formulas():
+    for dist in FAMILIES:
+        head = len(getattr(dist, "head", ()))
+        for i in range(1, head + 31):
+            p, q, l = dist.affine(i)
+            assert l > 0 and 0 < q < l and 0 <= p < l
+            assert F(p, l) == dist.prefix(i) == ref_prefix(dist, i)
+            assert F(q, l) == dist.pmf(i) == ref_pmf(dist, i)
+            assert dist.prefix(i) + dist.pmf(i) == dist.prefix(i + 1)
+
+
+def test_series_matches_reference_on_random_streams():
+    rng = random.Random(2024)
+    for _ in range(200):
+        seq = _random_seq(rng, 20, 20, 8)
+        _check_series(seq)
+        _check_series(list(seq.digits(rng.randint(0, 30))))
+        n = rng.randint(1, 30)
+        trunc = alt_series_truncated(seq, n)
+        assert (trunc.lower, trunc.upper) == ref_prefix_enclosure(seq.digits(n))
+
+
+def test_series_matches_reference_on_adversarial_streams():
+    rng = random.Random(7)
+    ones = (1,) * 3000
+    for stream in (
+        DigitSeq(ones + (2,), (1,)),
+        DigitSeq((2,) + ones, (3, 1, 1)),
+        DigitSeq((), (1,) * 999 + (2,)),
+        list(ones),
+        list(ones) + [200],
+        DigitSeq(tuple(rng.randint(1, 200) for _ in range(20)),
+                 tuple(rng.randint(1, 200) for _ in range(60))),
+        DigitSeq(tuple(rng.randint(1, 4) for _ in range(50)),
+                 tuple(rng.randint(1, 4) for _ in range(2000))),
+        [rng.randint(150, 200) for _ in range(60)],
+    ):
+        _check_series(stream)
+
+
+def test_codec_matches_reference_on_random_streams():
+    rng = random.Random(99)
+    for dist in FAMILIES:
+        for _ in range(25):
+            _check_codec(dist, _random_seq(rng, 6, 6, 8), 12)
+        for _ in range(25):
+            den = rng.randint(2, 10**12)
+            x = F(rng.randrange(den), den)
+            assert shift(dist, x) == ref_shift(dist, x)
+        for _ in range(10):
+            word = tuple(rng.randint(1, 8) for _ in range(rng.randint(1, 6)))
+            cyl = cylinder(dist, word)
+            upper = word[:-1] + (word[-1] + 1,)
+            assert cyl.inf == ref_encode(dist, DigitSeq(word, (1,)))
+            assert cyl.sup == ref_encode(dist, DigitSeq(upper, (1,)))
+            measure = F(1)
+            for d in word:
+                measure *= ref_pmf(dist, d)
+            assert cyl.measure == measure
+
+
+def test_codec_matches_reference_on_adversarial_streams():
+    rng = random.Random(11)
+    for dist in (Dyadic(), Geometric(F(1, 3)), FAMILIES[-2], FAMILIES[-1]):
+        big = tuple(rng.randint(100, 200) for _ in range(6))
+        _check_codec(dist, DigitSeq(big, (200, 1)), 10)
+        cyl = cylinder(dist, big)
+        assert cyl.inf == ref_encode(dist, DigitSeq(big, (1,)))
+        _check_codec(dist, DigitSeq((3,) + (1,) * 1000 + (2,), (1, 2)), 1010)
+    for dist in (Dyadic(), Geometric(F(1, 3)), FAMILIES[-1]):
+        seq = DigitSeq(tuple(rng.randint(1, 3) for _ in range(20)),
+                       tuple(rng.randint(1, 3) for _ in range(2000)))
+        _check_codec(dist, seq, 60)
+        assert decode_periodic(dist, encode(dist, seq), max_steps=2100) == seq
