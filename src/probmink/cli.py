@@ -21,7 +21,7 @@ from .expansion import (
     encode,
     parse_digit_seq,
 )
-from .fmt import parse_rational, render_decimal
+from .fmt import parse_ints, parse_rational, render_decimal
 from .integral import integral_closed, integral_mc, integral_quadrature, integral_report
 from .minkowski import (
     cylinder_increment,
@@ -212,7 +212,7 @@ def _parse_digit_word(text: str) -> tuple:
     parts = [p.strip() for p in text.split(",")]
     if not all(p.isdigit() for p in parts):
         raise ParseError(f"expected a finite digit word like '2,1,3', got {text!r}")
-    word = tuple(int(p) for p in parts)
+    word = parse_ints(parts)
     if any(d < 1 for d in word):
         raise ParseError(f"digits must be positive integers: {text!r}")
     return word

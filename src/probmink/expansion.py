@@ -11,17 +11,22 @@ The codec runs on the distribution's integer triples: digit d's branch is
 y -> (P + Q*y) / L with (P, Q, L) = dist.affine(d). Encoding composes a
 word's branches into one unreduced map y -> (A + B*y) / D by
 (A, B, D) <- (A*L + B*P, B*Q, D*L), with no gcd; only the result is reduced.
-Decoding keeps the point as a Fraction and shifts it by (x*L - P) / Q, so
-every reduction in `shift` is a gcd against the small integers L and Q,
-never between two large ones.
+Decoding is one integer step per digit: `shift` takes x = n/d to
+y = (n*L - P*d) / (d*Q). It reduces twice, first by gcd(L, d) and then by
+the gcd of the new numerator with Q, so every reduction is a gcd against
+the small integer L or Q, never between two large ones. The result is
+then in lowest terms by construction and becomes one Fraction with no
+further gcd.
 """
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .distribution import Distribution
 from .errors import DomainError, ParseError, ProbminkError
+from .fmt import parse_ints
 
 
 @dataclass(frozen=True)
@@ -118,7 +123,7 @@ def parse_digit_seq(text: str) -> DigitSeq:
         raise ParseError(f"not a digit sequence: {text!r} (expected d1,d2,...(p1,...,pm))")
 
     def _parse_group(group: str) -> tuple:
-        digits = tuple(int(d) for d in group.replace(" ", "").split(","))
+        digits = parse_ints(group.replace(" ", "").split(","))
         if any(d < 1 for d in digits):
             raise ParseError(f"digits must be positive integers: {text!r}")
         return digits
@@ -154,16 +159,42 @@ def encode(dist: Distribution, seq: DigitSeq) -> Fraction:
     return Fraction(a * (den_p - b_p) + b * a_p, den * (den_p - b_p))
 
 
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for coprime num and den > 0, built without a gcd.
+
+    Sets the two slots directly, as CPython's own Fraction._from_coprime_ints
+    (3.12+) does; the public constructor would recompute gcd(num, den).
+    """
+    y = object.__new__(Fraction)
+    y._numerator = num
+    y._denominator = den
+    return y
+
+
 def shift(dist: Distribution, x: Fraction) -> tuple:
     """One decoding step: the first digit of x and the shifted point.
 
-    Returns (digit, y) with x == prefix(digit) + pmf(digit)*y exactly.
+    Returns (digit, y) with x == prefix(digit) + pmf(digit)*y exactly. With
+    x = n/d and (P, Q, L) = dist.affine(digit), the step cancels g1 =
+    gcd(L, d), forms m = n*(L/g1) - P*(d/g1), and cancels g2 = gcd(m, Q).
+    What is left is coprime: n is coprime to d and L/g1 to d/g1, so m is
+    coprime to d/g1. A point x == prefix(digit) gives m == 0 and d/g1 == 1,
+    so y comes out as 0/1.
     """
-    _check_unit_interval(x)
+    n, d = x.numerator, x.denominator
+    if not 0 <= n < d:
+        raise DomainError(f"point must lie in [0,1), got {x}")
     c = dist.digit_of(x)
     p, q, l = dist.affine(c)
-    # dividing by Fraction(q) keeps an int x exact
-    return c, (x * l - p) / Fraction(q)
+    # skip divisions by 1: even those copy the big operand
+    g1 = math.gcd(l, d)
+    if g1 > 1:
+        l, d = l // g1, d // g1
+    m = n * l - p * d
+    g2 = math.gcd(m, q)
+    if g2 > 1:
+        m, q = m // g2, q // g2
+    return c, _coprime_fraction(m, d * q)
 
 
 def decode(dist: Distribution, x: Fraction, n: int) -> tuple:

@@ -13,22 +13,35 @@ from .errors import ParseError
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
+def parse_ints(texts) -> tuple:
+    """The integer literals in `texts` as ints, with ParseError where int() refuses one.
+
+    Besides malformed text, int() refuses a literal longer than the
+    interpreter's int-string conversion limit (4 300 digits by default).
+    """
+    try:
+        return tuple(map(int, texts))
+    except ValueError as exc:
+        raise ParseError(f"integer literal not accepted: {exc}") from None
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'a/b' or an integer literal exactly.
 
     Raises ParseError on anything else, including decimal or scientific
-    notation, empty strings, and zero denominators.
+    notation, empty strings, zero denominators, and literals too long for
+    int().
     """
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ParseError(f"not a rational literal: {text!r} (expected a/b or an integer)")
-    if "/" in s:
-        num_text, den_text = s.split("/")
-        den = int(den_text)
-        if den == 0:
-            raise ParseError(f"zero denominator in rational literal: {text!r}")
-        return Fraction(int(num_text), den)
-    return Fraction(int(s))
+    parts = parse_ints(s.split("/"))
+    if len(parts) == 1:
+        return Fraction(parts[0])
+    num, den = parts
+    if den == 0:
+        raise ParseError(f"zero denominator in rational literal: {text!r}")
+    return Fraction(num, den)
 
 
 def render_decimal(value: Fraction, precision: int = 30) -> str:

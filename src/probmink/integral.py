@@ -216,7 +216,11 @@ def _mc_fast(q: Fraction, samples: int, rng: random.Random) -> tuple:
 
 
 def _mc_generic(dist: Distribution, samples: int, rng: random.Random) -> tuple:
-    """Reference sample loop in plain rational arithmetic."""
+    """Sample loop for custom heads: one depth-64 enclosure per sample.
+
+    This is the production path for `CustomPrefixTail`, which `_mc_fast`
+    does not cover; each sample decodes 64 digits through `shift`.
+    """
     total = Fraction(0)
     sq_total = Fraction(0)
     for _ in range(samples):

@@ -155,3 +155,18 @@ def test_usage_errors_exit_2(capsys):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "eval", "--help")[0] == 0
+
+
+def test_over_long_literals_exit_2(capsys):
+    # 4 400 digits is past the interpreter's default 4 300-digit int-string limit
+    long_digit = "2" * 4400
+    for argv in (
+        ("qmark", "--x", "1/1" + "0" * 4399),
+        ("eval", "--dist", "dyadic", "--digits", "1," + long_digit),
+        ("diagnose", "--dist", "dyadic", "--digits", "1," + long_digit),
+        ("integral", "--dist", "geometric:1/" + "3" * 4400, "--method", "closed"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv[0]
+        assert out == ""
+        assert err.startswith("error: integer literal not accepted")

@@ -4,8 +4,11 @@ Fractions are always held in lowest terms, so `==` on two Fractions
 compares their numerators and denominators exactly.
 """
 
+import math
 import random
 from fractions import Fraction
+
+import pytest
 
 from probmink import (
     CustomPrefixTail,
@@ -20,6 +23,8 @@ from probmink import (
     prefix_enclosure,
     shift,
 )
+from probmink.errors import DomainError
+from probmink.expansion import _coprime_fraction
 from probmink.series import _finite_sum
 
 from oracles import (
@@ -65,15 +70,23 @@ def _check_series(stream):
     assert enc.value == total
 
 
+def _check_shift(dist, x):
+    """shift(dist, x) equals the reference and is a Fraction in lowest terms."""
+    step = shift(dist, x)
+    assert step == ref_shift(dist, x)
+    y = step[1]
+    assert type(y) is Fraction
+    assert y.denominator > 0 and math.gcd(y.numerator, y.denominator) == 1
+    return step
+
+
 def _check_codec(dist, seq, shifts):
     x = encode(dist, seq)
     assert x == ref_encode(dist, seq)
     for _ in range(shifts):
         if not 0 <= x < 1:
             break
-        step = shift(dist, x)
-        assert step == ref_shift(dist, x)
-        x = step[1]
+        x = _check_shift(dist, x)[1]
 
 
 def test_affine_matches_reference_formulas():
@@ -123,8 +136,7 @@ def test_codec_matches_reference_on_random_streams():
             _check_codec(dist, _random_seq(rng, 6, 6, 8), 12)
         for _ in range(25):
             den = rng.randint(2, 10**12)
-            x = F(rng.randrange(den), den)
-            assert shift(dist, x) == ref_shift(dist, x)
+            _check_shift(dist, F(rng.randrange(den), den))
         for _ in range(10):
             word = tuple(rng.randint(1, 8) for _ in range(rng.randint(1, 6)))
             cyl = cylinder(dist, word)
@@ -150,3 +162,43 @@ def test_codec_matches_reference_on_adversarial_streams():
                        tuple(rng.randint(1, 3) for _ in range(2000)))
         _check_codec(dist, seq, 60)
         assert decode_periodic(dist, encode(dist, seq), max_steps=2100) == seq
+
+
+def test_shift_edge_points():
+    rng = random.Random(64)
+    for dist in FAMILIES:
+        assert _check_shift(dist, 0) == (1, 0)
+        for c in range(1, 12):
+            # a cylinder's left end shifts to exactly 0, held as 0/1
+            digit, y = _check_shift(dist, dist.prefix(c))
+            assert digit == c
+            assert (y.numerator, y.denominator) == (0, 1)
+        # the Monte Carlo sampler's points a/2^64
+        for a in [0, 1, (1 << 64) - 1] + [rng.getrandbits(64) for _ in range(200)]:
+            _check_shift(dist, F(a, 1 << 64))
+        for x in (F(1), 1, F(3, 2), F(-1, 5), -1):
+            with pytest.raises(DomainError):
+                shift(dist, x)
+
+
+def test_coprime_fraction_matches_constructor():
+    rng = random.Random(20000)
+    pairs = [(0, 1), (1, 1), (-1, 1), (-3, 7)]
+    while len(pairs) < 300:
+        num = rng.getrandbits(rng.randint(1, 20000)) * rng.choice((1, -1))
+        den = rng.getrandbits(rng.randint(1, 20000)) or 1
+        if math.gcd(num, den) == 1:
+            pairs.append((num, den))
+    for num, den in pairs:
+        got, want = _coprime_fraction(num, den), F(num, den)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert got == want and hash(got) == hash(want)
+        assert not got < want and not got > want and got <= want
+        assert got + 1 > want and got - want == 0
+        assert round(got, 3) == round(want, 3)
+        if max(num.bit_length(), den.bit_length()) < 14000:
+            # str() of a wider int passes the 4 300-digit int-string limit
+            assert str(got) == str(want) and repr(got) == repr(want)
+            if "__format__" in vars(F):  # Fraction format specs arrived in Python 3.12
+                assert f"{got:.5e}" == f"{want:.5e}"
