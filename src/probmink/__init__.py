@@ -12,7 +12,13 @@ from .distribution import (
     Geometric,
     parse_distribution,
 )
-from .errors import DomainError, ParseError, PeriodDetectionError, ProbminkError
+from .errors import (
+    DomainError,
+    ParseError,
+    PeriodDetectionError,
+    ProbminkError,
+    ResourceLimitError,
+)
 from .expansion import (
     Cylinder,
     DigitSeq,
@@ -86,6 +92,7 @@ __all__ = [
     "PeriodDetectionError",
     "ProbminkError",
     "QuadratureEnclosure",
+    "ResourceLimitError",
     "WitnessPair",
     "alpha",
     "alt_series_exact",

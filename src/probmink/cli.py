@@ -1,19 +1,22 @@
 """Command-line interface with exact rational I/O.
 
 Exit codes: 0 success, 1 self-test failure, 2 parse or usage error,
-3 domain error. Output formats: plain text (default) or JSON; the graph
-command always emits CSV. Decimal renderings honor --precision and carry
-a trailing ellipsis when inexact.
+3 domain error, 4 resource limit (an exact result too large to compute,
+such as a series whose digit sum exceeds series.MAX_DIGIT_SUM). Output
+formats: plain text (default) or JSON; the graph command always emits
+CSV. Rationals print in full at any size. Decimal renderings honor
+--precision and carry a trailing ellipsis when inexact.
 """
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
 
 from .distribution import parse_distribution
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, ResourceLimitError
 from .expansion import (
     NotDetected,
     decode,
@@ -21,7 +24,7 @@ from .expansion import (
     encode,
     parse_digit_seq,
 )
-from .fmt import parse_ints, parse_rational, render_decimal
+from .fmt import parse_ints, parse_rational, rational_text, render_decimal
 from .integral import integral_closed, integral_mc, integral_quadrature, integral_report
 from .minkowski import (
     cylinder_increment,
@@ -49,7 +52,7 @@ def _emit(args, payload: dict, plain_lines: list) -> None:
 
 
 def _rational_payload(value: Fraction, precision: int) -> dict:
-    return {"rational": str(value), "decimal": render_decimal(value, precision)}
+    return {"rational": rational_text(value), "decimal": render_decimal(value, precision)}
 
 
 def cmd_eval(args) -> int:
@@ -58,7 +61,7 @@ def cmd_eval(args) -> int:
     if args.digits is not None:
         value = eval_minkowski(dist, parse_digit_seq(args.digits))
         _emit(args, {"value": _rational_payload(value, precision)},
-              [str(value), render_decimal(value, precision)])
+              [rational_text(value), render_decimal(value, precision)])
         return 0
     x = parse_rational(args.x)
     if args.enclose is not None:
@@ -69,15 +72,15 @@ def cmd_eval(args) -> int:
             "exact": enclosure.exact,
         }
         _emit(args, payload, [
-            f"lower {enclosure.lower}",
-            f"upper {enclosure.upper}",
+            f"lower {rational_text(enclosure.lower)}",
+            f"upper {rational_text(enclosure.upper)}",
             f"lower_decimal {render_decimal(enclosure.lower, precision)}",
             f"upper_decimal {render_decimal(enclosure.upper, precision)}",
         ])
         return 0
     value = eval_minkowski(dist, x, max_steps=args.max_steps)
     _emit(args, {"value": _rational_payload(value, precision)},
-          [str(value), render_decimal(value, precision)])
+          [rational_text(value), render_decimal(value, precision)])
     return 0
 
 
@@ -86,7 +89,7 @@ def cmd_encode(args) -> int:
     dist = parse_distribution(args.dist)
     value = encode(dist, parse_digit_seq(args.digits))
     _emit(args, {"value": _rational_payload(value, precision)},
-          [str(value), render_decimal(value, precision)])
+          [rational_text(value), render_decimal(value, precision)])
     return 0
 
 
@@ -109,7 +112,7 @@ def cmd_decode(args) -> int:
     }
     _emit(args, payload, [
         "digits " + ",".join(str(d) for d in digits),
-        f"remainder {remainder}",
+        f"remainder {rational_text(remainder)}",
     ])
     return 0
 
@@ -118,7 +121,7 @@ def cmd_qmark(args) -> int:
     precision = _check_precision(args)
     value = eval_question_mark(parse_rational(args.x))
     _emit(args, {"value": _rational_payload(value, precision)},
-          [str(value), render_decimal(value, precision)])
+          [rational_text(value), render_decimal(value, precision)])
     return 0
 
 
@@ -132,8 +135,8 @@ def cmd_integral(args) -> int:
             "closed_form_gamma": _rational_payload(forms.gamma_form, precision),
         }
         _emit(args, payload, [
-            f"closed_form_alpha {forms.alpha_form}",
-            f"closed_form_gamma {forms.gamma_form}",
+            f"closed_form_alpha {rational_text(forms.alpha_form)}",
+            f"closed_form_gamma {rational_text(forms.gamma_form)}",
         ])
         return 0
     if args.method == "quad":
@@ -144,8 +147,8 @@ def cmd_integral(args) -> int:
             "width": _rational_payload(quad.width, precision),
         }
         _emit(args, payload, [
-            f"lower {quad.lower}",
-            f"upper {quad.upper}",
+            f"lower {rational_text(quad.lower)}",
+            f"upper {rational_text(quad.upper)}",
             f"width_decimal {render_decimal(quad.width, precision)}",
         ])
         return 0
@@ -158,7 +161,7 @@ def cmd_integral(args) -> int:
             "seed": mc.seed,
         }
         _emit(args, payload, [
-            f"mean {mc.mean}",
+            f"mean {rational_text(mc.mean)}",
             f"mean_decimal {render_decimal(mc.mean, precision)}",
             f"stderr {mc.stderr:.3e}",
         ])
@@ -168,12 +171,12 @@ def cmd_integral(args) -> int:
     )
     payload = report.to_json_dict(precision)
     plain = [
-        f"alpha {report.alpha}",
-        f"gamma {report.gamma}",
-        f"closed_form_alpha {report.closed_form_alpha}",
-        f"closed_form_gamma {report.closed_form_gamma}",
-        f"quadrature_lower {report.quadrature.lower}",
-        f"quadrature_upper {report.quadrature.upper}",
+        f"alpha {rational_text(report.alpha)}",
+        f"gamma {rational_text(report.gamma)}",
+        f"closed_form_alpha {rational_text(report.closed_form_alpha)}",
+        f"closed_form_gamma {rational_text(report.closed_form_gamma)}",
+        f"quadrature_lower {rational_text(report.quadrature.lower)}",
+        f"quadrature_upper {rational_text(report.quadrature.upper)}",
         f"quadrature_width_decimal {render_decimal(report.quadrature.width, precision)}",
         f"mc_mean_decimal {render_decimal(report.mc.mean, precision)}",
         f"mc_stderr {report.mc.stderr:.3e}",
@@ -187,12 +190,12 @@ def cmd_graph(args) -> int:
     precision = _check_precision(args)
     dist = parse_distribution(args.dist)
     result = graph_points(dist, args.depth, args.cap)
-    rows = sorted(result.points)
+    rows = result.points
     if args.out:
         with open(args.out, "w", newline="") as handle:
             _write_graph_csv(handle, rows, precision)
         print(f"points {len(rows)}")
-        print(f"uncovered_mass {result.uncovered_mass}")
+        print(f"uncovered_mass {rational_text(result.uncovered_mass)}")
     else:
         _write_graph_csv(sys.stdout, rows, precision)
     return 0
@@ -203,7 +206,8 @@ def _write_graph_csv(handle, rows, precision: int) -> None:
     writer.writerow(["x_rational", "y_rational", "x_decimal", "y_decimal"])
     for x, y in rows:
         writer.writerow(
-            [str(x), str(y), render_decimal(x, precision), render_decimal(y, precision)]
+            [rational_text(x), rational_text(y), render_decimal(x, precision),
+             render_decimal(y, precision)]
         )
 
 
@@ -235,14 +239,16 @@ def cmd_diagnose(args) -> int:
         }
         plain.append(
             f"depth {n} digits {','.join(str(d) for d in rep.digits)} "
-            f"delta {rep.delta} measure {rep.measure} quotient {rep.quotient}"
+            f"delta {rational_text(rep.delta)} measure {rational_text(rep.measure)} "
+            f"quotient {rational_text(rep.quotient)}"
         )
         if n > 1:
             step = singularity_ratio_step(dist, rep.digits[-1])
             ratio = rep.quotient / reports[n - 2].quotient
             entry["quotient_step"] = _rational_payload(ratio, precision)
             entry["quotient_step_matches_formula"] = ratio == step
-            plain.append(f"  quotient step {ratio} formula {step} match {ratio == step}")
+            plain.append(f"  quotient step {rational_text(ratio)} "
+                         f"formula {rational_text(step)} match {ratio == step}")
         payload["prefixes"].append(entry)
     _emit(args, payload, plain)
     return 0
@@ -341,10 +347,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # parse_args leaves a parser unchanged, and building one costs about 2 ms,
+    # mostly in argparse's help formatters, which in-process callers of main
+    # would otherwise pay on every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -355,6 +368,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ResourceLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

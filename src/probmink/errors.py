@@ -19,3 +19,7 @@ class DomainError(ProbminkError):
 
 class PeriodDetectionError(DomainError):
     """No eventual period was found within the allotted number of shifts."""
+
+
+class ResourceLimitError(ProbminkError):
+    """An exact result would exceed the package's size budget."""

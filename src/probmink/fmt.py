@@ -12,6 +12,11 @@ from .errors import ParseError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
+# str() refuses ints past the interpreter's int-string limit (4 300 digits
+# by default), so longer ints are converted this many digits at a time
+_CHUNK_DIGITS = 4000
+_CHUNK = 10**_CHUNK_DIGITS
+
 
 def parse_ints(texts) -> tuple:
     """The integer literals in `texts` as ints, with ParseError where int() refuses one.
@@ -44,6 +49,27 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def int_text(n: int) -> str:
+    """Decimal text of an int of any size, as str(n) would give without its limit."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    if n < 0:
+        return "-" + int_text(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(f"{r:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
+def rational_text(value: Fraction) -> str:
+    """`n/d`, or `n` for an integer: str(value) without the int-string limit."""
+    if value.denominator == 1:
+        return int_text(value.numerator)
+    return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
+
+
 def render_decimal(value: Fraction, precision: int = 30) -> str:
     """Fixed-point decimal string, correctly rounded to `precision` digits.
 
@@ -52,12 +78,11 @@ def render_decimal(value: Fraction, precision: int = 30) -> str:
     """
     if precision < 1:
         raise ParseError(f"precision must be >= 1, got {precision}")
-    sign = "-" if value < 0 else ""
-    mag = -value if value < 0 else value
-    scale = 10**precision
-    q, r = divmod(mag.numerator * scale, mag.denominator)
-    if 2 * r > mag.denominator or (2 * r == mag.denominator and q % 2 == 1):
+    num, den = value.numerator, value.denominator
+    q, r = divmod((-num if num < 0 else num) * 10**precision, den)
+    if 2 * r > den or (2 * r == den and q & 1):
         q += 1
-    ipart, fpart = divmod(q, scale)
-    out = f"{sign}{ipart}.{str(fpart).zfill(precision)}"
-    return out + "…" if r != 0 else out
+    # q's digits, padded so at least one lands before the point
+    digits = int_text(q).rjust(precision + 1, "0")
+    out = f"{'-' if num < 0 else ''}{digits[:-precision]}.{digits[-precision:]}"
+    return out + "…" if r else out

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .distribution import CustomPrefixTail, Distribution, Dyadic, Geometric
 from .errors import DomainError
-from .fmt import render_decimal
+from .fmt import rational_text, render_decimal
 from .minkowski import eval_minkowski_enclosure
 
 
@@ -278,7 +278,7 @@ class IntegralReport:
 
     def to_json_dict(self, precision: int = 30) -> dict:
         def rational(v: Fraction) -> dict:
-            return {"rational": str(v), "decimal": render_decimal(v, precision)}
+            return {"rational": rational_text(v), "decimal": render_decimal(v, precision)}
 
         out = {
             "distribution": self.distribution,

@@ -166,17 +166,32 @@ def graph_points(dist: Distribution, depth: int, cap: int) -> GraphResult:
     One point per word with digits <= cap (cap**depth points, lexicographic
     by word): x encodes the word extended by the all-ones tail and y is the
     series value of the same stream, so y is exactly the function at x.
-    Points whose words need a digit above the cap are not sampled; their
-    total x-measure is reported as uncovered_mass.
+    Lexicographic order is increasing x, because digit c's branch maps
+    [0,1) increasingly onto [prefix(c), prefix(c+1)). Points whose words
+    need a digit above the cap are not sampled; their total x-measure is
+    reported as uncovered_mass.
+
+    Each word runs one integer loop over the digits' affine triples. It
+    composes the branches as `encode` does, to y -> (A + B*y) / D, and sums
+    the series as `series` does, to 2m / 2^s with the next term's sign.
+    The all-ones tail encodes to 0 and adds 2*sign / (3 * 2^s) to the sum,
+    so x = A/D and y = 2(3m + sign) / (3 * 2^s).
     """
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
     if cap < 1:
         raise DomainError(f"digit cap must be >= 1, got {cap}")
+    branches = [(c, *dist.affine(c)) for c in range(1, cap + 1)]
     points = []
-    for word in itertools.product(range(1, cap + 1), repeat=depth):
-        seq = DigitSeq(word, (1,))
-        points.append((encode(dist, seq), alt_series_exact(seq)))
+    for word in itertools.product(branches, repeat=depth):
+        a, b, den = 0, 1, 1
+        m, s, sign = 0, 0, 1
+        for c, p, q, l in word:
+            a, b, den = a * l + b * p, b * q, den * l
+            m = (m << c) + sign
+            s += c
+            sign = -sign
+        points.append((Fraction(a, den), Fraction(2 * (3 * m + sign), 3 << s)))
     uncovered = 1 - dist.prefix(cap + 1) ** depth
     return GraphResult(tuple(points), uncovered)
 
@@ -207,7 +222,8 @@ def cylinder_increment(dist: Distribution, word) -> IncrementReport:
     low = DigitSeq(digits, (1,))
     high = DigitSeq(digits[:-1] + (digits[-1] + 1,), (1,))
     delta = alt_series_exact(high) - alt_series_exact(low)
-    measure = math.prod((dist.pmf(d) for d in digits), start=Fraction(1))
+    triples = [dist.affine(d) for d in digits]
+    measure = Fraction(math.prod(q for _, q, _ in triples), math.prod(l for _, _, l in triples))
     return IncrementReport(
         digits=digits,
         digit_sum=sum(digits),

@@ -13,13 +13,22 @@ The sums run on integers. Over digits d_1..d_n with digit sum s_n, the
 accumulator m = (m << d) + sign gives the partial sum as exactly
 2m / 2^(s_n), and a period closes in one division (see alt_series_exact).
 Only results are built as Fractions, so each value costs one gcd.
+
+A digit sum is a bit count: the result's denominator has about that many
+bits. A sum above MAX_DIGIT_SUM raises ResourceLimitError before any
+shift is allocated.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .expansion import DigitSeq
+from .fmt import int_text
+
+# 2^24 bits (2 MB) per power of two: well above the digit sum of a
+# 500 001-digit dyadic period (about 10^6), and a bounded allocation
+MAX_DIGIT_SUM = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -48,8 +57,15 @@ def _finite_sum(digits) -> tuple:
 
     Returns (m, s_n, sign): the partial sum is 2m / 2^(s_n), s_n is the
     digit sum and sign the sign (-1)^n carried by the next term after the
-    list.
+    list. Raises ResourceLimitError when the digit sum exceeds
+    MAX_DIGIT_SUM.
     """
+    total = sum(digits)
+    if total > MAX_DIGIT_SUM:
+        raise ResourceLimitError(
+            f"digit sum {int_text(total)} exceeds the budget of {MAX_DIGIT_SUM} bits "
+            "for an exact series value"
+        )
     m = 0
     s = 0
     sign = 1

@@ -6,8 +6,8 @@ question-mark oracle walks the Stern-Brocot tree instead of summing a
 series, and the partial-sum helpers add terms one at a time.
 
 The `ref_*` routines are the plain `Fraction` forms of the integer kernels
-in `series`, `expansion` and `distribution`: each step builds and reduces
-a Fraction. The kernels must equal them bit for bit.
+in `series`, `expansion`, `distribution` and `fmt`: each step builds and
+reduces a Fraction. The kernels must equal them bit for bit.
 """
 
 import itertools
@@ -175,3 +175,16 @@ def ref_shift(dist, x):
     """One decoding step, (digit, (x - prefix) / pmf), in Fraction arithmetic."""
     c = dist.digit_of(x)
     return c, (x - ref_prefix(dist, c)) / ref_pmf(dist, c)
+
+
+def ref_render_decimal(value, precision=30):
+    """Round-half-even fixed point by Fraction sign and magnitude; `…` marks inexact."""
+    sign = "-" if value < 0 else ""
+    mag = -value if value < 0 else value
+    scale = 10**precision
+    q, r = divmod(mag.numerator * scale, mag.denominator)
+    if 2 * r > mag.denominator or (2 * r == mag.denominator and q % 2 == 1):
+        q += 1
+    ipart, fpart = divmod(q, scale)
+    out = f"{sign}{ipart}.{str(fpart).zfill(precision)}"
+    return out + "…" if r != 0 else out

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
+from probmink import alt_series_periodic_closed_form
 from probmink.cli import main
 
 
@@ -170,3 +172,67 @@ def test_over_long_literals_exit_2(capsys):
         assert code == 2, argv[0]
         assert out == ""
         assert err.startswith("error: integer literal not accepted")
+
+
+def _big_int(text):
+    """int(text) for decimal text of any length, read 1 000 digits at a time."""
+    n = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return n
+
+
+def _big_fraction(text):
+    num, _, den = text.partition("/")
+    return Fraction(_big_int(num), _big_int(den or "1"))
+
+
+def test_rationals_print_past_int_string_limit(capsys):
+    # the value's denominator has 15 000 bits, about 4 516 decimal digits
+    value = alt_series_periodic_closed_form(7000, 8000)
+    argv = ("eval", "--dist", "dyadic", "--digits", "(7000,8000)")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    first, second = out.splitlines()
+    assert len(first) > 4300
+    assert _big_fraction(first) == value
+    assert second == "0." + "0" * 30 + "…"
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert _big_fraction(json.loads(out)["value"]["rational"]) == value
+    # a rendering wider than the limit
+    code, out, _ = run(capsys, "qmark", "--x", "1/3", "--precision", "5000")
+    assert code == 0
+    assert out.splitlines() == ["1/4", "0.25" + "0" * 4998]
+
+
+def test_resource_limit_exit_4(capsys):
+    k = 100
+    for argv in (
+        ("qmark", "--x", f"{10**k + 7}/{3 * 10**k}"),
+        ("eval", "--dist", "dyadic", "--digits", "(100000000000)"),
+        ("eval", "--dist", "dyadic", "--digits", "(100000000000)", "--format", "json"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 4, argv
+        assert out == ""
+        assert err.startswith("error: digit sum") and "exceeds the budget" in err
+
+
+def test_consecutive_calls_share_no_state(capsys):
+    enclose = ("eval", "--dist", "dyadic", "--x", "1/5", "--enclose", "5")
+    plain = ("eval", "--dist", "dyadic", "--x", "1/5")
+    code, out, _ = run(capsys, *enclose)
+    assert code == 0 and out.startswith("lower ")
+    code, out, _ = run(capsys, *plain)
+    assert code == 0 and len(out.splitlines()) == 2 and not out.startswith("lower")
+    expected_plain = out
+    code, out, _ = run(capsys, *plain, "--format", "json")
+    assert code == 0 and "value" in json.loads(out)
+    assert run(capsys, "eval", "--dist", "dyadic")[0] == 2
+    assert run(capsys, "eval", "--dist", "dyadic", "--x", "1/2", "--digits", "(2)")[0] == 2
+    code, out, _ = run(capsys, *plain)
+    assert code == 0 and out == expected_plain
+    code, out, _ = run(capsys, "eval", "--dist", "dyadic", "--x", "1/2")
+    assert code == 0 and out.splitlines()[0] == "1/3"

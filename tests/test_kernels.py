@@ -18,22 +18,28 @@ from probmink import (
     alt_series_exact,
     alt_series_truncated,
     cylinder,
+    cylinder_increment,
     decode_periodic,
     encode,
+    graph_points,
     prefix_enclosure,
+    render_decimal,
     shift,
 )
-from probmink.errors import DomainError
+from probmink import series
+from probmink.errors import DomainError, ResourceLimitError
 from probmink.expansion import _coprime_fraction
 from probmink.series import _finite_sum
 
 from oracles import (
+    brute_graph_points,
     ref_alt_series_exact,
     ref_encode,
     ref_finite_sum,
     ref_pmf,
     ref_prefix,
     ref_prefix_enclosure,
+    ref_render_decimal,
     ref_shift,
 )
 
@@ -202,3 +208,64 @@ def test_coprime_fraction_matches_constructor():
             assert str(got) == str(want) and repr(got) == repr(want)
             if "__format__" in vars(F):  # Fraction format specs arrived in Python 3.12
                 assert f"{got:.5e}" == f"{want:.5e}"
+
+
+def test_graph_points_matches_brute_enumeration():
+    # one family of each kind; the word loop composes affine triples and sums
+    # the series inline, so compare it with per-word encode and series calls
+    for dist in (Dyadic(), Geometric(F(2, 5)), CustomPrefixTail((F(1, 3), F(1, 5)), F(2, 3))):
+        for depth in range(1, 5):
+            for cap in range(1, 6):
+                points = graph_points(dist, depth, cap).points
+                assert list(points) == brute_graph_points(dist, depth, cap)
+                xs = [x for x, _ in points]
+                assert all(a < b for a, b in zip(xs, xs[1:])), (dist, depth, cap)
+
+
+def test_cylinder_increment_measure_matches_pmf_product():
+    rng = random.Random(2024)
+    for dist in FAMILIES:
+        for _ in range(20):
+            word = tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 8)))
+            expected = math.prod((ref_pmf(dist, d) for d in word), start=F(1))
+            assert cylinder_increment(dist, word).measure == expected
+
+
+def test_render_decimal_matches_reference():
+    rng = random.Random(77)
+    values = [F(0), F(1), F(-1), F(7), F(-12), F(1, 2), F(-1, 2), F(10**45 + 1, 10**15)]
+    for precision in range(1, 41):
+        # exact ties just past the last kept digit, with odd and even last digits
+        for last in range(10):
+            k = rng.randint(0, 10**precision // 10)
+            tie = F(2 * (10 * k + last) + 1, 2 * 10**precision)
+            values += [tie, -tie, tie + rng.randint(1, 99)]
+    for _ in range(400):
+        den = rng.choice((1, 2, 3, 7, 10**rng.randint(1, 50), rng.randint(1, 1 << 200)))
+        values.append(F(rng.randint(-(1 << 220), 1 << 220), den))
+    for value in values:
+        for precision in (1, 2, 5, 17, 30, 40):
+            assert render_decimal(value, precision) == ref_render_decimal(value, precision)
+    for precision in range(1, 41):
+        for value in values[::7]:
+            assert render_decimal(value, precision) == ref_render_decimal(value, precision)
+
+
+def test_series_budget_on_digit_sum(monkeypatch):
+    # the real budget: sums that would shift past 2^24 bits raise before shifting
+    huge = series.MAX_DIGIT_SUM + 1
+    for call in (
+        lambda: alt_series_exact(DigitSeq((), (huge,))),
+        lambda: alt_series_exact(DigitSeq((huge,), (1,))),
+        lambda: alt_series_exact((10**99, 3)),
+        lambda: prefix_enclosure((2, 100_000_000_000)),
+    ):
+        with pytest.raises(ResourceLimitError):
+            call()
+    # the boundary, on a small budget
+    monkeypatch.setattr(series, "MAX_DIGIT_SUM", 10)
+    assert alt_series_exact((3, 7)) == ref_alt_series_exact((3, 7))
+    assert alt_series_exact(DigitSeq((4,), (6,))) == ref_alt_series_exact(DigitSeq((4,), (6,)))
+    for stream in ((3, 8), (11,), DigitSeq((), (5, 6)), DigitSeq((11,), (1,))):
+        with pytest.raises(ResourceLimitError):
+            alt_series_exact(stream)
