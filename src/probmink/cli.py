@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 self-test failure, 2 parse or usage error,
 3 domain error, 4 resource limit (an exact result too large to compute,
-such as a series whose digit sum exceeds series.MAX_DIGIT_SUM). Output
+such as a series or a digit word whose digit sum exceeds
+series.MAX_DIGIT_SUM, or a MemoryError, OverflowError or RecursionError
+that no budget check caught first). Output
 formats: plain text (default) or JSON; the graph command always emits
 CSV. Rationals print in full at any size. Decimal renderings honor
 --precision and carry a trailing ellipsis when inexact.
@@ -370,6 +372,11 @@ def main(argv=None) -> int:
         return 3
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except (MemoryError, OverflowError, RecursionError) as exc:
+        # the interpreter's own limits, for inputs no budget check caught first
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {type(exc).__name__}{detail}", file=sys.stderr)
         return 4
 
 

@@ -61,6 +61,9 @@ class Distribution:
     def _check_digit(i: int) -> None:
         if i < 1:
             raise DomainError(f"digit index must be >= 1, got {i}")
+        if i > series.MAX_DIGIT_SUM:
+            # the triple holds powers with exponent i: a one-digit word over budget
+            series.check_digit_sum(i)
 
 
 @dataclass(frozen=True)
@@ -223,3 +226,7 @@ def parse_distribution(text: str) -> Distribution:
         head = tuple(parse_rational(p) for p in head_text.split(","))
         return CustomPrefixTail(head, parse_rational(ratio_text))
     raise ParseError(f"unknown distribution spec: {text!r}")
+
+
+# imported last because series imports this module through expansion
+from . import series  # noqa: E402

@@ -139,7 +139,12 @@ def _check_unit_interval(x: Fraction) -> None:
 
 
 def _compose(dist: Distribution, word) -> tuple:
-    """Integers (A, B, D): the word's branches composed as y -> (A + B*y) / D."""
+    """Integers (A, B, D): the word's branches composed as y -> (A + B*y) / D.
+
+    Raises ResourceLimitError, before any power is built, when the word's
+    digit sum exceeds series.MAX_DIGIT_SUM.
+    """
+    series.check_digit_sum(sum(word))
     a, b, den = 0, 1, 1
     for d in word:
         p, q, l = dist.affine(d)
@@ -242,11 +247,14 @@ def cylinder(dist: Distribution, word) -> Cylinder:
 
     The endpoints are the encodings of the word and of its right sibling
     (last digit bumped by one), each extended by the all-ones tail; the
-    width is the product of the digit probabilities.
+    width is the product of the digit probabilities. The right sibling's
+    digit sum, one more than the word's, is held to series.MAX_DIGIT_SUM
+    before any power is built.
     """
     digits = tuple(int(d) for d in word)
     if not digits:
         raise DomainError("cylinder word must be nonempty")
+    series.check_digit_sum(sum(digits) + 1)
     # the all-ones tail encodes to 0, so each endpoint is its word's map at 0
     a, b, den = _compose(dist, digits[:-1])
     p, q, l = dist.affine(digits[-1])
@@ -274,3 +282,7 @@ def approximation_bound(dist: Distribution, u: int) -> Fraction:
     if u < 1:
         raise DomainError(f"depth must be >= 1, got {u}")
     return dist.max_p() ** u
+
+
+# imported last because series imports this module
+from . import series  # noqa: E402

@@ -10,6 +10,7 @@ cylinder quadrature with an exact error enclosure adjudicates, and a seeded
 Monte Carlo estimate cross-checks the winner.
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -157,36 +158,69 @@ class MCEstimate:
 _MC_DEPTH = 64
 
 
-def _mc_sample_int(s: int, t: int, a: int, depth: int = _MC_DEPTH) -> tuple:
-    """Integer-only sample evaluation for geometric-family distributions.
+def _mc_sample_dyadic(a: int) -> tuple:
+    """The sample at x = a / 2^64 under the dyadic law, from bit masks.
 
-    Walks the digits of x = a / 2^64 under the geometric family with
-    success probability s/t, keeping the remainder as an unreduced integer
-    pair, and accumulates the series partial sum as m / 2^(s_k - 1).
-    Returns (A, e) with the sample value equal to A / (3 * 2^e): the exact
-    value when the remainder hits zero (the stream ends in ones and the
-    alternating tail closes in one step), otherwise the midpoint of the
-    depth-`depth` enclosure.
+    Digit k of x is a run of one bits closed by the k-th zero bit, at
+    binary position s_k. After the zero that follows the last one bit, at
+    position n_bits = 65 - (trailing zeros of a), the remainder is 0 and the
+    stream continues with ones. So the accumulator
+    m = sum over k of (-1)^(k-1) 2^(n_bits - s_k) is the odd-numbered zero
+    bits (counted from the top) minus the even-numbered ones, and a prefix
+    XOR from the top picks out the odd ones. Leading zero bits of a are digit
+    1s like any other. Returns (A, e) as `_mc_sample_geometric` does.
+    """
+    if a == 0:
+        # every digit of 0 is 1, and the series of all ones is 2/3
+        return 2, 0
+    trailing = (a & -a).bit_length() - 1
+    n_bits = 65 - trailing
+    # bit n_bits - p is set when binary digit p of x is 0, for p = 1..n_bits
+    zeros = ((1 << n_bits) - 1) ^ ((a << 1) >> trailing)
+    odd = zeros ^ (zeros >> 1)
+    odd ^= odd >> 2
+    odd ^= odd >> 4
+    odd ^= odd >> 8
+    odd ^= odd >> 16
+    odd ^= odd >> 32
+    odd ^= odd >> 64
+    odd &= zeros
+    # 6m + 2(-1)^n with m = odd - (zeros - odd) and n zero bits in all
+    sign = -2 if zeros.bit_count() & 1 else 2
+    return 12 * odd - 6 * zeros + sign, n_bits
+
+
+def _mc_sample_geometric(s: int, t: int, a: int) -> tuple:
+    """The sample at x = a / 2^64 under the geometric law with q = s/t.
+
+    Walks y = 1 - x = w/v as an unreduced integer pair. With u = t - s, the
+    digit c is the smallest with u^c v < t^c w; the search keeps u^c v and
+    t^c w as running products, and the step reuses them:
+    w, v <- t^c w - u^c v, s u^(c-1) v. The series partial sum is
+    accumulated as m / 2^(s_k - 1). Returns (A, e) with the sample value
+    A / (3 * 2^e): the exact value when the remainder hits zero (w == v; the
+    stream ends in ones and the alternating tail closes in one step),
+    otherwise the midpoint of the depth-64 enclosure.
     """
     u = t - s
-    num, den = a, 1 << _MC_DEPTH
-    m = 0
-    s_k = 0
+    v = 1 << _MC_DEPTH
+    w = v - a
+    m = s_k = 0
     sign = 1
-    for _ in range(depth):
-        if num == 0:
+    for _ in range(_MC_DEPTH):
+        if w == v:
             return 6 * m + 2 * sign, s_k
-        diff = den - num
-        up, tp, c = u, t, 1
-        while up * den >= tp * diff:
-            up *= u
-            tp *= t
+        prev, lo, hi, c = v, u * v, t * w, 1
+        while lo >= hi:
+            prev = lo
+            lo *= u
+            hi *= t
             c += 1
-        num, den = t * (den * (up // u) - diff * (tp // t)), den * s * (up // u)
+        w, v = hi - lo, s * prev
         m = (m << c) + sign
         s_k += c
         sign = -sign
-    if num == 0:
+    if w == v:
         return 6 * m + 2 * sign, s_k
     return 3 * (4 * m + sign), s_k + 1
 
@@ -194,15 +228,22 @@ def _mc_sample_int(s: int, t: int, a: int, depth: int = _MC_DEPTH) -> tuple:
 def _mc_fast(q: Fraction, samples: int, rng: random.Random) -> tuple:
     """Exact (sum, sum of squares) over geometric-family samples.
 
+    Each draw goes through one integer kernel: `_mc_sample_dyadic` for
+    q = 1/2 (the dyadic law), `_mc_sample_geometric` for every other q.
+    Both give the sample's depth-64 enclosure midpoint (the exact value
+    where the expansion terminates), equal to `_mc_generic`'s bit for bit.
     Sample values A_i / (3 * 2^(e_i)) are accumulated over running common
     power-of-two denominators with integer shifts only, so the totals are
     exact and independent of accumulation order.
     """
-    s, t = q.numerator, q.denominator
+    if q == Fraction(1, 2):
+        sample = _mc_sample_dyadic
+    else:
+        sample = functools.partial(_mc_sample_geometric, q.numerator, q.denominator)
     total, total_exp = 0, 0
     sq_total, sq_exp = 0, 0
     for _ in range(samples):
-        a_num, e = _mc_sample_int(s, t, rng.getrandbits(_MC_DEPTH))
+        a_num, e = sample(rng.getrandbits(_MC_DEPTH))
         if e > total_exp:
             total <<= e - total_exp
             total_exp = e
@@ -237,8 +278,9 @@ def integral_mc(dist: Distribution, samples: int, seed: int) -> MCEstimate:
 
     Draws uniform 64-bit dyadic rationals and averages the midpoints of
     depth-64 enclosures (exact values where the expansion terminates).
-    Geometric-family distributions use an integer fast path that reproduces
-    the generic rational loop sample for sample; runs are reproducible.
+    The dyadic and geometric families run `_mc_fast`, whose integer sample
+    kernels reproduce the rational loop `_mc_generic` (the path for custom
+    heads) sample for sample; runs are reproducible.
     """
     if samples < 1:
         raise DomainError(f"sample count must be >= 1, got {samples}")

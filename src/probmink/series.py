@@ -16,7 +16,9 @@ Only results are built as Fractions, so each value costs one gcd.
 
 A digit sum is a bit count: the result's denominator has about that many
 bits. A sum above MAX_DIGIT_SUM raises ResourceLimitError before any
-shift is allocated.
+shift is allocated. The codec holds words and digits to the same budget
+(`check_digit_sum`), because a word's composed map has a power of each
+digit's denominator.
 """
 
 from dataclasses import dataclass
@@ -52,6 +54,15 @@ class AltSeriesValue:
         return (self.lower + self.upper) / 2
 
 
+def check_digit_sum(total: int) -> None:
+    """Raise ResourceLimitError when a digit sum exceeds MAX_DIGIT_SUM."""
+    if total > MAX_DIGIT_SUM:
+        raise ResourceLimitError(
+            f"digit sum {int_text(total)} exceeds the budget of {MAX_DIGIT_SUM} bits "
+            "for an exact value"
+        )
+
+
 def _finite_sum(digits) -> tuple:
     """Sum the series over a finite digit list, as integers.
 
@@ -60,12 +71,7 @@ def _finite_sum(digits) -> tuple:
     list. Raises ResourceLimitError when the digit sum exceeds
     MAX_DIGIT_SUM.
     """
-    total = sum(digits)
-    if total > MAX_DIGIT_SUM:
-        raise ResourceLimitError(
-            f"digit sum {int_text(total)} exceeds the budget of {MAX_DIGIT_SUM} bits "
-            "for an exact series value"
-        )
+    check_digit_sum(sum(digits))
     m = 0
     s = 0
     sign = 1

@@ -7,7 +7,8 @@ series, and the partial-sum helpers add terms one at a time.
 
 The `ref_*` routines are the plain `Fraction` forms of the integer kernels
 in `series`, `expansion`, `distribution` and `fmt`: each step builds and
-reduces a Fraction. The kernels must equal them bit for bit.
+reduces a Fraction. `ref_mc_sample_int` is the Monte Carlo sampler that
+walks one digit at a time. The kernels must equal them bit for bit.
 """
 
 import itertools
@@ -188,3 +189,35 @@ def ref_render_decimal(value, precision=30):
     ipart, fpart = divmod(q, scale)
     out = f"{sign}{ipart}.{str(fpart).zfill(precision)}"
     return out + "…" if r != 0 else out
+
+
+def ref_mc_sample_int(s, t, a, depth=64):
+    """Monte Carlo sample (A, e), value A / (3 * 2^e), at x = a / 2^64, q = s/t.
+
+    Walks the digits of x one at a time under the geometric family with
+    success probability s/t, keeping the remainder as an unreduced integer
+    pair, and accumulates the series partial sum as m / 2^(s_k - 1): the
+    exact value when the remainder hits zero, otherwise the midpoint of the
+    depth-`depth` enclosure.
+    """
+    u = t - s
+    num, den = a, 1 << 64
+    m = 0
+    s_k = 0
+    sign = 1
+    for _ in range(depth):
+        if num == 0:
+            return 6 * m + 2 * sign, s_k
+        diff = den - num
+        up, tp, c = u, t, 1
+        while up * den >= tp * diff:
+            up *= u
+            tp *= t
+            c += 1
+        num, den = t * (den * (up // u) - diff * (tp // t)), den * s * (up // u)
+        m = (m << c) + sign
+        s_k += c
+        sign = -sign
+    if num == 0:
+        return 6 * m + 2 * sign, s_k
+    return 3 * (4 * m + sign), s_k + 1

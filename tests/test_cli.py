@@ -3,7 +3,7 @@ import io
 import json
 from fractions import Fraction
 
-from probmink import alt_series_periodic_closed_form
+from probmink import alt_series_periodic_closed_form, cli
 from probmink.cli import main
 
 
@@ -213,11 +213,27 @@ def test_resource_limit_exit_4(capsys):
         ("qmark", "--x", f"{10**k + 7}/{3 * 10**k}"),
         ("eval", "--dist", "dyadic", "--digits", "(100000000000)"),
         ("eval", "--dist", "dyadic", "--digits", "(100000000000)", "--format", "json"),
+        # digit words past the budget stop before the codec builds 2^(10^11)
+        ("encode", "--dist", "dyadic", "--digits", "(100000000000)"),
+        ("encode", "--dist", "geometric:1/3", "--digits", "2,30000000(1)"),
+        ("diagnose", "--dist", "dyadic", "--digits", "3,20000000"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 4, argv
         assert out == ""
         assert err.startswith("error: digit sum") and "exceeds the budget" in err
+
+
+def test_interpreter_limits_exit_4(capsys, monkeypatch):
+    for exc in (MemoryError(), OverflowError("int too large"), RecursionError("too deep")):
+        def fail(*args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "eval_question_mark", fail)
+        code, out, err = run(capsys, "qmark", "--x", "1/3")
+        assert code == 4, exc
+        assert out == ""
+        assert err.startswith(f"error: {type(exc).__name__}") and len(err.splitlines()) == 1
 
 
 def test_consecutive_calls_share_no_state(capsys):

@@ -118,7 +118,13 @@ def test_quadrature_domain_errors():
 
 def test_mc_fast_path_matches_generic():
     # the integer fast path against the plain rational loop, same draws
-    for dist, q in ((Dyadic(), F(1, 2)), (Geometric(F(1, 3)), F(1, 3))):
+    for dist, q in (
+        (Dyadic(), F(1, 2)),
+        (Geometric(F(1, 2)), F(1, 2)),
+        (Geometric(F(1, 3)), F(1, 3)),
+        (Geometric(F(2, 5)), F(2, 5)),
+        (Geometric(F(1, 4)), F(1, 4)),
+    ):
         rng_fast = random.Random(505)
         rng_ref = random.Random(505)
         total_fast, sq_fast = _mc_fast(q, 100, rng_fast)

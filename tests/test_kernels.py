@@ -29,6 +29,7 @@ from probmink import (
 from probmink import series
 from probmink.errors import DomainError, ResourceLimitError
 from probmink.expansion import _coprime_fraction
+from probmink.integral import _mc_sample_dyadic, _mc_sample_geometric
 from probmink.series import _finite_sum
 
 from oracles import (
@@ -36,6 +37,7 @@ from oracles import (
     ref_alt_series_exact,
     ref_encode,
     ref_finite_sum,
+    ref_mc_sample_int,
     ref_pmf,
     ref_prefix,
     ref_prefix_enclosure,
@@ -269,3 +271,63 @@ def test_series_budget_on_digit_sum(monkeypatch):
     for stream in ((3, 8), (11,), DigitSeq((), (5, 6)), DigitSeq((11,), (1,))):
         with pytest.raises(ResourceLimitError):
             alt_series_exact(stream)
+
+
+def test_codec_budget_on_digit_sum(monkeypatch):
+    # the real budget: a word or digit past 2^24 raises before any power is built
+    huge = series.MAX_DIGIT_SUM + 1
+    for dist in (Dyadic(), Geometric(F(1, 3)), FAMILIES[-1]):
+        for call in (
+            lambda: encode(dist, DigitSeq((), (100_000_000_000,))),
+            lambda: encode(dist, DigitSeq((huge,), (1,))),
+            lambda: cylinder(dist, (2, huge)),
+            lambda: dist.affine(huge),
+            lambda: dist.pmf(10**5000),
+        ):
+            with pytest.raises(ResourceLimitError):
+                call()
+    # the boundary, on a small budget: encode composes the preperiod and the
+    # period apart, cylinder composes the word's right sibling too
+    monkeypatch.setattr(series, "MAX_DIGIT_SUM", 10)
+    for dist in (Dyadic(), Geometric(F(2, 5)), FAMILIES[-2]):
+        for seq in (DigitSeq((3, 7), (10,)), DigitSeq((10,), (4, 6))):
+            assert encode(dist, seq) == ref_encode(dist, seq)
+        _, q, l = dist.affine(10)
+        assert F(q, l) == ref_pmf(dist, 10)
+        assert cylinder(dist, (3, 6)).inf == ref_encode(dist, DigitSeq((3, 6), (1,)))
+        assert cylinder(dist, (9,)).sup == ref_encode(dist, DigitSeq((10,), (1,)))
+        for call in (
+            lambda: encode(dist, DigitSeq((3, 8), (1,))),
+            lambda: encode(dist, DigitSeq((), (5, 6))),
+            lambda: cylinder(dist, (3, 7)),
+            lambda: cylinder(dist, (10,)),
+            lambda: dist.affine(11),
+        ):
+            with pytest.raises(ResourceLimitError):
+                call()
+
+
+MC_QS = (F(1, 2), F(1, 3), F(2, 5), F(1, 4), F(3, 7), F(5, 6))
+
+
+def _mc_points(seed, count):
+    """Seeded 64-bit draws plus the edge cases of the Monte Carlo sampler."""
+    rng = random.Random(seed)
+    edges = {0, 1, 1 << 63, (1 << 64) - 1}
+    edges.update(1 << k for k in range(64))
+    edges.update((1 << k) - 1 for k in range(65))
+    # short draws: leading zero bits of x, which are digit 1s
+    short = [rng.getrandbits(rng.randint(1, 63)) for _ in range(count)]
+    return sorted(edges) + short + [rng.getrandbits(64) for _ in range(count)]
+
+
+def test_mc_sample_kernels_match_reference():
+    for a in _mc_points(164, 1000):
+        assert _mc_sample_dyadic(a) == ref_mc_sample_int(1, 2, a), a
+    for q in MC_QS:
+        s, t = q.numerator, q.denominator
+        for a in _mc_points(t, 150):
+            assert _mc_sample_geometric(s, t, a) == ref_mc_sample_int(s, t, a), (q, a)
+    # digits near 100 per step: each reference sample walks about 6 400 candidates
+    for a in (0, (1 << 64) - 1, random.Random(100).getrandbits(64)):
+        assert _mc_sample_geometric(1, 100, a) == ref_mc_sample_int(1, 100, a), a
