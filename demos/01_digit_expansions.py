@@ -37,7 +37,7 @@ for x in (F(1, 4), F(2, 3), F(5, 8)):
     print(f"  x = {x}: first digits {digits}, remainder {remainder}")
 
 print()
-print("== rational points have eventually periodic streams ==")
+print("== a rational point closes a period, or provably never does ==")
 g = Geometric(F(1, 3))
 for x in (F(2, 3), F(3, 7), F(1, 9)):
     print(f"  dyadic    {x} -> {decode_periodic(d, x)}")

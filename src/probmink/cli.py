@@ -1,8 +1,9 @@
 """Command-line interface with exact rational I/O.
 
 Exit codes: 0 success, 1 self-test failure, 2 parse or usage error,
-3 domain error, 4 resource limit (an exact result too large to compute,
-such as a series or a digit word whose digit sum exceeds
+3 domain error (including a rational point whose digit stream has no
+period, so M there is irrational), 4 resource limit (an exact result too
+large to compute, such as a series, a digit word or a single digit over
 series.MAX_DIGIT_SUM, or a MemoryError, OverflowError or RecursionError
 that no budget check caught first). Output
 formats: plain text (default) or JSON; the graph command always emits
@@ -20,6 +21,7 @@ from fractions import Fraction
 from .distribution import parse_distribution
 from .errors import DomainError, ParseError, ResourceLimitError
 from .expansion import (
+    Aperiodic,
     NotDetected,
     decode,
     decode_periodic,
@@ -101,6 +103,8 @@ def cmd_decode(args) -> int:
     x = parse_rational(args.x)
     if args.periodic:
         seq = decode_periodic(dist, x, max_steps=args.max_steps)
+        if isinstance(seq, Aperiodic):
+            raise seq.error(x)
         if isinstance(seq, NotDetected):
             raise DomainError(
                 f"no digit period detected for {x} within {args.max_steps} steps"

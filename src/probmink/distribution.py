@@ -7,7 +7,8 @@ supplies one integer method, `affine(i) -> (P, Q, L)`, with prefix(i) = P/L
 (cumulative mass strictly below digit i) and pmf(i) = Q/L, computed from
 closed forms; `prefix` and `pmf` are built from it. The codec composes the
 unreduced triples directly. Each family also has an exact digit search used
-by the decoder.
+by the decoder, and `branch_primes() -> (S, W)`, the primes that the
+decoder's periodicity walk tracks (see `expansion`).
 
 Instances are immutable and hashable; all operations are pure.
 """
@@ -16,8 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ParseError
-from .fmt import parse_rational
+from .errors import DomainError, ParseError, ResourceLimitError
+from .fmt import int_text, parse_rational
 
 
 class Distribution:
@@ -53,6 +54,17 @@ class Distribution:
         """
         raise NotImplementedError
 
+    def branch_primes(self) -> tuple:
+        """Integers (S, W) naming the primes of the branch denominators.
+
+        The prime factors of S are the primes that can divide some L of
+        affine(c) = (P, Q, L), so every L is S-smooth. W is the part of
+        gcd(Q(c) for c >= 2) that is coprime to S. A prime of W never leaves
+        a remainder's denominator once there, and a digit cycle cannot keep
+        its exponent fixed, so it certifies an aperiodic stream.
+        """
+        raise NotImplementedError
+
     def spec_string(self) -> str:
         """The textual form accepted by parse_distribution."""
         raise NotImplementedError
@@ -64,6 +76,26 @@ class Distribution:
         if i > series.MAX_DIGIT_SUM:
             # the triple holds powers with exponent i: a one-digit word over budget
             series.check_digit_sum(i)
+
+
+def _smooth_part(n: int, primes: int) -> int:
+    """The largest divisor of n > 0 whose primes all divide `primes`."""
+    part = 1
+    g = math.gcd(n, primes)
+    while g > 1:
+        n //= g
+        part *= g
+        g = math.gcd(n, g)
+    return part
+
+
+def _check_digit_bound(bound: int) -> None:
+    """Raise ResourceLimitError when a lower bound on a digit passes the budget."""
+    if bound > series.MAX_DIGIT_SUM:
+        raise ResourceLimitError(
+            f"the digit at this point is at least {int_text(bound)}, above the budget of "
+            f"{series.MAX_DIGIT_SUM} for an exact value"
+        )
 
 
 @dataclass(frozen=True)
@@ -85,6 +117,9 @@ class Dyadic(Distribution):
             c += 1
             t <<= 1
         return c
+
+    def branch_primes(self) -> tuple:
+        return 2, 1
 
     def spec_string(self) -> str:
         return "dyadic"
@@ -119,6 +154,10 @@ class Geometric(Distribution):
         s, t = self.q.numerator, self.q.denominator
         u = t - s
         num, den = x.numerator, x.denominator
+        if u > s * series.MAX_DIGIT_SUM:
+            # -log(1-x) >= x and -log(1-q) <= q/(1-q) give c > x*u/s, which
+            # can pass the budget only when u/s does
+            _check_digit_bound(num * u // (den * s) + 1)
         diff = den - num
         c, up, tp = 1, u, t
         while up * den >= tp * diff:
@@ -126,6 +165,11 @@ class Geometric(Distribution):
             tp *= t
             c += 1
         return c
+
+    def branch_primes(self) -> tuple:
+        # L = t^c; Q(c) = s u^(c-1), and s u is coprime to t
+        s, t = self.q.numerator, self.q.denominator
+        return t, s * (t - s)
 
     def spec_string(self) -> str:
         return f"geometric:{self.q}"
@@ -192,6 +236,11 @@ class CustomPrefixTail(Distribution):
         # 1 - s = an/ad and 1 - x = bn/bd, compared by cross-multiplication
         an, ad = h - cum[-1], h
         rn, rd = self.tail_ratio.numerator, self.tail_ratio.denominator
+        if rn > (series.MAX_DIGIT_SUM - len(self.head)) * (rd - rn):
+            # the geometric bound with (1-x)/(1-s) for 1-x, j > (x-s)/(1-s) * r/(1-r),
+            # can pass the budget only when k + r/(1-r) does; x - s = (num*h - cum_k*den)/(den*h)
+            _check_digit_bound(
+                len(self.head) + (num * h - cum[-1] * den) * rn // (den * an * (rd - rn)) + 1)
         bn, bd = den - num, den
         j, rpn, rpd = 1, rn, rd
         while an * rpn * bd >= ad * rpd * bn:
@@ -199,6 +248,15 @@ class CustomPrefixTail(Distribution):
             rpd *= rd
             j += 1
         return len(self.head) + j
+
+    def branch_primes(self) -> tuple:
+        # L is H or H rd^(j+1); Q is a head numerator, or (H - cum_k) rn^j (rd - rn)
+        # for tail digit k+1+j, whose gcd over j >= 0 is its j = 0 value
+        h, cum = self._lcm, self._cum_num
+        rn, rd = self.tail_ratio.numerator, self.tail_ratio.denominator
+        primes = h * rd
+        w = math.gcd(*(b - a for a, b in zip(cum[1:], cum[2:])), (h - cum[-1]) * (rd - rn))
+        return primes, w // _smooth_part(w, primes)
 
     def spec_string(self) -> str:
         probs = ",".join(str(p) for p in self.head)

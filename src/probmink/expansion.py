@@ -17,6 +17,27 @@ the gcd of the new numerator with Q, so every reduction is a gcd against
 the small integer L or Q, never between two large ones. The result is
 then in lowest terms by construction and becomes one Fraction with no
 further gcd.
+
+`decode_periodic` runs the same step on a remainder n/d held as d = e*f.
+The distribution's `branch_primes()` gives (S, W): every branch
+denominator L is S-smooth, and W is the part of gcd(Q(c) for c >= 2) that
+is coprime to S. f collects the primes of S in d and e the rest, so
+gcd(L, d) = gcd(L, f) runs on small integers. The division by Q is one
+divmod, and its usual zero remainder needs no gcd. A prime p outside S
+divides no L and, once in d, not the new numerator, so v_p(d) grows by
+v_p(Q(c)) at each digit c and never falls: e only ever gains primes.
+
+The lemma: if a prime p of W divides some remainder's denominator, the
+stream is not eventually periodic. A cycle would leave v_p fixed, so it
+could use only digits with p not dividing Q(c), which is digit 1 alone;
+but the cycle of digit 1 is the remainder 0, whose denominator p does not
+divide. The converse, for `Dyadic` and `Geometric`, where every prime of
+Q(c) outside S lies in W: if no prime of W ever arrives, e stays fixed and
+f only loses primes, so every remainder's denominator divides the first
+one, and a period closes within that many steps. For these two families
+the walk therefore decides periodicity, given the steps. Under a custom
+head some Q(c) can hold primes outside S and W, and W may be 1, so the
+walk certifies some of its points and may run out of steps on others.
 """
 
 import math
@@ -24,9 +45,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distribution import Distribution
-from .errors import DomainError, ParseError, ProbminkError
-from .fmt import parse_ints
+from .distribution import Distribution, _smooth_part
+from .errors import AperiodicError, DomainError, ParseError, ProbminkError
+from .fmt import parse_ints, rational_text
 
 
 @dataclass(frozen=True)
@@ -99,6 +120,36 @@ class NotDetected:
     """No remainder repeated within the step budget; holds the digits found."""
 
     prefix: tuple
+
+
+@dataclass(frozen=True)
+class Aperiodic:
+    """Proof that a point's digit stream is not eventually periodic.
+
+    `prefix` holds the first `step` digits. `witness` > 1 divides W of the
+    distribution's `branch_primes()`, so each of its primes p divides no
+    branch denominator L and every Q(c) with c >= 2. It divides the
+    denominator of the remainder after `prefix` and of every later one,
+    because v_p of the denominator grows by v_p(Q(c)) at each digit c and
+    never falls. A period would have to use only digit 1, whose cycle is
+    the remainder 0, so none exists. The series then has no eventually
+    periodic run lengths, and M at the point is irrational.
+    """
+
+    prefix: tuple
+    witness: int
+    step: int
+
+    def error(self, x: Fraction) -> AperiodicError:
+        """The AperiodicError for point x, with M's enclosure from `prefix`."""
+        enclosure = series.prefix_enclosure(self.prefix)
+        lower, upper = (rational_text(v) for v in (enclosure.lower, enclosure.upper))
+        return AperiodicError(
+            f"no digit period exists for {x}: the witness {self.witness} divides every "
+            f"remainder's denominator from step {self.step} on, so M({x}) is irrational; "
+            f"it lies in [{lower}, {upper}]",
+            self.witness, self.step, enclosure,
+        )
 
 
 @dataclass(frozen=True)
@@ -216,30 +267,71 @@ def decode(dist: Distribution, x: Fraction, n: int) -> tuple:
 
 
 def decode_periodic(dist: Distribution, x: Fraction, max_steps: int = 4096):
-    """Recover the full eventually periodic digit stream of x, if any.
+    """Recover the full eventually periodic digit stream of x, or disprove one.
 
-    Shifts x one digit at a time, recording remainders; a repeat closes the
-    period. Returns a DigitSeq verified to encode back to x, or NotDetected
-    with the digit prefix found when no remainder repeats in max_steps.
+    Walks x one digit at a time, recording remainders; a repeat closes the
+    period. Returns a DigitSeq verified to encode back to x; Aperiodic when
+    a prime of W (dist.branch_primes()) enters a remainder's denominator,
+    which proves that no period exists; or NotDetected with the digit prefix
+    found when neither happens in max_steps.
+
+    Each step is `shift` on the integers n, d = e*f of the remainder, with
+    f the S-part of d (see the module docstring), so that gcd(L, d) is the
+    small gcd(L, f) and the division by Q is one divmod, or a shift and a
+    mask when Q is a power of two.
     """
     _check_unit_interval(x)
     if max_steps < 1:
         raise DomainError(f"max_steps must be >= 1, got {max_steps}")
+    primes, w = dist.branch_primes()
+    n, d = x.numerator, x.denominator
+    f = _smooth_part(d, primes)
+    witness = math.gcd(d // f, w)
+    if witness > 1:
+        return Aperiodic((), witness, 0)
+    # the non-S part e = d/f is fixed between clears, so (n, f) keys the remainder
     seen = {}
     digits = []
-    cur = x
-    while len(digits) <= max_steps:
-        key = (cur.numerator, cur.denominator)
-        if key in seen:
-            j = seen[key]
+    while True:
+        j = seen.setdefault((n, f), len(digits))
+        if j < len(digits):
             seq = DigitSeq(tuple(digits[:j]), tuple(digits[j:]))
             if encode(dist, seq) != x:
                 raise ProbminkError(f"period detection produced an inconsistent stream for {x}")
             return seq
-        seen[key] = len(digits)
-        c, cur = shift(dist, cur)
+        if j == max_steps:
+            return NotDetected(tuple(digits))
+        c = dist.digit_of(_coprime_fraction(n, d))
         digits.append(c)
-    return NotDetected(tuple(digits[:max_steps]))
+        p, q, l = dist.affine(c)
+        g = math.gcd(l, f)
+        if g > 1:
+            l, f, d = l // g, f // g, d // g
+        m = n * l - p * d
+        if q == 1:
+            n = m
+            continue
+        if q & (q - 1):
+            n, r = divmod(m, q)
+        else:
+            # a power of two: bit operations cost a fraction of a divmod
+            n, r = m >> (q.bit_length() - 1), m & (q - 1)
+        if not r:
+            continue
+        # q stays in the denominator after cancelling gcd(m, q) = gcd(q, r)
+        g = math.gcd(q, r)
+        if g > 1:
+            m, q = m // g, q // g
+        n = m
+        smooth = _smooth_part(q, primes)
+        f, d = f * smooth, d * q
+        if q > smooth:
+            # e gains the primes of q // smooth, which no later step removes,
+            # so no earlier remainder comes back
+            witness = math.gcd(q // smooth, w)
+            if witness > 1:
+                return Aperiodic(tuple(digits), witness, len(digits))
+            seen.clear()
 
 
 def cylinder(dist: Distribution, word) -> Cylinder:

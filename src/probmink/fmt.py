@@ -5,6 +5,7 @@ rejected rather than rounded, so every value that enters the library is
 exactly the value the user wrote.
 """
 
+import decimal
 import re
 from fractions import Fraction
 
@@ -16,6 +17,12 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 # by default), so longer ints are converted this many digits at a time
 _CHUNK_DIGITS = 4000
 _CHUNK = 10**_CHUNK_DIGITS
+# the chunk loop is quadratic; above this many bits _decimal_text's divide
+# and conquer is faster (the two cross between 5*10^4 and 7*10^4 bits on
+# CPython 3.11.7; at 10^6 bits it is 0.12 s against 1.0 s)
+_SPLIT_BITS = 1 << 16
+# _decimal_text converts ints this small to Decimal directly, as _pylong does
+_LEAF_BITS = 128
 
 
 def parse_ints(texts) -> tuple:
@@ -49,12 +56,53 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def _decimal_text(n: int) -> str:
+    """Decimal text of an int n > 0 by splitting it in binary and joining in decimal.
+
+    The method of CPython 3.12's `_pylong.int_to_decimal_string`: n = hi*2^k
+    + lo with k half of n's bits, both halves converted recursively and
+    joined as lo + hi*2^k in exact `decimal` arithmetic at MAX_PREC, with
+    each power 2^k built once. Decimal multiplication is subquadratic, so
+    the whole conversion is too.
+    """
+    powers = {}
+
+    def power(w):
+        # 2^w; the two halves of an odd split ask for w and w+1, the smaller first
+        result = powers.get(w)
+        if result is None:
+            if w <= _LEAF_BITS:
+                result = decimal.Decimal(1 << w)
+            elif w - 1 in powers:
+                result = powers[w - 1] * 2
+            else:
+                result = power(w >> 1) * power(w - (w >> 1))
+            powers[w] = result
+        return result
+
+    def convert(n, w):
+        if w <= _LEAF_BITS:
+            return decimal.Decimal(n)
+        half = w >> 1
+        hi = n >> half
+        return convert(n - (hi << half), half) + convert(hi, w - half) * power(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        return str(convert(n, n.bit_length()))
+
+
 def int_text(n: int) -> str:
     """Decimal text of an int of any size, as str(n) would give without its limit."""
     if -_CHUNK < n < _CHUNK:
         return str(n)
     if n < 0:
         return "-" + int_text(-n)
+    if n.bit_length() > _SPLIT_BITS:
+        return _decimal_text(n)
     chunks = []
     while n >= _CHUNK:
         n, r = divmod(n, _CHUNK)

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .distribution import Distribution
 from .errors import DomainError, PeriodDetectionError, ProbminkError
 from .expansion import (
+    Aperiodic,
     DigitSeq,
     NotDetected,
     decode,
@@ -30,12 +31,16 @@ def eval_minkowski(dist: Distribution, arg, max_steps: int = 4096) -> Fraction:
     """Exact value of the induced function at a DigitSeq or rational point.
 
     A rational argument is first decoded to its eventually periodic digit
-    stream; if no period is detected within max_steps the value cannot be
-    closed exactly and PeriodDetectionError asks for the enclosure variant.
+    stream. A stream proven aperiodic raises AperiodicError: the value is
+    irrational, and the error carries an enclosure. If neither a period nor
+    a proof turns up within max_steps the value cannot be closed exactly,
+    and PeriodDetectionError asks for the enclosure variant.
     """
     if isinstance(arg, DigitSeq):
         return alt_series_exact(arg)
     seq = decode_periodic(dist, arg, max_steps)
+    if isinstance(seq, Aperiodic):
+        raise seq.error(arg)
     if isinstance(seq, NotDetected):
         raise PeriodDetectionError(
             f"no digit period detected for {arg} within {max_steps} steps; "

@@ -9,13 +9,42 @@ The `ref_*` routines are the plain `Fraction` forms of the integer kernels
 in `series`, `expansion`, `distribution` and `fmt`: each step builds and
 reduces a Fraction. `ref_mc_sample_int` is the Monte Carlo sampler that
 walks one digit at a time. The kernels must equal them bit for bit.
+`ref_decode_periodic` is period detection with no aperiodicity certificate,
+keyed on every reduced remainder. `FAMILIES` are the distributions the
+kernel and property tests share.
 """
 
 import itertools
 from fractions import Fraction
 
-from probmink import CustomPrefixTail, DigitSeq, Dyadic, Geometric, alt_series_exact, encode
+from probmink import (
+    CustomPrefixTail,
+    DigitSeq,
+    Dyadic,
+    Geometric,
+    NotDetected,
+    ProbminkError,
+    alt_series_exact,
+    encode,
+    shift,
+)
 from probmink.integral import alpha
+
+
+F = Fraction
+FAMILIES = (
+    Dyadic(),
+    Geometric(F(1, 2)),
+    Geometric(F(1, 3)),
+    Geometric(F(2, 5)),
+    Geometric(F(3, 4)),
+    Geometric(F(1, 10)),
+    Geometric(F(5, 7)),
+    CustomPrefixTail((F(1, 3), F(1, 4)), F(1, 2)),
+    CustomPrefixTail((F(1, 10),), F(1, 2)),
+    CustomPrefixTail((F(1, 7), F(2, 9), F(1, 12)), F(3, 5)),
+    CustomPrefixTail((F(1, 6), F(1, 10), F(1, 15), F(1, 4)), F(9, 10)),
+)
 
 
 def partial_sums(digits):
@@ -176,6 +205,31 @@ def ref_shift(dist, x):
     """One decoding step, (digit, (x - prefix) / pmf), in Fraction arithmetic."""
     c = dist.digit_of(x)
     return c, (x - ref_prefix(dist, c)) / ref_pmf(dist, c)
+
+
+def ref_decode_periodic(dist, x, max_steps=4096):
+    """Period detection by `shift` and a dict of every (numerator, denominator) seen.
+
+    Returns the DigitSeq at the first repeated remainder, verified by
+    encoding, or NotDetected with the first max_steps digits. It has no
+    aperiodicity certificate, so an aperiodic point always walks the whole
+    budget.
+    """
+    seen = {}
+    digits = []
+    cur = x
+    while len(digits) <= max_steps:
+        key = (cur.numerator, cur.denominator)
+        if key in seen:
+            j = seen[key]
+            seq = DigitSeq(tuple(digits[:j]), tuple(digits[j:]))
+            if encode(dist, seq) != x:
+                raise ProbminkError(f"period detection produced an inconsistent stream for {x}")
+            return seq
+        seen[key] = len(digits)
+        c, cur = shift(dist, cur)
+        digits.append(c)
+    return NotDetected(tuple(digits[:max_steps]))
 
 
 def ref_render_decimal(value, precision=30):

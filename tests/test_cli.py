@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 
 from probmink import alt_series_periodic_closed_form, cli
@@ -64,6 +65,27 @@ def test_decode_periodic_not_detected_is_domain_error(capsys):
     )
     assert code == 3
     assert "no digit period" in err
+
+
+def test_aperiodic_point_exits_3(capsys):
+    code, out, err = run(capsys, "eval", "--dist", "geometric:1/3", "--x", "5/7")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: no digit period exists for 5/7: the witness 2 divides every remainder's "
+        "denominator from step 1 on, so M(5/7) is irrational; it lies in [1/16, 1/8]\n"
+    )
+    code, out, err = run(capsys, "decode", "--dist", "geometric:1/3", "--x", "2/13", "--periodic")
+    assert (code, out) == (3, "")
+    assert "no digit period exists for 2/13" in err and "witness 2" in err
+
+
+def test_digit_search_budget_exit_4(capsys):
+    for spec, x in (("geometric:1/100000000", "1/2"), ("custom:1/2;99999999/100000000", "3/4")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--dist", spec, "--x", x)
+        assert time.perf_counter() - start < 2, spec
+        assert (code, out) == (4, "")
+        assert err.startswith("error: the digit at this point is at least")
 
 
 def test_qmark_exact_decimal(capsys):

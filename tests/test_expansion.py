@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from probmink import (
+    Aperiodic,
     DigitSeq,
     DomainError,
     Dyadic,
@@ -147,11 +148,16 @@ def test_decode_periodic_not_detected():
     d = Dyadic()
     r = decode_periodic(d, F(1, 3), max_steps=1)
     assert isinstance(r, NotDetected) and r.prefix == (1,)
-    # under the geometric family the orbit of 1/5 keeps growing denominators
+    # under the geometric family 1/5 has no period, and the walk proves it
     g = Geometric(F(1, 3))
     r = decode_periodic(g, F(1, 5), max_steps=50)
+    assert isinstance(r, Aperiodic) and r.witness == 2 and 1 <= r.step <= 50
+    assert list(r.prefix) == decode(g, F(1, 5), r.step)[0]
+    # a geometric period longer than the budget is not detected
+    x = encode(g, DigitSeq((3,), (1, 2, 3) * 20 + (2,)))
+    r = decode_periodic(g, x, max_steps=50)
     assert isinstance(r, NotDetected)
-    assert list(r.prefix) == decode(g, F(1, 5), 50)[0]
+    assert list(r.prefix) == decode(g, x, 50)[0]
 
 
 def test_cylinder_fixtures():

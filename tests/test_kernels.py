@@ -6,11 +6,13 @@ compares their numerators and denominators exactly.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from probmink import (
+    Aperiodic,
     CustomPrefixTail,
     DigitSeq,
     Dyadic,
@@ -19,6 +21,7 @@ from probmink import (
     alt_series_truncated,
     cylinder,
     cylinder_increment,
+    decode,
     decode_periodic,
     encode,
     graph_points,
@@ -26,13 +29,14 @@ from probmink import (
     render_decimal,
     shift,
 )
-from probmink import series
+from probmink import fmt, series
 from probmink.errors import DomainError, ResourceLimitError
 from probmink.expansion import _coprime_fraction
 from probmink.integral import _mc_sample_dyadic, _mc_sample_geometric
 from probmink.series import _finite_sum
 
 from oracles import (
+    FAMILIES,
     brute_graph_points,
     ref_alt_series_exact,
     ref_encode,
@@ -46,19 +50,6 @@ from oracles import (
 )
 
 F = Fraction
-FAMILIES = (
-    Dyadic(),
-    Geometric(F(1, 2)),
-    Geometric(F(1, 3)),
-    Geometric(F(2, 5)),
-    Geometric(F(3, 4)),
-    Geometric(F(1, 10)),
-    Geometric(F(5, 7)),
-    CustomPrefixTail((F(1, 3), F(1, 4)), F(1, 2)),
-    CustomPrefixTail((F(1, 10),), F(1, 2)),
-    CustomPrefixTail((F(1, 7), F(2, 9), F(1, 12)), F(3, 5)),
-    CustomPrefixTail((F(1, 6), F(1, 10), F(1, 15), F(1, 4)), F(9, 10)),
-)
 
 
 def _random_seq(rng, max_pre, max_per, max_digit):
@@ -331,3 +322,120 @@ def test_mc_sample_kernels_match_reference():
     # digits near 100 per step: each reference sample walks about 6 400 candidates
     for a in (0, (1 << 64) - 1, random.Random(100).getrandbits(64)):
         assert _mc_sample_geometric(1, 100, a) == ref_mc_sample_int(1, 100, a), a
+
+
+def _strip(n, primes):
+    """n with every prime factor of `primes` divided out."""
+    g = math.gcd(n, primes)
+    while g > 1:
+        n //= g
+        g = math.gcd(n, primes)
+    return n
+
+
+def _prime_factors(n):
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
+def _valuation(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def test_branch_primes_against_affine():
+    for dist in FAMILIES:
+        primes, w = dist.branch_primes()
+        assert primes > 1 and w >= 1 and math.gcd(w, primes) == 1
+        g = 0
+        for c in range(1, 41):
+            _, q, l = dist.affine(c)
+            assert _strip(l, primes) == 1, (dist, c)
+            if c >= 2:
+                assert q % w == 0, (dist, c)
+                g = math.gcd(g, q)
+        # W is all of the S-free part of gcd(Q(c), c >= 2) that 40 digits show
+        assert _strip(g, primes) == w, dist
+    assert [d.branch_primes()[1] > 1 for d in FAMILIES].count(True) == 6
+
+
+def test_aperiodic_certificate_by_hand():
+    rng = random.Random(2026)
+    fired = 0
+    for dist in FAMILIES:
+        _, w = dist.branch_primes()
+        for _ in range(40):
+            x = F(rng.randrange(300), 300 + rng.randrange(300))
+            r = decode_periodic(dist, x, max_steps=600)
+            if not isinstance(r, Aperiodic):
+                continue
+            fired += 1
+            assert r.witness > 1 and w % r.witness == 0
+            assert len(r.prefix) == r.step
+            digits, _ = decode(dist, x, r.step + 20)
+            assert tuple(digits[: r.step]) == r.prefix
+            dens = [x.denominator]
+            y = x
+            for _ in range(r.step + 20):
+                y = shift(dist, y)[1]
+                dens.append(y.denominator)
+            for p in _prime_factors(r.witness):
+                v = [_valuation(den, p) for den in dens]
+                assert all(a <= b for a, b in zip(v, v[1:])), (dist, x, p)
+                assert all(e > 0 for e in v[r.step:]), (dist, x, p)
+            # the certificate fires at the first remainder any prime of W reaches
+            for p in _prime_factors(w):
+                assert all(_valuation(den, p) == 0 for den in dens[: r.step]), (dist, x, p)
+    assert fired > 150
+
+
+def test_digit_search_budget(monkeypatch):
+    # a tiny q puts the first digit past the budget: raised before any power
+    for dist, x in (
+        (Geometric(F(1, 10**8)), F(1, 2)),
+        (CustomPrefixTail((F(1, 2),), F(10**8 - 1, 10**8)), F(3, 4)),
+    ):
+        with pytest.raises(ResourceLimitError):
+            dist.digit_of(x)
+    # on a small budget the bound never refuses a digit within it
+    rng = random.Random(10)
+    dists = (Geometric(F(1, 100)), Geometric(F(2, 301)),
+             CustomPrefixTail((F(1, 3), F(1, 5)), F(97, 100)))
+    points = [F(rng.randrange(1000), 1000) for _ in range(300)]
+    digits = {(dist, x): dist.digit_of(x) for dist in dists for x in points}
+    monkeypatch.setattr(series, "MAX_DIGIT_SUM", 10)
+    refused = 0
+    for (dist, x), c in digits.items():
+        try:
+            assert dist.digit_of(x) == c
+        except ResourceLimitError:
+            assert c > 10
+            refused += 1
+    assert refused > 300
+
+
+def test_int_text_matches_str():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rng = random.Random(17)
+        split = fmt._SPLIT_BITS
+        values = [10**k for k in (0, 1, 3999, 4000, 4001, 8000, 19728, 19729, 40000)]
+        values += [10**k - 1 for k in (4000, 4001, 19729, 40000)]
+        for bits in (13_000, 14_001, split - 1, split, split + 1, split + 77, 3 * split):
+            values.append(rng.getrandbits(bits) | (1 << (bits - 1)))
+        values += [1 << split, (1 << split) - 1, (1 << (split + 1)) - 1]
+        for v in values:
+            for n in (v, -v):
+                assert fmt.int_text(n) == str(n), n.bit_length()
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from probmink import (
+    AperiodicError,
     CustomPrefixTail,
     DigitSeq,
     DomainError,
@@ -51,6 +52,20 @@ def test_eval_period_detection_failure():
         eval_minkowski(Dyadic(), F(1, 3), max_steps=1)
     with pytest.raises(PeriodDetectionError):
         eval_minkowski(Geometric(F(1, 3)), F(1, 5), max_steps=50)
+
+
+def test_eval_aperiodic_point():
+    g = Geometric(F(1, 3))
+    for x in (F(5, 7), F(1, 5), F(2, 13), F(123, 1000)):
+        with pytest.raises(AperiodicError) as info:
+            eval_minkowski(g, x)
+        err = info.value
+        # an even denominator holds the witness before any digit is decoded
+        assert err.witness == 2 and (err.step == 0) == (x.denominator % 2 == 0)
+        assert "no digit period" in str(err) and f"from step {err.step} on" in str(err)
+        # the error's enclosure, from err.step digits, holds the one from 40 digits
+        deeper = eval_minkowski_enclosure(g, x, 40)
+        assert err.enclosure.lower <= deeper.lower <= deeper.upper <= err.enclosure.upper
 
 
 def test_enclosure_terminating_is_exact():

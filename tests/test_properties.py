@@ -4,12 +4,16 @@ Hypothesis runs derandomized, with no deadline and no example database,
 so every run draws the same examples and the suite stays deterministic.
 """
 
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probmink import Aperiodic, CustomPrefixTail, DigitSeq, Dyadic, Geometric, NotDetected
+from probmink import decode_periodic
 from probmink.integral import _mc_sample_dyadic, _mc_sample_geometric
 
-from oracles import ref_mc_sample_int
+from oracles import FAMILIES, ref_decode_periodic, ref_mc_sample_int
 
 DETERMINISTIC = settings(derandomize=True, deadline=None, database=None)
 DRAWS = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -32,3 +36,30 @@ def geometric_parameters(draw):
 def test_geometric_sample_kernel_matches_reference(params, a):
     s, t = params
     assert _mc_sample_geometric(s, t, a) == ref_mc_sample_int(s, t, a)
+
+
+WALK_FAMILIES = st.one_of(
+    st.just(Dyadic()),
+    geometric_parameters().map(lambda p: Geometric(Fraction(*p))),
+    st.sampled_from([d for d in FAMILIES if isinstance(d, CustomPrefixTail)]),
+)
+
+
+@st.composite
+def points(draw):
+    d = draw(st.integers(min_value=1, max_value=2000))
+    return Fraction(draw(st.integers(min_value=0, max_value=d - 1)), d)
+
+
+@DETERMINISTIC
+@given(WALK_FAMILIES, points())
+def test_decode_periodic_matches_reference(dist, x):
+    result = decode_periodic(dist, x, max_steps=400)
+    if isinstance(result, Aperiodic):
+        # no period: the plain walk finds none either, along the same digits
+        ref = ref_decode_periodic(dist, x, max_steps=3000)
+        assert isinstance(ref, NotDetected)
+        assert ref.prefix[: result.step] == result.prefix
+    else:
+        assert isinstance(result, (DigitSeq, NotDetected))
+        assert result == ref_decode_periodic(dist, x, max_steps=400)
