@@ -111,11 +111,29 @@ def int_text(n: int) -> str:
     return "".join(reversed(chunks))
 
 
+def _ratio_text(num: int, den: int) -> str:
+    """rational_text of the reduced ratio num/den, den > 0, without a Fraction."""
+    if den == 1:
+        return int_text(num)
+    return f"{int_text(num)}/{int_text(den)}"
+
+
+def _ratio_decimal(num: int, den: int, precision: int) -> str:
+    """render_decimal of the reduced ratio num/den, den > 0, without a Fraction."""
+    if precision < 1:
+        raise ParseError(f"precision must be >= 1, got {precision}")
+    q, r = divmod((-num if num < 0 else num) * 10**precision, den)
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
+    # q's digits, padded so at least one lands before the point
+    digits = int_text(q).rjust(precision + 1, "0")
+    out = f"{'-' if num < 0 else ''}{digits[:-precision]}.{digits[-precision:]}"
+    return out + "…" if r else out
+
+
 def rational_text(value: Fraction) -> str:
     """`n/d`, or `n` for an integer: str(value) without the int-string limit."""
-    if value.denominator == 1:
-        return int_text(value.numerator)
-    return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
+    return _ratio_text(value.numerator, value.denominator)
 
 
 def render_decimal(value: Fraction, precision: int = 30) -> str:
@@ -124,13 +142,4 @@ def render_decimal(value: Fraction, precision: int = 30) -> str:
     Rounding is round-half-to-even on the last kept digit. A trailing
     ellipsis character marks any output that is not exactly the value.
     """
-    if precision < 1:
-        raise ParseError(f"precision must be >= 1, got {precision}")
-    num, den = value.numerator, value.denominator
-    q, r = divmod((-num if num < 0 else num) * 10**precision, den)
-    if 2 * r > den or (2 * r == den and q & 1):
-        q += 1
-    # q's digits, padded so at least one lands before the point
-    digits = int_text(q).rjust(precision + 1, "0")
-    out = f"{'-' if num < 0 else ''}{digits[:-precision]}.{digits[-precision:]}"
-    return out + "…" if r else out
+    return _ratio_decimal(value.numerator, value.denominator, precision)

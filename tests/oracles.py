@@ -9,9 +9,10 @@ The `ref_*` routines are the plain `Fraction` forms of the integer kernels
 in `series`, `expansion`, `distribution` and `fmt`: each step builds and
 reduces a Fraction. `ref_mc_sample_int` is the Monte Carlo sampler that
 walks one digit at a time. The kernels must equal them bit for bit.
-`ref_decode_periodic` is period detection with no aperiodicity certificate,
-keyed on every reduced remainder. `FAMILIES` are the distributions the
-kernel and property tests share.
+`ref_graph_points` is the graph enumeration that recomposes every word from
+its first digit. `ref_decode_periodic` is period detection with no
+aperiodicity certificate, keyed on every reduced remainder. `FAMILIES` are
+the distributions the kernel and property tests share.
 """
 
 import itertools
@@ -81,6 +82,27 @@ def brute_graph_points(dist, depth, cap):
         seq = DigitSeq(word, (1,))
         out.append((encode(dist, seq), alt_series_exact(seq)))
     return out
+
+
+def ref_graph_points(dist, depth, cap):
+    """Graph sample by one integer loop per word over `itertools.product`.
+
+    Each word recomposes its affine triples from the first digit and sums
+    the series inline; each coordinate goes through the Fraction
+    constructor's gcd.
+    """
+    branches = [(c, *dist.affine(c)) for c in range(1, cap + 1)]
+    points = []
+    for word in itertools.product(branches, repeat=depth):
+        a, b, den = 0, 1, 1
+        m, s, sign = 0, 0, 1
+        for c, p, q, l in word:
+            a, b, den = a * l + b * p, b * q, den * l
+            m = (m << c) + sign
+            s += c
+            sign = -sign
+        points.append((Fraction(a, den), Fraction(2 * (3 * m + sign), 3 << s)))
+    return points
 
 
 def question_mark_by_mediants(x: Fraction) -> Fraction:

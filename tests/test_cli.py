@@ -4,8 +4,9 @@ import json
 import time
 from fractions import Fraction
 
-from probmink import alt_series_periodic_closed_form, cli
+from probmink import alt_series_periodic_closed_form, cli, graph_points, parse_distribution
 from probmink.cli import main
+from probmink.fmt import rational_text, render_decimal
 
 
 def run(capsys, *argv):
@@ -138,6 +139,57 @@ def test_graph_file_output(tmp_path, capsys):
 
     xs = [Fraction(row[0]) for row in rows[1:]]
     assert xs == sorted(xs)
+
+
+GRAPH_FAMILIES = ("dyadic", "geometric:2/5", "custom:1/3,1/5;2/3")
+
+
+def test_graph_rows_match_csv_writer(tmp_path, capsys):
+    # the rows are formatted from integers; csv.writer over the Fraction
+    # formatters gives the same bytes, on stdout and under --out alike
+    for k, spec in enumerate(GRAPH_FAMILIES):
+        dist = parse_distribution(spec)
+        points = graph_points(dist, 3, 4).points
+        for precision in (1, 7, 30):
+            expected = io.StringIO(newline="")
+            writer = csv.writer(expected)
+            writer.writerow(["x_rational", "y_rational", "x_decimal", "y_decimal"])
+            for x, y in points:
+                writer.writerow([rational_text(x), rational_text(y),
+                                 render_decimal(x, precision), render_decimal(y, precision)])
+            argv = ("graph", "--dist", spec, "--depth", "3", "--cap", "4",
+                    "--precision", str(precision))
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert out == expected.getvalue(), (spec, precision)
+            path = tmp_path / f"graph_{k}_{precision}.csv"
+            code, _, _ = run(capsys, *argv, "--out", str(path))
+            assert code == 0
+            assert path.read_bytes() == out.encode("utf-8"), (spec, precision)
+
+
+def test_graph_budgets_exit_4(capsys):
+    for argv, message in (
+        (("--depth", "9", "--cap", "40"), "exceeds the budget of 1048576 points"),
+        (("--depth", "21", "--cap", "2"), "exceeds the budget of 1048576 points"),
+        # the branch table's digit sum, and the longest word's
+        (("--depth", "1", "--cap", "100000"), "exceeds the budget"),
+        (("--depth", "20000000", "--cap", "1"), "exceeds the budget"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "graph", "--dist", "dyadic", *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out) == (4, ""), argv
+        assert err.startswith("error: ") and message in err, argv
+
+
+def test_graph_unwritable_out_exit_2(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "g.csv", tmp_path):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "graph", "--dist", "dyadic", "--out", str(path))
+        assert time.perf_counter() - start < 1, path
+        assert (code, out) == (2, ""), path
+        assert err.startswith(f"error: cannot write {path}: ") and len(err.splitlines()) == 1
 
 
 def test_diagnose(capsys):

@@ -204,8 +204,9 @@ def test_coprime_fraction_matches_constructor():
 
 
 def test_graph_points_matches_brute_enumeration():
-    # one family of each kind; the word loop composes affine triples and sums
-    # the series inline, so compare it with per-word encode and series calls
+    # one family of each kind; the level-by-level enumeration composes affine
+    # triples and sums the series inline, so compare it with per-word encode
+    # and series calls
     for dist in (Dyadic(), Geometric(F(2, 5)), CustomPrefixTail((F(1, 3), F(1, 5)), F(2, 3))):
         for depth in range(1, 5):
             for cap in range(1, 6):

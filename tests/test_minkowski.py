@@ -11,6 +11,7 @@ from probmink import (
     Dyadic,
     Geometric,
     PeriodDetectionError,
+    ResourceLimitError,
     alt_series_exact,
     continued_fraction,
     continuity_modulus_check,
@@ -25,6 +26,7 @@ from probmink import (
     monotonicity_witnesses,
     singularity_ratio_step,
 )
+from probmink.minkowski import MAX_GRAPH_POINTS, _graph_size
 
 from oracles import (
     brute_graph_points,
@@ -210,6 +212,18 @@ def test_graph_points_other_families():
         for x, y in result.points:
             assert eval_minkowski(dist, x) == y
         assert result.uncovered_mass == 1 - dist.prefix(4) ** 2
+
+
+def test_graph_size_budget():
+    # exactly MAX_GRAPH_POINTS is allowed; one more factor of cap is not
+    assert _graph_size(10, 4) == _graph_size(20, 2) == MAX_GRAPH_POINTS
+    assert _graph_size(1, 5792) == 5792  # branch digit sum 16 776 528, just under 2^24
+    for depth, cap in ((21, 2), (11, 4), (9, 40), (10**9, 3), (1, 10**12)):
+        with pytest.raises(ResourceLimitError, match="points"):
+            graph_points(Dyadic(), depth, cap)
+    for depth, cap in ((1, 5793), (1, 100000), ((1 << 24) + 1, 1)):
+        with pytest.raises(ResourceLimitError, match="digit sum"):
+            graph_points(Dyadic(), depth, cap)
 
 
 def test_increment_fixtures():

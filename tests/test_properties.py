@@ -4,16 +4,17 @@ Hypothesis runs derandomized, with no deadline and no example database,
 so every run draws the same examples and the suite stays deterministic.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probmink import Aperiodic, CustomPrefixTail, DigitSeq, Dyadic, Geometric, NotDetected
-from probmink import decode_periodic
+from probmink import decode_periodic, graph_points
 from probmink.integral import _mc_sample_dyadic, _mc_sample_geometric
 
-from oracles import FAMILIES, ref_decode_periodic, ref_mc_sample_int
+from oracles import FAMILIES, ref_decode_periodic, ref_graph_points, ref_mc_sample_int
 
 DETERMINISTIC = settings(derandomize=True, deadline=None, database=None)
 DRAWS = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -63,3 +64,14 @@ def test_decode_periodic_matches_reference(dist, x):
     else:
         assert isinstance(result, (DigitSeq, NotDetected))
         assert result == ref_decode_periodic(dist, x, max_steps=400)
+
+
+@DETERMINISTIC
+@given(WALK_FAMILIES, st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=5))
+def test_graph_points_match_reference(dist, depth, cap):
+    points = graph_points(dist, depth, cap).points
+    assert list(points) == ref_graph_points(dist, depth, cap)
+    # the coordinates skip the Fraction constructor, so check they are reduced
+    for value in (v for point in points for v in point):
+        n, d = value.numerator, value.denominator
+        assert d > 0 and math.gcd(n, d) == 1
