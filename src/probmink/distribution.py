@@ -6,9 +6,14 @@ an explicit head of probabilities completed by a geometric tail. Each family
 supplies one integer method, `affine(i) -> (P, Q, L)`, with prefix(i) = P/L
 (cumulative mass strictly below digit i) and pmf(i) = Q/L, computed from
 closed forms; `prefix` and `pmf` are built from it. The codec composes the
-unreduced triples directly. Each family also has an exact digit search used
-by the decoder, and `branch_primes() -> (S, W)`, the primes that the
-decoder's periodicity walk tracks (see `expansion`).
+unreduced triples directly. Each family also has one exact digit search on
+plain integers, `_branch(n, d) -> (c, P, Q, L)`: the digit c of n/d and
+affine(c), with the triple built from the powers that the search already
+holds (2^c for `Dyadic`, t^c and u^(c-1) for `Geometric(s/t)` with
+u = t - s, rd^j and rn^(j-1) for tail digit k + j of a custom head of k
+digits with tail ratio rn/rd). `digit_of` and the decoder's periodicity
+walk both run it. `branch_primes() -> (S, W)` gives the primes that the
+walk tracks (see `expansion`).
 
 Instances are immutable and hashable; all operations are pure.
 """
@@ -49,8 +54,19 @@ class Distribution:
     def digit_of(self, x: Fraction) -> int:
         """The unique digit c with prefix(c) <= x < prefix(c+1).
 
-        Callers guarantee 0 <= x < 1. Implementations compare integer
-        powers exactly; no logarithms or floats are involved.
+        Callers guarantee 0 <= x < 1. This is `_branch`'s search, so it
+        raises ResourceLimitError where affine(c) would.
+        """
+        return self._branch(x.numerator, x.denominator)[0]
+
+    def _branch(self, n: int, d: int) -> tuple:
+        """(c, P, Q, L) for the point n/d with 0 <= n < d: its digit c and affine(c).
+
+        The search compares integer powers exactly, with no logarithms or
+        floats, and the triple reuses its last powers (see the module
+        docstring). It raises ResourceLimitError when a lower bound on c
+        passes series.MAX_DIGIT_SUM, before any power is built, and when c
+        itself does, as affine(c) would.
         """
         raise NotImplementedError
 
@@ -70,12 +86,12 @@ class Distribution:
         raise NotImplementedError
 
     @staticmethod
-    def _check_digit(i: int) -> None:
+    def _digit_error(i: int) -> None:
+        """Raise for a digit index outside 1..series.MAX_DIGIT_SUM."""
         if i < 1:
             raise DomainError(f"digit index must be >= 1, got {i}")
-        if i > series.MAX_DIGIT_SUM:
-            # the triple holds powers with exponent i: a one-digit word over budget
-            series.check_digit_sum(i)
+        # the triple holds powers with exponent i: a one-digit word over budget
+        series.check_digit_sum(i)
 
 
 def _smooth_part(n: int, primes: int) -> int:
@@ -103,20 +119,24 @@ class Dyadic(Distribution):
     """p_i = 2^-i, so prefix(i) = 1 - 2^(1-i)."""
 
     def affine(self, i: int) -> tuple:
-        self._check_digit(i)
+        if not 0 < i <= series.MAX_DIGIT_SUM:
+            self._digit_error(i)
         return (1 << i) - 2, 1, 1 << i
 
     def max_p(self) -> Fraction:
         return Fraction(1, 2)
 
-    def digit_of(self, x: Fraction) -> int:
-        # smallest c with 2^c * (1 - x) > 1
-        num, den = x.numerator, x.denominator
-        c, t = 1, (den - num) << 1
-        while t <= den:
+    def _branch(self, n: int, d: int) -> tuple:
+        # smallest c with 2^c (d - n) > d: with b = d - n, 2^c b has
+        # c + bit_length(b) bits, so c is bit_length(d) - bit_length(b) or one more
+        b = d - n
+        c = d.bit_length() - b.bit_length()
+        if b << c <= d:
             c += 1
-            t <<= 1
-        return c
+        if c > series.MAX_DIGIT_SUM:
+            series.check_digit_sum(c)
+        l = 1 << c
+        return c, l - 2, 1, l
 
     def branch_primes(self) -> tuple:
         return 2, 1
@@ -136,40 +156,49 @@ class Geometric(Distribution):
         object.__setattr__(self, "q", q)
         if not 0 < q < 1:
             raise DomainError(f"geometric parameter must lie strictly in (0,1), got {q}")
+        # q = s/t and u = t - s, as plain ints for the digit search and affine
+        object.__setattr__(self, "_s", q.numerator)
+        object.__setattr__(self, "_t", q.denominator)
+        object.__setattr__(self, "_u", q.denominator - q.numerator)
 
     def affine(self, i: int) -> tuple:
-        # with q = s/t and u = t - s: prefix = 1 - (u/t)^(i-1), pmf = s u^(i-1) / t^i
-        self._check_digit(i)
-        s, t = self.q.numerator, self.q.denominator
-        u_pow = (t - s) ** (i - 1)
+        # prefix = 1 - (u/t)^(i-1), pmf = s u^(i-1) / t^i
+        if not 0 < i <= series.MAX_DIGIT_SUM:
+            self._digit_error(i)
+        t = self._t
+        u_pow = self._u ** (i - 1)
         l = t**i
-        return l - t * u_pow, s * u_pow, l
+        return l - t * u_pow, self._s * u_pow, l
 
     def max_p(self) -> Fraction:
         # the pmf is strictly decreasing in i
         return self.q
 
-    def digit_of(self, x: Fraction) -> int:
-        # smallest c with (1-q)^c < 1 - x, via integer cross-multiplication
-        s, t = self.q.numerator, self.q.denominator
-        u = t - s
-        num, den = x.numerator, x.denominator
+    def _branch(self, n: int, d: int) -> tuple:
+        # smallest c with (u/t)^c < 1 - n/d, via integer cross-multiplication
+        s, t, u = self._s, self._t, self._u
         if u > s * series.MAX_DIGIT_SUM:
             # -log(1-x) >= x and -log(1-q) <= q/(1-q) give c > x*u/s, which
             # can pass the budget only when u/s does
-            _check_digit_bound(num * u // (den * s) + 1)
-        diff = den - num
-        c, up, tp = 1, u, t
-        while up * den >= tp * diff:
+            _check_digit_bound(n * u // (d * s) + 1)
+        # lo = u^c d and hi = t^c (d - n) grow by one small factor per digit
+        c, u_prev, up, tp = 1, 1, u, t
+        lo, hi = u * d, t * (d - n)
+        while lo >= hi:
+            u_prev = up
             up *= u
             tp *= t
+            lo *= u
+            hi *= t
             c += 1
-        return c
+        if c > series.MAX_DIGIT_SUM:
+            series.check_digit_sum(c)
+        # affine(c) from t^c and u^(c-1)
+        return c, tp - t * u_prev, s * u_prev, tp
 
     def branch_primes(self) -> tuple:
         # L = t^c; Q(c) = s u^(c-1), and s u is coprime to t
-        s, t = self.q.numerator, self.q.denominator
-        return t, s * (t - s)
+        return self._t, self._s * self._u
 
     def spec_string(self) -> str:
         return f"geometric:{self.q}"
@@ -208,54 +237,68 @@ class CustomPrefixTail(Distribution):
             cum.append(cum[-1] + p.numerator * (lcm // p.denominator))
         object.__setattr__(self, "_lcm", lcm)
         object.__setattr__(self, "_cum_num", tuple(cum))
+        # the head digits' triples, and the tail as plain ints: H(1-s), rn, rd
+        object.__setattr__(self, "_head_affine", tuple(
+            (a, b - a, lcm) for a, b in zip(cum, cum[1:])))
+        object.__setattr__(self, "_rest", lcm - cum[-1])
+        object.__setattr__(self, "_rn", ratio.numerator)
+        object.__setattr__(self, "_rd", ratio.denominator)
 
     def affine(self, i: int) -> tuple:
         # head digits over H, the lcm of the head denominators; tail digit
         # k+1+j over H rd^(j+1), with prefix = 1 - (1-s) r^j and r = rn/rd
-        self._check_digit(i)
-        cum, h = self._cum_num, self._lcm
-        if i <= len(self.head):
-            return cum[i - 1], cum[i] - cum[i - 1], h
-        j = i - len(self.head) - 1
-        rn, rd = self.tail_ratio.numerator, self.tail_ratio.denominator
-        rest = (h - cum[-1]) * rn**j
-        l = h * rd ** (j + 1)
+        if not 0 < i <= series.MAX_DIGIT_SUM:
+            self._digit_error(i)
+        head = self._head_affine
+        if i <= len(head):
+            return head[i - 1]
+        rn, rd = self._rn, self._rd
+        rest = self._rest * rn ** (i - len(head) - 1)
+        l = self._lcm * rd ** (i - len(head))
         return l - rest * rd, rest * (rd - rn), l
 
     def max_p(self) -> Fraction:
         # the tail decreases from its head term, so only the tail head competes
         return max(self.head + (self.pmf(len(self.head) + 1),))
 
-    def digit_of(self, x: Fraction) -> int:
-        num, den = x.numerator, x.denominator
-        cum, h = self._cum_num, self._lcm
-        for i in range(1, len(self.head) + 1):
-            if num * h < cum[i] * den:
-                return i
-        # tail: smallest j >= 1 with (1-s) r^j < 1 - x, digit is len(head) + j;
-        # 1 - s = an/ad and 1 - x = bn/bd, compared by cross-multiplication
-        an, ad = h - cum[-1], h
-        rn, rd = self.tail_ratio.numerator, self.tail_ratio.denominator
-        if rn > (series.MAX_DIGIT_SUM - len(self.head)) * (rd - rn):
+    def _branch(self, n: int, d: int) -> tuple:
+        cum, h, head = self._cum_num, self._lcm, self._head_affine
+        k = len(head)
+        nh = n * h
+        for i in range(1, k + 1):
+            if nh < cum[i] * d:
+                return (i, *head[i - 1])
+        # tail: smallest j >= 1 with (1-s) r^j < 1 - x for x = n/d, digit k + j;
+        # 1 - s = rest/H, compared by cross-multiplication
+        rest, rn, rd = self._rest, self._rn, self._rd
+        if rn > (series.MAX_DIGIT_SUM - k) * (rd - rn):
             # the geometric bound with (1-x)/(1-s) for 1-x, j > (x-s)/(1-s) * r/(1-r),
-            # can pass the budget only when k + r/(1-r) does; x - s = (num*h - cum_k*den)/(den*h)
-            _check_digit_bound(
-                len(self.head) + (num * h - cum[-1] * den) * rn // (den * an * (rd - rn)) + 1)
-        bn, bd = den - num, den
-        j, rpn, rpd = 1, rn, rd
-        while an * rpn * bd >= ad * rpd * bn:
+            # can pass the budget only when k + r/(1-r) does; x - s = (n*H - cum_k*d)/(d*H)
+            _check_digit_bound(k + (nh - cum[-1] * d) * rn // (d * rest * (rd - rn)) + 1)
+        # lo = rest rn^j d and hi = H rd^j (d - n) grow by one small factor per digit
+        j, rn_prev, rpn, rpd = 1, 1, rn, rd
+        lo, hi = rest * rn * d, h * rd * (d - n)
+        while lo >= hi:
+            rn_prev = rpn
             rpn *= rn
             rpd *= rd
+            lo *= rn
+            hi *= rd
             j += 1
-        return len(self.head) + j
+        c = k + j
+        if c > series.MAX_DIGIT_SUM:
+            series.check_digit_sum(c)
+        # affine(c) from rd^j and rn^(j-1)
+        l = h * rpd
+        tail = rest * rn_prev
+        return c, l - tail * rd, tail * (rd - rn), l
 
     def branch_primes(self) -> tuple:
         # L is H or H rd^(j+1); Q is a head numerator, or (H - cum_k) rn^j (rd - rn)
         # for tail digit k+1+j, whose gcd over j >= 0 is its j = 0 value
-        h, cum = self._lcm, self._cum_num
-        rn, rd = self.tail_ratio.numerator, self.tail_ratio.denominator
+        h, cum, rn, rd = self._lcm, self._cum_num, self._rn, self._rd
         primes = h * rd
-        w = math.gcd(*(b - a for a, b in zip(cum[1:], cum[2:])), (h - cum[-1]) * (rd - rn))
+        w = math.gcd(*(b - a for a, b in zip(cum[1:], cum[2:])), self._rest * (rd - rn))
         return primes, w // _smooth_part(w, primes)
 
     def spec_string(self) -> str:

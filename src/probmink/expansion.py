@@ -18,10 +18,13 @@ the small integer L or Q, never between two large ones. The result is
 then in lowest terms by construction and becomes one Fraction with no
 further gcd.
 
-`decode_periodic` runs the same step on a remainder n/d held as d = e*f.
-The distribution's `branch_primes()` gives (S, W): every branch
-denominator L is S-smooth, and W is the part of gcd(Q(c) for c >= 2) that
-is coprime to S. f collects the primes of S in d and e the rest, so
+`decode_periodic` runs the same step on a remainder n/d held as d = e*f,
+as plain integers. Each step is one call of the distribution's integer
+digit search, `dist._branch(n, d) -> (c, P, Q, L)`, which returns the
+digit and its triple together, then the update of n, e and f below; no
+Fraction is built. The distribution's `branch_primes()` gives (S, W):
+every branch denominator L is S-smooth, and W is the part of gcd(Q(c)
+for c >= 2) that is coprime to S. f collects the primes of S in d and e the rest, so
 gcd(L, d) = gcd(L, f) runs on small integers. The division by Q is one
 divmod, and its usual zero remainder needs no gcd. A prime p outside S
 divides no L and, once in d, not the new numerator, so v_p(d) grows by
@@ -46,8 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .distribution import Distribution, _smooth_part
-from .errors import AperiodicError, DomainError, ParseError, ProbminkError
-from .fmt import parse_ints, rational_text
+from .errors import AperiodicError, DomainError, ParseError, ProbminkError, ResourceLimitError
+from .fmt import int_text, parse_ints, rational_text
 
 
 @dataclass(frozen=True)
@@ -193,12 +196,14 @@ def _compose(dist: Distribution, word) -> tuple:
     """Integers (A, B, D): the word's branches composed as y -> (A + B*y) / D.
 
     Raises ResourceLimitError, before any power is built, when the word's
-    digit sum exceeds series.MAX_DIGIT_SUM.
+    digit sum exceeds series.MAX_DIGIT_SUM. Each distinct digit's triple is
+    built once.
     """
     series.check_digit_sum(sum(word))
+    branches = {d: dist.affine(d) for d in dict.fromkeys(word)}
     a, b, den = 0, 1, 1
     for d in word:
-        p, q, l = dist.affine(d)
+        p, q, l = branches[d]
         a, b, den = a * l + b * p, b * q, den * l
     return a, b, den
 
@@ -254,10 +259,19 @@ def shift(dist: Distribution, x: Fraction) -> tuple:
 
 
 def decode(dist: Distribution, x: Fraction, n: int) -> tuple:
-    """The first n digits of x plus the remaining shifted point."""
+    """The first n digits of x plus the remaining shifted point.
+
+    Every digit is at least 1, so n digits sum to at least n: n above
+    series.MAX_DIGIT_SUM raises ResourceLimitError before the first shift.
+    """
     _check_unit_interval(x)
     if n < 1:
         raise DomainError(f"digit count must be >= 1, got {n}")
+    if n > series.MAX_DIGIT_SUM:
+        raise ResourceLimitError(
+            f"{int_text(n)} digits sum to at least {int_text(n)}, above the budget of "
+            f"{series.MAX_DIGIT_SUM} for an exact value"
+        )
     digits = []
     cur = x
     for _ in range(n):
@@ -275,15 +289,18 @@ def decode_periodic(dist: Distribution, x: Fraction, max_steps: int = 4096):
     which proves that no period exists; or NotDetected with the digit prefix
     found when neither happens in max_steps.
 
-    Each step is `shift` on the integers n, d = e*f of the remainder, with
-    f the S-part of d (see the module docstring), so that gcd(L, d) is the
-    small gcd(L, f) and the division by Q is one divmod, or a shift and a
-    mask when Q is a power of two.
+    Each step is one `dist._branch(n, d)`, which gives the digit c and its
+    triple (P, Q, L) from a single integer search, then `shift`'s update on
+    the integers n, d = e*f of the remainder, with f the S-part of d (see
+    the module docstring), so that gcd(L, d) is the small gcd(L, f) and the
+    division by Q is one divmod, or a shift and a mask when Q is a power of
+    two. No Fraction is built per step.
     """
     _check_unit_interval(x)
     if max_steps < 1:
         raise DomainError(f"max_steps must be >= 1, got {max_steps}")
     primes, w = dist.branch_primes()
+    branch = dist._branch
     n, d = x.numerator, x.denominator
     f = _smooth_part(d, primes)
     witness = math.gcd(d // f, w)
@@ -301,9 +318,8 @@ def decode_periodic(dist: Distribution, x: Fraction, max_steps: int = 4096):
             return seq
         if j == max_steps:
             return NotDetected(tuple(digits))
-        c = dist.digit_of(_coprime_fraction(n, d))
+        c, p, q, l = branch(n, d)
         digits.append(c)
-        p, q, l = dist.affine(c)
         g = math.gcd(l, f)
         if g > 1:
             l, f, d = l // g, f // g, d // g

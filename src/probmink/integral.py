@@ -16,9 +16,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import series
 from .distribution import CustomPrefixTail, Distribution, Dyadic, Geometric
-from .errors import DomainError
-from .fmt import rational_text, render_decimal
+from .errors import DomainError, ResourceLimitError
+from .fmt import int_text, rational_text, render_decimal
 from .minkowski import eval_minkowski_enclosure
 
 
@@ -201,8 +202,18 @@ def _mc_sample_geometric(s: int, t: int, a: int) -> tuple:
     A / (3 * 2^e): the exact value when the remainder hits zero (w == v; the
     stream ends in ones and the alternating tail closes in one step),
     otherwise the midpoint of the depth-64 enclosure.
+
+    The search is held to the budget before it builds any power, by
+    `Geometric`'s lower bound c > x*u/s on the digit. The bound is taken in
+    the bits of t^c, at least c*k with k = bit_length(t) - 1, because a
+    digit inside the digit budget can still need a power of hundreds of
+    megabits: at q = 1/10^8 a digit near 10^7 has t^c of about 3*10^8
+    bits. The bound exceeds series.MAX_DIGIT_SUM bits only when t*k/s
+    does, so only then is it tested.
     """
     u = t - s
+    k = t.bit_length() - 1
+    bounded = t * k > s * series.MAX_DIGIT_SUM
     v = 1 << _MC_DEPTH
     w = v - a
     m = s_k = 0
@@ -210,6 +221,15 @@ def _mc_sample_geometric(s: int, t: int, a: int) -> tuple:
     for _ in range(_MC_DEPTH):
         if w == v:
             return 6 * m + 2 * sign, s_k
+        if bounded:
+            # x = 1 - w/v
+            c = (v - w) * u // (v * s) + 1
+            if c * k > series.MAX_DIGIT_SUM:
+                raise ResourceLimitError(
+                    f"the digit at this point is at least {int_text(c)}, so its power of "
+                    f"{int_text(t)} has at least {int_text(c * k)} bits, above the budget of "
+                    f"{series.MAX_DIGIT_SUM} bits"
+                )
         prev, lo, hi, c = v, u * v, t * w, 1
         while lo >= hi:
             prev = lo

@@ -9,6 +9,8 @@ The `ref_*` routines are the plain `Fraction` forms of the integer kernels
 in `series`, `expansion`, `distribution` and `fmt`: each step builds and
 reduces a Fraction. `ref_mc_sample_int` is the Monte Carlo sampler that
 walks one digit at a time. The kernels must equal them bit for bit.
+`ref_digit_of` is each family's digit search that reads the point back
+through `Fraction` and returns the digit alone.
 `ref_graph_points` is the graph enumeration that recomposes every word from
 its first digit. `ref_decode_periodic` is period detection with no
 aperiodicity certificate, keyed on every reduced remainder. `FAMILIES` are
@@ -223,9 +225,56 @@ def ref_encode(dist, seq):
     return offset + scale * (per_offset / (1 - per_scale))
 
 
+def ref_digit_of(dist, x):
+    """The digit c with prefix(c) <= x < prefix(c+1), by one search per family.
+
+    Each search compares integer powers of the point's numerator and
+    denominator, from c = 1 up, and keeps no power once it returns. A
+    custom head is searched by its Fraction partial sums.
+    """
+    num, den = x.numerator, x.denominator
+    if isinstance(dist, Dyadic):
+        # smallest c with 2^c * (1 - x) > 1
+        c, t = 1, (den - num) << 1
+        while t <= den:
+            c += 1
+            t <<= 1
+        return c
+    if isinstance(dist, Geometric):
+        # smallest c with (1-q)^c < 1 - x, via integer cross-multiplication
+        s, t = dist.q.numerator, dist.q.denominator
+        u = t - s
+        diff = den - num
+        c, up, tp = 1, u, t
+        while up * den >= tp * diff:
+            up *= u
+            tp *= t
+            c += 1
+        return c
+    if isinstance(dist, CustomPrefixTail):
+        head = dist.head
+        total = Fraction(0)
+        for i, p in enumerate(head, start=1):
+            total += p
+            if x < total:
+                return i
+        # tail: smallest j >= 1 with (1-s) r^j < 1 - x, digit is len(head) + j;
+        # 1 - s = an/ad and 1 - x = bn/bd, compared by cross-multiplication
+        an, ad = (1 - total).numerator, (1 - total).denominator
+        rn, rd = dist.tail_ratio.numerator, dist.tail_ratio.denominator
+        bn, bd = den - num, den
+        j, rpn, rpd = 1, rn, rd
+        while an * rpn * bd >= ad * rpd * bn:
+            rpn *= rn
+            rpd *= rd
+            j += 1
+        return len(head) + j
+    raise TypeError(f"no reference search for {dist!r}")
+
+
 def ref_shift(dist, x):
     """One decoding step, (digit, (x - prefix) / pmf), in Fraction arithmetic."""
-    c = dist.digit_of(x)
+    c = ref_digit_of(dist, x)
     return c, (x - ref_prefix(dist, c)) / ref_pmf(dist, c)
 
 

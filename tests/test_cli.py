@@ -81,12 +81,24 @@ def test_aperiodic_point_exits_3(capsys):
 
 
 def test_digit_search_budget_exit_4(capsys):
-    for spec, x in (("geometric:1/100000000", "1/2"), ("custom:1/2;99999999/100000000", "3/4")):
+    for argv, message in (
+        (("eval", "--dist", "geometric:1/100000000", "--x", "1/2"), "the digit at this point"),
+        (("eval", "--dist", "custom:1/2;99999999/100000000", "--x", "3/4"),
+         "the digit at this point"),
+        # the Monte Carlo kernel's search, held to the bits of its powers
+        (("integral", "--dist", "geometric:1/100000000", "--method", "mc", "--samples", "10"),
+         "the digit at this point"),
+        # n digits sum to at least n
+        (("eval", "--dist", "dyadic", "--x", "1/3", "--enclose", "20000000"),
+         "20000000 digits sum to at least"),
+        (("decode", "--dist", "dyadic", "--x", "1/3", "--depth", "100000000"),
+         "100000000 digits sum to at least"),
+    ):
         start = time.perf_counter()
-        code, out, err = run(capsys, "eval", "--dist", spec, "--x", x)
-        assert time.perf_counter() - start < 2, spec
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2, argv
         assert (code, out) == (4, "")
-        assert err.startswith("error: the digit at this point is at least")
+        assert err.startswith("error: " + message)
 
 
 def test_qmark_exact_decimal(capsys):

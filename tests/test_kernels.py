@@ -17,6 +17,7 @@ from probmink import (
     DigitSeq,
     Dyadic,
     Geometric,
+    NotDetected,
     alt_series_exact,
     alt_series_truncated,
     cylinder,
@@ -39,6 +40,7 @@ from oracles import (
     FAMILIES,
     brute_graph_points,
     ref_alt_series_exact,
+    ref_decode_periodic,
     ref_encode,
     ref_finite_sum,
     ref_mc_sample_int,
@@ -407,6 +409,11 @@ def test_digit_search_budget(monkeypatch):
     ):
         with pytest.raises(ResourceLimitError):
             dist.digit_of(x)
+    # the Monte Carlo search, held in the bits of t^c; and n digits sum to at least n
+    with pytest.raises(ResourceLimitError):
+        _mc_sample_geometric(1, 10**8, 1 << 63)
+    with pytest.raises(ResourceLimitError):
+        decode(Dyadic(), F(1, 3), series.MAX_DIGIT_SUM + 1)
     # on a small budget the bound never refuses a digit within it
     rng = random.Random(10)
     dists = (Geometric(F(1, 100)), Geometric(F(2, 301)),
@@ -422,6 +429,27 @@ def test_digit_search_budget(monkeypatch):
             assert c > 10
             refused += 1
     assert refused > 300
+    # the walk refuses a digit where shift's digit_of and affine do, with the same error
+    refused = 0
+    for dist in dists:
+        for x in points[:100]:
+            walk, ref = (_budget_outcome(f, dist, x, 30)
+                         for f in (decode_periodic, ref_decode_periodic))
+            if isinstance(walk, Aperiodic):
+                # the certificate can end the walk before a digit over budget
+                assert isinstance(ref, (NotDetected, str))
+            else:
+                assert walk == ref, (dist, x)
+                refused += isinstance(walk, str)
+    assert refused > 150
+
+
+def _budget_outcome(fn, *args):
+    """fn's result, or the message of the ResourceLimitError it raises."""
+    try:
+        return fn(*args)
+    except ResourceLimitError as exc:
+        return str(exc)
 
 
 def test_int_text_matches_str():

@@ -11,10 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probmink import Aperiodic, CustomPrefixTail, DigitSeq, Dyadic, Geometric, NotDetected
-from probmink import decode_periodic, graph_points
+from probmink import decode_periodic, encode, graph_points
 from probmink.integral import _mc_sample_dyadic, _mc_sample_geometric
 
-from oracles import FAMILIES, ref_decode_periodic, ref_graph_points, ref_mc_sample_int
+from oracles import (
+    FAMILIES,
+    ref_decode_periodic,
+    ref_digit_of,
+    ref_graph_points,
+    ref_mc_sample_int,
+)
 
 DETERMINISTIC = settings(derandomize=True, deadline=None, database=None)
 DRAWS = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -75,3 +81,53 @@ def test_graph_points_match_reference(dist, depth, cap):
     for value in (v for point in points for v in point):
         n, d = value.numerator, value.denominator
         assert d > 0 and math.gcd(n, d) == 1
+
+
+@st.composite
+def big_points(draw):
+    """Reduced n/d in [0,1) with denominators of up to about 4 000 bits."""
+    bits = draw(st.integers(min_value=1, max_value=4000))
+    d = draw(st.integers(min_value=1, max_value=1 << bits))
+    return Fraction(draw(st.integers(min_value=0, max_value=d - 1)), d)
+
+
+@st.composite
+def prefix_points(draw, dist):
+    """prefix(c) and its neighbours prefix(c) +- 1/d, inside [0,1)."""
+    c = draw(st.integers(min_value=1, max_value=60))
+    d = draw(st.integers(min_value=1, max_value=1 << draw(st.integers(1, 4000))))
+    x = dist.prefix(c) + Fraction(draw(st.sampled_from((-1, 0, 1))), d)
+    return x if 0 <= x < 1 else dist.prefix(c)
+
+
+def _check_branch(dist, x):
+    c, p, q, l = dist._branch(x.numerator, x.denominator)
+    assert c == ref_digit_of(dist, x)
+    assert (p, q, l) == dist.affine(c)
+    assert dist.digit_of(x) == c
+
+
+@DETERMINISTIC
+@given(st.sampled_from(FAMILIES), big_points())
+def test_branch_matches_reference_search(dist, x):
+    _check_branch(dist, x)
+
+
+@DETERMINISTIC
+@given(st.sampled_from(FAMILIES), st.data())
+def test_branch_matches_reference_search_at_prefixes(dist, data):
+    _check_branch(dist, data.draw(prefix_points(dist)))
+
+
+DIGITS = st.integers(min_value=1, max_value=6)
+
+
+@DETERMINISTIC
+@given(
+    st.sampled_from(FAMILIES),
+    st.lists(DIGITS, max_size=8),
+    st.lists(DIGITS, min_size=1, max_size=40),
+)
+def test_codec_round_trip(dist, preperiod, period):
+    seq = DigitSeq(tuple(preperiod), tuple(period))
+    assert decode_periodic(dist, encode(dist, seq)) == seq
