@@ -105,13 +105,29 @@ def _smooth_part(n: int, primes: int) -> int:
     return part
 
 
-def _check_digit_bound(bound: int) -> None:
-    """Raise ResourceLimitError when a lower bound on a digit passes the budget."""
-    if bound > series.MAX_DIGIT_SUM:
+def _check_digit_bound(bound: int, bits: int = 1) -> None:
+    """Raise ResourceLimitError when a lower bound on a digit passes the budget.
+
+    A search whose power gains at least `bits` bits per digit is held to the
+    budget in those bits, bound * bits.
+    """
+    if bound * bits > series.MAX_DIGIT_SUM:
+        power = "" if bits == 1 else f", so its power has at least {int_text(bound * bits)} bits"
         raise ResourceLimitError(
-            f"the digit at this point is at least {int_text(bound)}, above the budget of "
+            f"the digit at this point is at least {int_text(bound)}{power}, above the budget of "
             f"{series.MAX_DIGIT_SUM} for an exact value"
         )
+
+
+def _check_geometric_digit(n: int, d: int, s: int, t: int, bits: int = 1) -> None:
+    """Raise ResourceLimitError when the digit of n/d under q = s/t passes the budget.
+
+    -log(1-x) >= x and -log(1-q) <= q/(1-q) give c > x*u/s with u = t - s,
+    checked before any power is built, at `bits` bits per digit as in
+    `_check_digit_bound`. The bound is below t/s, so it can pass the budget
+    only where t*bits > s*series.MAX_DIGIT_SUM, and callers test it only there.
+    """
+    _check_digit_bound(n * (t - s) // (d * s) + 1, bits)
 
 
 @dataclass(frozen=True)
@@ -177,10 +193,8 @@ class Geometric(Distribution):
     def _branch(self, n: int, d: int) -> tuple:
         # smallest c with (u/t)^c < 1 - n/d, via integer cross-multiplication
         s, t, u = self._s, self._t, self._u
-        if u > s * series.MAX_DIGIT_SUM:
-            # -log(1-x) >= x and -log(1-q) <= q/(1-q) give c > x*u/s, which
-            # can pass the budget only when u/s does
-            _check_digit_bound(n * u // (d * s) + 1)
+        if t > s * series.MAX_DIGIT_SUM:
+            _check_geometric_digit(n, d, s, t)
         # lo = u^c d and hi = t^c (d - n) grow by one small factor per digit
         c, u_prev, up, tp = 1, 1, u, t
         lo, hi = u * d, t * (d - n)

@@ -49,8 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .distribution import Distribution, _smooth_part
-from .errors import AperiodicError, DomainError, ParseError, ProbminkError, ResourceLimitError
-from .fmt import int_text, parse_ints, rational_text
+from .errors import AperiodicError, DomainError, ParseError, ProbminkError
+from .fmt import parse_ints, rational_text
 
 
 @dataclass(frozen=True)
@@ -267,11 +267,7 @@ def decode(dist: Distribution, x: Fraction, n: int) -> tuple:
     _check_unit_interval(x)
     if n < 1:
         raise DomainError(f"digit count must be >= 1, got {n}")
-    if n > series.MAX_DIGIT_SUM:
-        raise ResourceLimitError(
-            f"{int_text(n)} digits sum to at least {int_text(n)}, above the budget of "
-            f"{series.MAX_DIGIT_SUM} for an exact value"
-        )
+    series.check_digit_sum(n)
     digits = []
     cur = x
     for _ in range(n):

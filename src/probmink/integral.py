@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import series
-from .distribution import CustomPrefixTail, Distribution, Dyadic, Geometric
-from .errors import DomainError, ResourceLimitError
-from .fmt import int_text, rational_text, render_decimal
+from .distribution import CustomPrefixTail, Distribution, Dyadic, Geometric, _check_geometric_digit
+from .errors import DomainError
+from .fmt import rational_text, render_decimal
 from .minkowski import eval_minkowski_enclosure
 
 
@@ -204,12 +204,10 @@ def _mc_sample_geometric(s: int, t: int, a: int) -> tuple:
     otherwise the midpoint of the depth-64 enclosure.
 
     The search is held to the budget before it builds any power, by
-    `Geometric`'s lower bound c > x*u/s on the digit. The bound is taken in
-    the bits of t^c, at least c*k with k = bit_length(t) - 1, because a
-    digit inside the digit budget can still need a power of hundreds of
-    megabits: at q = 1/10^8 a digit near 10^7 has t^c of about 3*10^8
-    bits. The bound exceeds series.MAX_DIGIT_SUM bits only when t*k/s
-    does, so only then is it tested.
+    `Geometric`'s lower bound on the digit, taken in the bits of t^c: at
+    least k = bit_length(t) - 1 per digit. A digit inside the digit budget
+    can still need a power of hundreds of megabits: at q = 1/10^8 a digit
+    near 10^7 has t^c of about 3*10^8 bits.
     """
     u = t - s
     k = t.bit_length() - 1
@@ -223,13 +221,7 @@ def _mc_sample_geometric(s: int, t: int, a: int) -> tuple:
             return 6 * m + 2 * sign, s_k
         if bounded:
             # x = 1 - w/v
-            c = (v - w) * u // (v * s) + 1
-            if c * k > series.MAX_DIGIT_SUM:
-                raise ResourceLimitError(
-                    f"the digit at this point is at least {int_text(c)}, so its power of "
-                    f"{int_text(t)} has at least {int_text(c * k)} bits, above the budget of "
-                    f"{series.MAX_DIGIT_SUM} bits"
-                )
+            _check_geometric_digit(v - w, v, s, t, k)
         prev, lo, hi, c = v, u * v, t * w, 1
         while lo >= hi:
             prev = lo
