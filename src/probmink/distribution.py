@@ -15,19 +15,62 @@ digits with tail ratio rn/rd). `digit_of` and the decoder's periodicity
 walk both run it. `branch_primes() -> (S, W)` gives the primes that the
 walk tracks (see `expansion`).
 
-Instances are immutable and hashable; all operations are pure.
+Instances are immutable and hashable; all operations are pure. Equality,
+hashing and repr come from one definition in the `_Frozen` base, keyed on
+each family's public fields, so two instances are equal exactly when they
+are of the same family with equal parameters: `Dyadic() == Dyadic()`, while
+`Dyadic() != Geometric(Fraction(1, 2))` although the two laws agree.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ParseError, ResourceLimitError
 from .fmt import int_text, parse_rational
 
 
-class Distribution:
+class _Frozen:
+    """An immutable value with slots: ==, hash and repr over the public `_fields`.
+
+    Instances compare equal only to instances of the same class, hash as the
+    tuple of their fields and print as `Name(field=value, ...)`. Assigning or
+    deleting an attribute raises AttributeError, so constructors set their
+    slots through object.__setattr__.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not through setattr
+        return self.__class__, self._key()
+
+
+class Distribution(_Frozen):
     """Common interface for the built-in families."""
+
+    __slots__ = ()
 
     def affine(self, i: int) -> tuple:
         """Integers (P, Q, L) with prefix(i) == P/L and pmf(i) == Q/L, for i >= 1.
@@ -130,9 +173,10 @@ def _check_geometric_digit(n: int, d: int, s: int, t: int, bits: int = 1) -> Non
     _check_digit_bound(n * (t - s) // (d * s) + 1, bits)
 
 
-@dataclass(frozen=True)
 class Dyadic(Distribution):
     """p_i = 2^-i, so prefix(i) = 1 - 2^(1-i)."""
+
+    __slots__ = ()
 
     def affine(self, i: int) -> tuple:
         if not 0 < i <= series.MAX_DIGIT_SUM:
@@ -161,14 +205,14 @@ class Dyadic(Distribution):
         return "dyadic"
 
 
-@dataclass(frozen=True)
 class Geometric(Distribution):
     """p_i = q (1-q)^(i-1) for a rational success probability q in (0,1)."""
 
-    q: Fraction
+    __slots__ = ("q", "_s", "_t", "_u")
+    _fields = ("q",)
 
-    def __post_init__(self) -> None:
-        q = Fraction(self.q)
+    def __init__(self, q: Fraction) -> None:
+        q = Fraction(q)
         object.__setattr__(self, "q", q)
         if not 0 < q < 1:
             raise DomainError(f"geometric parameter must lie strictly in (0,1), got {q}")
@@ -218,7 +262,6 @@ class Geometric(Distribution):
         return f"geometric:{self.q}"
 
 
-@dataclass(frozen=True)
 class CustomPrefixTail(Distribution):
     """Explicit head probabilities completed by a geometric tail.
 
@@ -227,12 +270,12 @@ class CustomPrefixTail(Distribution):
     The tail sums to 1 - s, so total mass is exactly 1 by construction.
     """
 
-    head: tuple
-    tail_ratio: Fraction
+    __slots__ = ("head", "tail_ratio", "_lcm", "_cum_num", "_head_affine", "_rest", "_rn", "_rd")
+    _fields = ("head", "tail_ratio")
 
-    def __post_init__(self) -> None:
-        head = tuple(Fraction(p) for p in self.head)
-        ratio = Fraction(self.tail_ratio)
+    def __init__(self, head: tuple, tail_ratio: Fraction) -> None:
+        head = tuple(Fraction(p) for p in head)
+        ratio = Fraction(tail_ratio)
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "tail_ratio", ratio)
         if not 0 < ratio < 1:

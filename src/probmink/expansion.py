@@ -45,33 +45,37 @@ walk certifies some of its points and may run out of steps on others.
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .distribution import Distribution, _smooth_part
+from .distribution import Distribution, _Frozen, _smooth_part
 from .errors import AperiodicError, DomainError, ParseError, ProbminkError
 from .fmt import parse_ints, rational_text
 
 
-@dataclass(frozen=True)
-class DigitSeq:
+class DigitSeq(_Frozen):
     """Eventually periodic stream of digits >= 1, held in canonical form.
 
     Canonical means the period is primitive (not a repetition of a shorter
     word) and no trailing preperiod digit can be absorbed by rotating the
     period. Two canonical forms are equal exactly when the streams they
-    denote are equal, so dataclass equality decides stream equality.
+    denote are equal, so comparing (preperiod, period) decides stream
+    equality: that is what == and hash do.
 
     A terminating expansion is the stream with period (1,): the digit-1
     branch fixes 0, so trailing ones add nothing to the encoded value.
     """
 
-    preperiod: tuple
-    period: tuple
+    _fields = __slots__ = ("preperiod", "period")
 
-    def __post_init__(self) -> None:
-        pre = tuple(int(d) for d in self.preperiod)
-        per = tuple(int(d) for d in self.period)
+    def __init__(self, preperiod: tuple, period: tuple) -> None:
+        # bench/spans.py times canonicalisation as calls of __post_init__
+        self.__post_init__(preperiod, period)
+
+    def __post_init__(self, preperiod: tuple, period: tuple) -> None:
+        """Canonicalise the stream and set both fields."""
+        pre = tuple(int(d) for d in preperiod)
+        per = tuple(int(d) for d in period)
         if not per:
             raise DomainError("period must be nonempty; a terminating stream has period (1,)")
         for d in pre + per:
@@ -82,9 +86,16 @@ class DigitSeq:
             if n % d == 0 and per == per[:d] * (n // d):
                 per = per[:d]
                 break
-        while pre and pre[-1] == per[-1]:
-            pre = pre[:-1]
-            per = (per[-1],) + per[:-1]
+        # absorbing one trailing preperiod digit rotates the period right by
+        # one, so the k-th digit from the end meets period digit -1-(k mod p):
+        # count the absorbable digits in one backward scan, then cut and rotate once
+        p, m = len(per), len(pre)
+        k = 0
+        while k < m and pre[m - 1 - k] == per[-1 - k % p]:
+            k += 1
+        if k:
+            r = k % p
+            pre, per = pre[: m - k], per[p - r :] + per[: p - r]
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
 
@@ -118,15 +129,13 @@ class DigitSeq:
         return f"{pre}({per})"
 
 
-@dataclass(frozen=True)
-class NotDetected:
+class NotDetected(NamedTuple):
     """No remainder repeated within the step budget; holds the digits found."""
 
     prefix: tuple
 
 
-@dataclass(frozen=True)
-class Aperiodic:
+class Aperiodic(NamedTuple):
     """Proof that a point's digit stream is not eventually periodic.
 
     `prefix` holds the first `step` digits. `witness` > 1 divides W of the
@@ -155,8 +164,7 @@ class Aperiodic:
         )
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(NamedTuple):
     """Half-open interval [inf, sup) of points with a fixed digit prefix."""
 
     digits: tuple

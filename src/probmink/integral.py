@@ -13,8 +13,8 @@ Monte Carlo estimate cross-checks the winner.
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import series
 from .distribution import CustomPrefixTail, Distribution, Dyadic, Geometric, _check_geometric_digit
@@ -63,8 +63,7 @@ def gamma(dist: Distribution) -> Fraction:
     raise DomainError(f"no closed-form mass transform for {dist!r}")
 
 
-@dataclass(frozen=True)
-class ClosedForms:
+class ClosedForms(NamedTuple):
     """The two candidate closed forms for the integral."""
 
     alpha_form: Fraction
@@ -78,8 +77,7 @@ def integral_closed(dist: Distribution) -> ClosedForms:
     return ClosedForms(alpha_form=2 * a / (1 + a), gamma_form=2 * a / (1 + g))
 
 
-@dataclass(frozen=True)
-class QuadratureEnclosure:
+class QuadratureEnclosure(NamedTuple):
     """Exact Riemann-sum enclosure [lower, upper] of the integral.
 
     corner_sum is the measure-weighted sum of the function at the left
@@ -145,8 +143,7 @@ def integral_quadrature(dist: Distribution, depth: int, cap: int) -> QuadratureE
     )
 
 
-@dataclass(frozen=True)
-class MCEstimate:
+class MCEstimate(NamedTuple):
     """Seeded Monte Carlo estimate with exact mean and sample variance."""
 
     mean: Fraction
@@ -312,8 +309,7 @@ def integral_mc(dist: Distribution, samples: int, seed: int) -> MCEstimate:
     return MCEstimate(mean=mean, variance=variance, stderr=stderr, samples=samples, seed=seed)
 
 
-@dataclass(frozen=True)
-class IntegralReport:
+class IntegralReport(NamedTuple):
     """All integral evidence for one distribution, plus the verdict.
 
     The verdict names whichever closed form the quadrature enclosure

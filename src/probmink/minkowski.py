@@ -9,8 +9,8 @@ continuity modulus, and the non-monotonicity witness pairs.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .distribution import Distribution
 from .errors import DomainError, PeriodDetectionError, ProbminkError, ResourceLimitError
@@ -117,8 +117,7 @@ def functional_equation_residuals(dist: Distribution, seq: DigitSeq, depth: int)
     ]
 
 
-@dataclass(frozen=True)
-class AffineMap2D:
+class AffineMap2D(NamedTuple):
     """One contraction of the self-affine system, (x,y) -> images below.
 
     x' = x_offset + x_scale * x  (the digit-t branch of the expansion)
@@ -161,8 +160,7 @@ def ifs_maps(dist: Distribution, t_max: int) -> list:
     ]
 
 
-@dataclass(frozen=True)
-class GraphResult:
+class GraphResult(NamedTuple):
     """Exact graph sample plus the x-mass missed by capping the digits."""
 
     points: tuple
@@ -250,8 +248,7 @@ def graph_points(dist: Distribution, depth: int, cap: int) -> GraphResult:
     return GraphResult(tuple(points), uncovered)
 
 
-@dataclass(frozen=True)
-class IncrementReport:
+class IncrementReport(NamedTuple):
     """Increment of the induced function across one cylinder.
 
     delta is the function at the cylinder's right corner stream minus the
@@ -327,8 +324,7 @@ def continuity_modulus_check(s1: DigitSeq, s2: DigitSeq) -> tuple:
     return l, bound, actual
 
 
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(NamedTuple):
     """Ordered pair of points whose function values move by `delta`."""
 
     low_seq: DigitSeq

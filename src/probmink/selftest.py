@@ -7,8 +7,8 @@ the full counts are the ones the acceptance suite requires.
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .distribution import CustomPrefixTail, Dyadic, Geometric
 from .expansion import DigitSeq, cylinder, decode, encode, shift
@@ -28,8 +28,7 @@ from .minkowski import (
 from .series import alt_series_exact, alt_series_periodic_closed_form
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

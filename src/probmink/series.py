@@ -21,8 +21,8 @@ shift is allocated. The codec holds words and digits to the same budget
 digit's denominator.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, ResourceLimitError
 from .expansion import DigitSeq
@@ -33,8 +33,7 @@ from .fmt import int_text
 MAX_DIGIT_SUM = 1 << 24
 
 
-@dataclass(frozen=True)
-class AltSeriesValue:
+class AltSeriesValue(NamedTuple):
     """A series value with a rigorous enclosure; exact when lower == upper."""
 
     value: Fraction

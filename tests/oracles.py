@@ -10,7 +10,8 @@ in `series`, `expansion`, `distribution` and `fmt`: each step builds and
 reduces a Fraction. `ref_mc_sample_int` is the Monte Carlo sampler that
 walks one digit at a time. The kernels must equal them bit for bit.
 `ref_digit_of` is each family's digit search that reads the point back
-through `Fraction` and returns the digit alone.
+through `Fraction` and returns the digit alone. `ref_digit_seq` is
+`DigitSeq`'s canonical form absorbing one preperiod digit per step.
 `ref_graph_points` is the graph enumeration that recomposes every word from
 its first digit. `ref_decode_periodic` is period detection with no
 aperiodicity certificate, keyed on every reduced remainder. `FAMILIES` are
@@ -301,6 +302,26 @@ def ref_decode_periodic(dist, x, max_steps=4096):
         c, cur = shift(dist, cur)
         digits.append(c)
     return NotDetected(tuple(digits[:max_steps]))
+
+
+def ref_digit_seq(preperiod, period):
+    """(preperiod, period) in DigitSeq's canonical form, one absorbed digit at a time.
+
+    The period shrinks to its shortest repeating word, then each trailing
+    preperiod digit equal to the period's last digit is dropped and the
+    period rotated right by one. Every step slices a tuple, so this is
+    quadratic in the number of absorbed digits.
+    """
+    pre, per = tuple(preperiod), tuple(period)
+    n = len(per)
+    for d in range(1, n + 1):
+        if n % d == 0 and per == per[:d] * (n // d):
+            per = per[:d]
+            break
+    while pre and pre[-1] == per[-1]:
+        pre = pre[:-1]
+        per = (per[-1],) + per[:-1]
+    return pre, per
 
 
 def ref_render_decimal(value, precision=30):

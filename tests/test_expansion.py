@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from probmink import (
     shift,
 )
 
+from oracles import ref_digit_seq
 
 F = Fraction
 DISTS = (Dyadic(), Geometric(F(1, 3)))
@@ -66,6 +68,37 @@ def test_canonical_form():
         assert seq.period in {per[i:] + per[:i] for i in range(len(per))}
         assert not seq.preperiod or seq.preperiod[-1] != seq.period[-1]
         assert len(seq.preperiod) <= len(pre)
+
+
+def _check_canonical(pre, per):
+    seq = DigitSeq(pre, per)
+    assert (seq.preperiod, seq.period) == ref_digit_seq(pre, per)
+
+
+def test_canonical_form_matches_reference():
+    rng = random.Random(11)
+    for _ in range(2000):
+        per = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 6))) * rng.randint(1, 3)
+        pre = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 4)))
+        # a random head, then the period's tail cut at any point, then whole periods
+        pre += per[rng.randint(0, len(per)):] + per * rng.randint(0, 4)
+        _check_canonical(pre, per)
+    # adversarial: every digit absorbs, all but a leading 9 do, a trailing 9 stops all
+    for per in ((1,), (2,), (1, 2), (1, 1, 2), (2, 1, 1), (3, 1, 3, 1, 3)):
+        for k in range(3 * len(per) + 2):
+            full = (per * 4)[len(per) * 4 - k:]
+            _check_canonical(full, per)
+            _check_canonical((9,) + full, per)
+            _check_canonical(full + (9,), per)
+
+
+def test_canonical_form_is_linear():
+    for pre, per in (((2,) * 200_000, (2,)), ((1, 2) * 100_000, (1, 2)),
+                     ((5,) + (1, 2, 3) * 66_667, (1, 2, 3, 1, 2, 3))):
+        start = time.perf_counter()
+        seq = DigitSeq(pre, per)
+        assert time.perf_counter() - start < 1.0
+        assert len(seq.preperiod) <= 1
 
 
 def test_equality_iff_same_stream():

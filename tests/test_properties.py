@@ -11,7 +11,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from probmink import Aperiodic, CustomPrefixTail, DigitSeq, Dyadic, Geometric, NotDetected
-from probmink import decode_periodic, encode, graph_points
+from probmink import (
+    decode_periodic,
+    encode,
+    eval_question_mark,
+    functional_equation_residuals,
+    graph_points,
+)
 from probmink.integral import _mc_sample_dyadic, _mc_sample_geometric
 
 from oracles import (
@@ -20,6 +26,7 @@ from oracles import (
     ref_digit_of,
     ref_graph_points,
     ref_mc_sample_int,
+    question_mark_by_mediants,
 )
 
 DETERMINISTIC = settings(derandomize=True, deadline=None, database=None)
@@ -138,3 +145,28 @@ DIGITS = st.integers(min_value=1, max_value=6)
 def test_codec_round_trip(dist, preperiod, period):
     seq = DigitSeq(tuple(preperiod), tuple(period))
     assert decode_periodic(dist, encode(dist, seq)) == seq
+
+
+@DETERMINISTIC
+@given(
+    WALK_FAMILIES,
+    st.lists(DIGITS, max_size=4),
+    st.lists(DIGITS, min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=8),
+)
+def test_functional_equation_holds(dist, preperiod, period, depth):
+    seq = DigitSeq(tuple(preperiod), tuple(period))
+    assert functional_equation_residuals(dist, seq, depth) == [0] * depth
+
+
+@st.composite
+def unit_rationals(draw):
+    """Rationals in [0,1] with denominators up to 10^4."""
+    d = draw(st.integers(min_value=1, max_value=10**4))
+    return Fraction(draw(st.integers(min_value=0, max_value=d)), d)
+
+
+@DETERMINISTIC
+@given(unit_rationals())
+def test_question_mark_matches_mediant_walk(x):
+    assert eval_question_mark(x) == question_mark_by_mediants(x)
