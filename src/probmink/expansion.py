@@ -9,14 +9,37 @@ a fixed digit prefix.
 
 The codec runs on the distribution's integer triples: digit d's branch is
 y -> (P + Q*y) / L with (P, Q, L) = dist.affine(d). Encoding composes a
-word's branches into one unreduced map y -> (A + B*y) / D by
-(A, B, D) <- (A*L + B*P, B*Q, D*L), with no gcd; only the result is reduced.
+word's branches into one unreduced map y -> (A + B*y) / D, with no gcd;
+only the result is reduced. The map is the integer matrix [[B, A], [0, D]],
+so a word's map is the product of its digits' matrices: the left fold
+(A, B, D) <- (A*L + B*P, B*Q, D*L) and the product taken by balanced halves
+(Haible and Papanikolaou's binary splitting) give the same integers, and
+the halves multiply operands of equal size, which is near-linear where the
+fold is quadratic in the word's length.
+
 Decoding is one integer step per digit: `shift` takes x = n/d to
 y = (n*L - P*d) / (d*Q). It reduces twice, first by gcd(L, d) and then by
 the gcd of the new numerator with Q, so every reduction is a gcd against
 the small integer L or Q, never between two large ones. The result is
 then in lowest terms by construction and becomes one Fraction with no
 further gcd.
+
+`decode` applies Lehmer's idea for Euclid on long integers: run the steps
+on a short leading part, then apply their product to the long operand
+once. While the remainder x = n/d has a denominator of more than
+_BATCH_BITS bits, a point y0 <= x of _LEAD_BITS bits is cut from x's
+leading bits and decoded by `shift` until its word's measure B/D falls
+below 2^-_WORD_BITS. The word's cylinder [A/D, (A+B)/D) holds exactly the
+points whose digits start with the word, so the integer test
+A*d <= n*D < (A+B)*d certifies that the word is x's own, and x's
+remainder after it is (n*D - A*d) / (d*B), the same rational the plain
+loop reaches. It is reduced as `shift` reduces, by gcd(D, d) and then by
+the gcd of the new numerator with B, with D and B short, so it is the
+plain loop's remainder bit for bit. x and y0 differ by less than
+2^-_LEAD_BITS relative to x, so only a cylinder end between them fails
+the test; then a bisection over the word's prefixes finds the longest
+certified one. A batch touches the long remainder a fixed number of
+times, where the plain loop runs one full-size step per digit.
 
 `decode_periodic` runs the same step on a remainder n/d held as d = e*f,
 as plain integers. Each step is one call of the distribution's integer
@@ -49,7 +72,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .distribution import Distribution, _Frozen, _smooth_part
-from .errors import AperiodicError, DomainError, ParseError, ProbminkError
+from .errors import AperiodicError, DomainError, ParseError, ProbminkError, ResourceLimitError
 from .fmt import parse_ints, rational_text
 
 
@@ -195,6 +218,18 @@ def parse_digit_seq(text: str) -> DigitSeq:
     return DigitSeq(pre, per)
 
 
+# decode runs in batches while the remainder's denominator has more than
+# _BATCH_BITS bits: a point of _LEAD_BITS bits cut from the remainder's
+# leading bits proposes a word of measure just below 2^-_WORD_BITS
+_BATCH_BITS = 1024
+_LEAD_BITS = 512
+_WORD_BITS = 256
+# plain steps between two checks of a short remainder's length
+_PLAIN_RUN = 64
+# words of up to this many digits compose by the plain left fold
+_FOLD_DIGITS = 64
+
+
 def _check_unit_interval(x: Fraction) -> None:
     if not 0 <= x < 1:
         raise DomainError(f"point must lie in [0,1), got {x}")
@@ -205,10 +240,31 @@ def _compose(dist: Distribution, word) -> tuple:
 
     Raises ResourceLimitError, before any power is built, when the word's
     digit sum exceeds series.MAX_DIGIT_SUM. Each distinct digit's triple is
-    built once.
+    built once. Long words compose by balanced halves (see `_product`), so
+    the triple is the left fold's, built in near-linear time.
     """
     series.check_digit_sum(sum(word))
     branches = {d: dist.affine(d) for d in dict.fromkeys(word)}
+    return _product(branches, word)
+
+
+def _product(branches, word) -> tuple:
+    """The map (A, B, D) of a word, with digit d's triple in branches[d].
+
+    A map y -> (A + B*y) / D is the integer matrix [[B, A], [0, D]] acting
+    on (y, 1), and composing two maps multiplies their matrices:
+    (A1, B1, D1) after (A2, B2, D2) is (A1*D2 + B1*A2, B1*B2, D1*D2). The
+    product is associative and nothing is reduced, so every bracketing
+    gives the same integers as the left fold (A, B, D) <- (A*L + B*P, B*Q,
+    D*L). Splitting at the middle multiplies operands of equal size, where
+    the fold multiplies one growing integer by one small one per digit;
+    up to _FOLD_DIGITS digits the fold is no slower and is used as it is.
+    """
+    if len(word) > _FOLD_DIGITS:
+        mid = len(word) // 2
+        a, b, den = _product(branches, word[:mid])
+        a2, b2, den2 = _product(branches, word[mid:])
+        return a * den2 + b * a2, b * b2, den * den2
     a, b, den = 0, 1, 1
     for d in word:
         p, q, l = branches[d]
@@ -270,18 +326,125 @@ def decode(dist: Distribution, x: Fraction, n: int) -> tuple:
     """The first n digits of x plus the remaining shifted point.
 
     Every digit is at least 1, so n digits sum to at least n: n above
-    series.MAX_DIGIT_SUM raises ResourceLimitError before the first shift.
+    series.MAX_DIGIT_SUM raises ResourceLimitError before the first shift,
+    and so does the running digit sum as soon as it passes the budget.
+
+    A remainder with a denominator of more than _BATCH_BITS bits gives its
+    digits in certified batches (`_leading_digits`, and the module
+    docstring). A shorter one takes one `shift` per digit, and so does the
+    next digit after a batch that certifies nothing. Both give the digits
+    and the remainder of one `shift` per digit, bit for bit.
     """
     _check_unit_interval(x)
     if n < 1:
         raise DomainError(f"digit count must be >= 1, got {n}")
     series.check_digit_sum(n)
+    budget = series.MAX_DIGIT_SUM
     digits = []
+    total = 0
     cur = x
-    for _ in range(n):
-        c, cur = shift(dist, cur)
-        digits.append(c)
+    while len(digits) < n:
+        # a short remainder grows by a few bits per digit: check its length once a run
+        run = _PLAIN_RUN
+        if cur.denominator.bit_length() > _BATCH_BITS:
+            word, rest = _leading_digits(dist, cur, n - len(digits), budget - total)
+            if word:
+                digits += word
+                total += sum(word)
+                cur = rest
+                continue
+            # the next digit is past the short point's reach: one plain step
+            run = 1
+        for _ in range(min(n - len(digits), run)):
+            c, cur = shift(dist, cur)
+            digits.append(c)
+            total += c
+            if total > budget:
+                series.check_digit_sum(total)
     return digits, cur
+
+
+def _leading_digits(dist: Distribution, x: Fraction, count: int, room: int):
+    """(word, y): leading digits of x found from a short point, and the remainder.
+
+    1. Cut y0 = (n >> k) / ((d >> k) + 1) <= x from the leading bits of
+       x = n/d, with k chosen so that y0's denominator has _LEAD_BITS bits
+       (so _BATCH_BITS must be at least _LEAD_BITS).
+    2. Decode y0 one `shift` per digit, composing the digits' branches
+       into each prefix's map (A, B, D). Stop after `count` digits, once
+       the measure B/D falls below 2^-_WORD_BITS, or before a digit that
+       takes the digit sum past `room` or the digit budget, so that x's
+       own `shift` raises with the plain loop's message. A word of one
+       digit is dropped: testing it costs as much as one plain shift of x.
+    3. y0 lies in every prefix's cylinder and x >= y0, so the prefixes
+       whose cylinders hold x are the shortest ones. Test the whole word
+       (`_remainder`); if x lies past its cylinder, bisect for the
+       longest prefix that passes.
+
+    The word is empty when no prefix passes; y is then None.
+    """
+    n, d = x.numerator, x.denominator
+    k = d.bit_length() - _LEAD_BITS
+    y = Fraction(n >> k, (d >> k) + 1)
+    word, maps, branches = [], [], {}
+    a, b, den = 0, 1, 1
+    total = 0
+    while len(word) < count:
+        try:
+            c, y = shift(dist, y)
+        except ResourceLimitError:
+            # a digit of y0 over the budget ends the word
+            break
+        total += c
+        if total > room:
+            break
+        branch = branches.get(c)
+        if branch is None:
+            branch = branches[c] = dist.affine(c)
+        p, q, l = branch
+        a, b, den = a * l + b * p, b * q, den * l
+        word.append(c)
+        maps.append((a, b, den))
+        if b << _WORD_BITS < den:
+            break
+    if len(word) < 2:
+        return [], None
+    rest = _remainder(n, d, *maps[-1])
+    if rest is not None:
+        return word, rest
+    # prefixes word[:lo] pass and word[:hi] fails
+    lo, hi = 0, len(word)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        found = _remainder(n, d, *maps[mid - 1])
+        if found is None:
+            hi = mid
+        else:
+            lo, rest = mid, found
+    return word[:lo], rest
+
+
+def _remainder(n: int, d: int, a: int, b: int, den: int):
+    """x = n/d's remainder after a word with map y -> (a + b*y) / den, or None.
+
+    The remainder is (n*den - a*d) / (d*b), and it lies in [0,1) exactly
+    when a*d <= n*den < (a+b)*d, that is when x lies in the word's
+    cylinder; otherwise the result is None. It is reduced as `shift`
+    reduces: cancel g1 = gcd(den, d), then g2 = gcd(m, b) of the new
+    numerator m, with den and b short. n is coprime to d and den/g1 to
+    d/g1, so m is coprime to d/g1, and m/g2 over (d/g1)*(b/g2) is in
+    lowest terms with no gcd of two long integers.
+    """
+    g = math.gcd(den, d)
+    if g > 1:
+        den, d = den // g, d // g
+    m = n * den - a * d
+    if m < 0 or m >= b * d:
+        return None
+    g = math.gcd(m, b)
+    if g > 1:
+        m, b = m // g, b // g
+    return _coprime_fraction(m, d * b)
 
 
 def decode_periodic(dist: Distribution, x: Fraction, max_steps: int = 4096):

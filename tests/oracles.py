@@ -14,8 +14,10 @@ through `Fraction` and returns the digit alone. `ref_digit_seq` is
 `DigitSeq`'s canonical form absorbing one preperiod digit per step.
 `ref_graph_points` is the graph enumeration that recomposes every word from
 its first digit. `ref_decode_periodic` is period detection with no
-aperiodicity certificate, keyed on every reduced remainder. `FAMILIES` are
-the distributions the kernel and property tests share.
+aperiodicity certificate, keyed on every reduced remainder. `ref_decode` is
+the decoder that runs one full-size `shift` per digit, and `ref_compose`
+the left fold of a word's branch triples. `FAMILIES` are the distributions
+the kernel and property tests share.
 """
 
 import itertools
@@ -24,12 +26,14 @@ from fractions import Fraction
 from probmink import (
     CustomPrefixTail,
     DigitSeq,
+    DomainError,
     Dyadic,
     Geometric,
     NotDetected,
     ProbminkError,
     alt_series_exact,
     encode,
+    series,
     shift,
 )
 from probmink.integral import alpha
@@ -277,6 +281,35 @@ def ref_shift(dist, x):
     """One decoding step, (digit, (x - prefix) / pmf), in Fraction arithmetic."""
     c = ref_digit_of(dist, x)
     return c, (x - ref_prefix(dist, c)) / ref_pmf(dist, c)
+
+
+def ref_decode(dist, x, n):
+    """The first n digits of x and the remainder, one `shift` of x per digit.
+
+    Holds n to the digit budget up front, and the digit sum only through
+    the digits' own searches.
+    """
+    if not 0 <= x < 1:
+        raise DomainError(f"point must lie in [0,1), got {x}")
+    if n < 1:
+        raise DomainError(f"digit count must be >= 1, got {n}")
+    series.check_digit_sum(n)
+    digits = []
+    cur = x
+    for _ in range(n):
+        c, cur = shift(dist, cur)
+        digits.append(c)
+    return digits, cur
+
+
+def ref_compose(dist, word):
+    """Integers (A, B, D) of a word's composed branches, folded from the left."""
+    series.check_digit_sum(sum(word))
+    a, b, den = 0, 1, 1
+    for d in word:
+        p, q, l = dist.affine(d)
+        a, b, den = a * l + b * p, b * q, den * l
+    return a, b, den
 
 
 def ref_decode_periodic(dist, x, max_steps=4096):

@@ -8,6 +8,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -30,7 +31,7 @@ from probmink import (
     render_decimal,
     shift,
 )
-from probmink import fmt, series
+from probmink import expansion, fmt, series
 from probmink.errors import DomainError, ResourceLimitError
 from probmink.expansion import _coprime_fraction
 from probmink.integral import _mc_sample_dyadic, _mc_sample_geometric
@@ -40,6 +41,7 @@ from oracles import (
     FAMILIES,
     brute_graph_points,
     ref_alt_series_exact,
+    ref_decode,
     ref_decode_periodic,
     ref_encode,
     ref_finite_sum,
@@ -299,6 +301,53 @@ def test_codec_budget_on_digit_sum(monkeypatch):
         ):
             with pytest.raises(ResourceLimitError):
                 call()
+
+
+def test_decode_budget_on_running_digit_sum(monkeypatch):
+    # the digits of 1/3 under the dyadic law are 1, 2, 2, ...: 51 of them sum to 101
+    rng = random.Random(31)
+    long_points = [
+        (dist, encode(dist, DigitSeq((), tuple(rng.randint(1, 3) for _ in range(1500)))))
+        for dist in (Dyadic(), Geometric(F(1, 3)), FAMILIES[-2])
+    ]
+    big_digit_points = [(dist, encode(dist, DigitSeq((1, 3) * 10 + (150,), (1,))))
+                        for dist in (Dyadic(), Geometric(F(1, 3)), FAMILIES[-1])]
+    monkeypatch.setattr(series, "MAX_DIGIT_SUM", 100)
+    assert decode(Dyadic(), F(1, 3), 50) == ref_decode(Dyadic(), F(1, 3), 50)
+    with pytest.raises(ResourceLimitError) as err:
+        decode(Dyadic(), F(1, 3), 60)
+    assert str(err.value) == _budget_message(101)
+    # the batch path stops at the same digit, with the same message, for any batch sizes
+    monkeypatch.setattr(series, "MAX_DIGIT_SUM", 2000)
+    for dist, x in long_points:
+        digits, _ = ref_decode(dist, x, 1500)
+        first = next(i for i in range(1500) if sum(digits[: i + 1]) > 2000)
+        assert decode(dist, x, first) == ref_decode(dist, x, first)
+        for sizes in ((1024, 512, 256), (200, 64, 60), (40, 40, 48)):
+            with mock.patch.multiple(expansion, _BATCH_BITS=sizes[0], _LEAD_BITS=sizes[1],
+                                     _WORD_BITS=sizes[2]):
+                with pytest.raises(ResourceLimitError) as err:
+                    decode(dist, x, 1500)
+            assert str(err.value) == _budget_message(sum(digits[: first + 1]))
+    # a digit over the budget on its own: y0's search refuses it, and x's own step
+    # raises with the message of the plain loop
+    monkeypatch.setattr(series, "MAX_DIGIT_SUM", 100)
+    for dist, x in big_digit_points:
+        want = _budget_outcome(ref_decode, dist, x, 30)
+        assert isinstance(want, str)
+        for sizes in ((1024, 512, 256), (100, 64, 60), (40, 40, 48)):
+            with mock.patch.multiple(expansion, _BATCH_BITS=sizes[0], _LEAD_BITS=sizes[1],
+                                     _WORD_BITS=sizes[2]):
+                assert _budget_outcome(decode, dist, x, 30) == want
+
+
+def _budget_message(total):
+    """The message of series.check_digit_sum(total)."""
+    try:
+        series.check_digit_sum(total)
+    except ResourceLimitError as exc:
+        return str(exc)
+    raise AssertionError(f"{total} is within the budget")
 
 
 MC_QS = (F(1, 2), F(1, 3), F(2, 5), F(1, 4), F(3, 7), F(5, 6))

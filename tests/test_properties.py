@@ -5,23 +5,33 @@ so every run draws the same examples and the suite stays deterministic.
 """
 
 import math
+import random
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from probmink import Aperiodic, CustomPrefixTail, DigitSeq, Dyadic, Geometric, NotDetected
 from probmink import (
+    cylinder,
+    cylinder_increment,
+    decode,
     decode_periodic,
     encode,
     eval_question_mark,
+    expansion,
     functional_equation_residuals,
     graph_points,
+    singularity_ratio_step,
 )
+from probmink.expansion import _compose
 from probmink.integral import _mc_sample_dyadic, _mc_sample_geometric
 
 from oracles import (
     FAMILIES,
+    ref_compose,
+    ref_decode,
     ref_decode_periodic,
     ref_digit_of,
     ref_graph_points,
@@ -170,3 +180,103 @@ def unit_rationals(draw):
 @given(unit_rationals())
 def test_question_mark_matches_mediant_walk(x):
     assert eval_question_mark(x) == question_mark_by_mediants(x)
+
+
+def _seeded_digits(seed, length, top):
+    rng = random.Random(seed)
+    return tuple(rng.randint(1, top) for _ in range(length))
+
+
+@st.composite
+def long_period_points(draw, dist):
+    """The point of a random stream whose period has 500 to 4 000 digits."""
+    seed = draw(st.integers(min_value=0, max_value=1 << 32))
+    top = draw(st.sampled_from((2, 3, 6)))
+    period = _seeded_digits(seed, draw(st.integers(min_value=500, max_value=4000)), top)
+    preperiod = _seeded_digits(seed + 1, draw(st.integers(min_value=0, max_value=8)), top)
+    return encode(dist, DigitSeq(preperiod, period))
+
+
+@st.composite
+def large_rationals(draw, low=800, high=6000):
+    """Reduced n/d in [0,1) with denominators of about low to high bits."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=1 << 32)))
+    d = rng.getrandbits(draw(st.integers(min_value=low, max_value=high))) | 1
+    return Fraction(rng.randrange(d), d)
+
+
+@st.composite
+def cylinder_ends(draw, dist, longest=1500):
+    """The left end of a word's cylinder, encode(word + (1,)), or a point just below it."""
+    seed = draw(st.integers(min_value=0, max_value=1 << 32))
+    word = _seeded_digits(seed, draw(st.integers(min_value=1, max_value=longest)),
+                          draw(st.sampled_from((2, 3, 12))))
+    x = encode(dist, DigitSeq(word, (1,)))
+    below = x - Fraction(1, 1 << draw(st.integers(min_value=1, max_value=8000)))
+    return below if draw(st.booleans()) and below >= 0 else x
+
+
+def _check_decode(dist, x, n):
+    digits, rest = decode(dist, x, n)
+    ref_digits, ref_rest = ref_decode(dist, x, n)
+    assert digits == ref_digits
+    assert rest == ref_rest
+    assert rest.denominator > 0 and math.gcd(rest.numerator, rest.denominator) == 1
+
+
+def _points(dist):
+    return st.one_of(long_period_points(dist), large_rationals(), cylinder_ends(dist))
+
+
+@settings(DETERMINISTIC, max_examples=60)
+@given(st.sampled_from(FAMILIES), st.data())
+def test_decode_matches_reference(dist, data):
+    x = data.draw(_points(dist))
+    # n from a few digits, below the first batch, to past the point's batch path
+    bits = x.denominator.bit_length()
+    _check_decode(dist, x, data.draw(st.integers(min_value=1, max_value=bits + 50)))
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(st.sampled_from(FAMILIES), st.data())
+def test_decode_matches_reference_on_small_batches(dist, data):
+    # the batch path is exact for any sizes, so small ones reach its every branch
+    # on short points: failed words, bisection, budget stops, and a word whose
+    # cylinder ends exactly at the point, which needs a batch that starts close
+    # enough to a cylinder end, so the word measure is drawn near the batch size
+    lead = data.draw(st.integers(min_value=1, max_value=64))
+    batch = data.draw(st.integers(min_value=lead, max_value=lead + 16))
+    word = data.draw(st.integers(min_value=max(1, lead - 16), max_value=lead + 8))
+    x = data.draw(st.one_of(cylinder_ends(dist, 60), large_rationals(8, 400)))
+    n = data.draw(st.integers(min_value=1, max_value=80))
+    with mock.patch.multiple(expansion, _BATCH_BITS=batch, _LEAD_BITS=lead, _WORD_BITS=word):
+        _check_decode(dist, x, n)
+
+
+@DETERMINISTIC
+@given(st.sampled_from(FAMILIES), st.integers(min_value=0, max_value=1 << 32),
+       st.integers(min_value=0, max_value=3000), st.sampled_from((2, 3, 40)))
+def test_compose_matches_left_fold(dist, seed, length, top):
+    word = _seeded_digits(seed, length, top)
+    assert _compose(dist, word) == ref_compose(dist, word)
+
+
+WORDS = st.lists(DIGITS, min_size=1, max_size=40).map(tuple)
+
+
+@DETERMINISTIC
+@given(st.sampled_from(FAMILIES), WORDS)
+def test_cylinder_law(dist, word):
+    cyl = cylinder(dist, word)
+    sibling = word[:-1] + (word[-1] + 1,)
+    assert cyl.inf == encode(dist, DigitSeq(word, (1,)))
+    assert cyl.sup == encode(dist, DigitSeq(sibling, (1,)))
+    assert cyl.measure == math.prod(dist.pmf(d) for d in word)
+
+
+@DETERMINISTIC
+@given(st.sampled_from(FAMILIES), WORDS)
+def test_increment_law(dist, word):
+    quotients = [cylinder_increment(dist, word[:i]).quotient for i in range(1, len(word) + 1)]
+    for i in range(1, len(word)):
+        assert quotients[i] / quotients[i - 1] == singularity_ratio_step(dist, word[i])
