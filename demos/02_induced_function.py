@@ -35,7 +35,7 @@ print(f"  under geometric:1/3 the orbit of {x} resists period detection;")
 print(f"  20 digits give [{enc.lower}, {enc.upper}], width {enc.width}")
 
 print()
-print("== the function is continuous but nowhere monotone ==")
+print("== the function is nowhere monotone, and jumps at cylinder ends ==")
 dec, inc = monotonicity_witnesses(d)
 print(f"  {dec.low_x} < {dec.high_x} yet M drops by {-dec.delta}")
 print(f"  {inc.low_x} < {inc.high_x} and M rises by {inc.delta}")

@@ -7,15 +7,18 @@ is irrational), 4 resource limit (an exact result too large to compute,
 such as a series, a digit word or a single digit over
 series.MAX_DIGIT_SUM, a graph of more than minkowski.MAX_GRAPH_POINTS
 points, or a MemoryError, OverflowError or RecursionError that no budget
-check caught first). Output formats: plain text (default) or JSON; the
-graph command always emits CSV. Rationals print in full at any size.
-Decimal renderings honor --precision and carry a trailing ellipsis when
-inexact.
+check caught first), 141 a broken pipe (stdout's reader closed it before
+the output was written; nothing more is printed, and a shell reports the
+same status for a process killed by SIGPIPE). Output formats: plain text
+(default) or JSON; the graph command always emits CSV. Rationals print in
+full at any size. Decimal renderings honor --precision and carry a
+trailing ellipsis when inexact.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -378,7 +381,30 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# the status a shell reports for a process killed by SIGPIPE, 128 + 13
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        # write out what stdout still buffers while a broken pipe is caught here
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: send what is still buffered to
+        # os.devnull, so that the interpreter's final flush stays quiet
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return EXIT_BROKEN_PIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+
+
+def _run(argv) -> int:
     try:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:

@@ -28,12 +28,14 @@ further gcd.
 on a short leading part, then apply their product to the long operand
 once. While the remainder x = n/d has a denominator of more than
 _BATCH_BITS bits, a point y0 <= x of _LEAD_BITS bits is cut from x's
-leading bits and decoded by `shift` until its word's measure B/D falls
-below 2^-_WORD_BITS. The word's cylinder [A/D, (A+B)/D) holds exactly the
-points whose digits start with the word, so the integer test
-A*d <= n*D < (A+B)*d certifies that the word is x's own, and x's
-remainder after it is (n*D - A*d) / (d*B), the same rational the plain
-loop reaches. It is reduced as `shift` reduces, by gcd(D, d) and then by
+leading bits and decoded until its word's measure B/D falls below
+2^-_WORD_BITS, one integer search `dist._branch` per digit with the
+unreduced update (n*L - P*d) / (d*Q): only y0's digits are used, and its
+gcds would cost more than the few bits they save. The word's cylinder
+[A/D, (A+B)/D) holds exactly the points whose digits start with the word,
+so the integer test A*d <= n*D < (A+B)*d certifies that the word is x's
+own, and x's remainder after it is (n*D - A*d) / (d*B), the same rational
+the plain loop reaches. It is reduced as `shift` reduces, by gcd(D, d) and then by
 the gcd of the new numerator with B, with D and B short, so it is the
 plain loop's remainder bit for bit. x and y0 differ by less than
 2^-_LEAD_BITS relative to x, so only a cylinder end between them fails
@@ -64,6 +66,36 @@ one, and a period closes within that many steps. For these two families
 the walk therefore decides periodicity, given the steps. Under a custom
 head some Q(c) can hold primes outside S and W, and W may be 1, so the
 walk certifies some of its points and may run out of steps on others.
+
+The exact walk keeps every remainder since the last clear, and each of its
+steps costs as much as the remainder, so a long period costs time
+quadratic in its length and memory to match. A point whose denominator has
+more than _WALK_BATCH_BITS bits is walked in batches instead: its digits
+come from `decode`'s certified batches, and each remainder r_k is kept
+only as its fingerprint, its residue modulo the prime p = _PRINT_MOD =
+2^61 - 1 (Karp and Rabin's fingerprints). A digit with triple (P, Q, L)
+updates it as r <- (r*L - P) * Q^-1 mod p.
+
+No true repeat is missed. When p divides neither x's denominator nor any
+Q, it divides no remainder's denominator, since each divides the previous
+one times Q; then every remainder has a residue, and equal rationals have
+equal residues. So the first fingerprint repeat (j, k) comes no later than
+the exact walk's first repeat.
+
+No false repeat is returned. A hit (j, k) is certified by encode(seq) == x
+for the stream seq with preperiod c_1..c_j and period c_(j+1)..c_k. encode
+is injective on eventually periodic streams, so a passing test proves that
+x's stream is seq, and so r_j = r_k; the first hit that passes is the first
+true repeat, the one the exact walk returns. A failed test, p dividing x's
+denominator, or p dividing some Q hands the point to the exact walk.
+
+The witness is tested on each batch's end remainder: a prime of W never
+leaves a denominator, so the end remainder holds one exactly when some
+remainder of the batch does, and that one batch is walked again with
+exact steps to find the first. A digit over the budget reaches x's own
+`shift`, as in `decode`, and the walk stops at max_steps digits. So the
+batched walk's DigitSeq, Aperiodic, NotDetected and every error are the
+exact walk's, bit for bit.
 """
 
 import math
@@ -228,6 +260,11 @@ _WORD_BITS = 256
 _PLAIN_RUN = 64
 # words of up to this many digits compose by the plain left fold
 _FOLD_DIGITS = 64
+# decode_periodic walks in batches when x's denominator has more than
+# _WALK_BATCH_BITS bits, keeping each remainder's fingerprint modulo the
+# Mersenne prime _PRINT_MOD
+_WALK_BATCH_BITS = 2560
+_PRINT_MOD = (1 << 61) - 1
 
 
 def _check_unit_interval(x: Fraction) -> None:
@@ -370,12 +407,14 @@ def _leading_digits(dist: Distribution, x: Fraction, count: int, room: int):
     1. Cut y0 = (n >> k) / ((d >> k) + 1) <= x from the leading bits of
        x = n/d, with k chosen so that y0's denominator has _LEAD_BITS bits
        (so _BATCH_BITS must be at least _LEAD_BITS).
-    2. Decode y0 one `shift` per digit, composing the digits' branches
-       into each prefix's map (A, B, D). Stop after `count` digits, once
-       the measure B/D falls below 2^-_WORD_BITS, or before a digit that
-       takes the digit sum past `room` or the digit budget, so that x's
-       own `shift` raises with the plain loop's message. A word of one
-       digit is dropped: testing it costs as much as one plain shift of x.
+    2. Decode y0 one `dist._branch` per digit on plain integers, with
+       `shift`'s update left unreduced, composing the digits' branches
+       into each prefix's map (A, B, D) from the triples the search
+       returns. Stop after `count` digits, once the measure B/D falls
+       below 2^-_WORD_BITS, or before a digit that takes the digit sum
+       past `room` or the digit budget, so that x's own `shift` raises
+       with the plain loop's message. A word of one digit is dropped:
+       testing it costs as much as one plain shift of x.
     3. y0 lies in every prefix's cylinder and x >= y0, so the prefixes
        whose cylinders hold x are the shortest ones. Test the whole word
        (`_remainder`); if x lies past its cylinder, bisect for the
@@ -385,28 +424,27 @@ def _leading_digits(dist: Distribution, x: Fraction, count: int, room: int):
     """
     n, d = x.numerator, x.denominator
     k = d.bit_length() - _LEAD_BITS
-    y = Fraction(n >> k, (d >> k) + 1)
-    word, maps, branches = [], [], {}
+    yn, yd = n >> k, (d >> k) + 1
+    branch = dist._branch
+    word, maps = [], []
     a, b, den = 0, 1, 1
     total = 0
     while len(word) < count:
         try:
-            c, y = shift(dist, y)
+            c, p, q, l = branch(yn, yd)
         except ResourceLimitError:
             # a digit of y0 over the budget ends the word
             break
         total += c
         if total > room:
             break
-        branch = branches.get(c)
-        if branch is None:
-            branch = branches[c] = dist.affine(c)
-        p, q, l = branch
         a, b, den = a * l + b * p, b * q, den * l
         word.append(c)
         maps.append((a, b, den))
         if b << _WORD_BITS < den:
             break
+        # y0's remainder, unreduced
+        yn, yd = yn * l - p * yd, yd * q
     if len(word) < 2:
         return [], None
     rest = _remainder(n, d, *maps[-1])
@@ -456,12 +494,26 @@ def decode_periodic(dist: Distribution, x: Fraction, max_steps: int = 4096):
     which proves that no period exists; or NotDetected with the digit prefix
     found when neither happens in max_steps.
 
-    Each step is one `dist._branch(n, d)`, which gives the digit c and its
-    triple (P, Q, L) from a single integer search, then `shift`'s update on
-    the integers n, d = e*f of the remainder, with f the S-part of d (see
-    the module docstring), so that gcd(L, d) is the small gcd(L, f) and the
-    division by Q is one divmod, or a shift and a mask when Q is a power of
-    two. No Fraction is built per step.
+    A point whose denominator has more than _WALK_BATCH_BITS bits is walked
+    in batches (`_batched_walk`), which keep each remainder only as its
+    residue modulo the prime _PRINT_MOD. A true repeat is never missed:
+    while the prime divides neither x's denominator nor any Q, equal
+    remainders have equal residues. A false one is never returned: a
+    residue repeat is certified by encode(seq) == x, and encode is
+    injective on eventually periodic streams, so the first repeat that
+    passes is the first true one. The aperiodicity witness is tested on
+    each batch's end remainder, since its primes never leave, and the one
+    batch that brings it is walked again for its step. So the result is
+    the exact walk's; a failed certification, or the prime dividing x's
+    denominator or some Q, hands the point to the exact walk.
+
+    The exact walk, which takes shorter points from the start, makes one
+    `dist._branch(n, d)` per step, which gives the digit c and its triple
+    (P, Q, L) from a single integer search, then `shift`'s update on the
+    integers n, d = e*f of the remainder, with f the S-part of d (see the
+    module docstring), so that gcd(L, d) is the small gcd(L, f) and the
+    division by Q is one divmod, or a shift and a mask when Q is a power
+    of two. No Fraction is built per step.
     """
     _check_unit_interval(x)
     if max_steps < 1:
@@ -473,6 +525,10 @@ def decode_periodic(dist: Distribution, x: Fraction, max_steps: int = 4096):
     witness = math.gcd(d // f, w)
     if witness > 1:
         return Aperiodic((), witness, 0)
+    if d.bit_length() > _WALK_BATCH_BITS and d % _PRINT_MOD:
+        found = _batched_walk(dist, x, max_steps, w)
+        if found is not None:
+            return found
     # the non-S part e = d/f is fixed between clears, so (n, f) keys the remainder
     seen = {}
     digits = []
@@ -515,6 +571,82 @@ def decode_periodic(dist: Distribution, x: Fraction, max_steps: int = 4096):
             if witness > 1:
                 return Aperiodic(tuple(digits), witness, len(digits))
             seen.clear()
+
+
+def _batched_walk(dist: Distribution, x: Fraction, max_steps: int, w: int):
+    """decode_periodic's result for x, walked in batches; None hands x to the exact walk.
+
+    The digits come from `decode`'s certified batches (`_leading_digits`)
+    while the remainder is longer than _BATCH_BITS bits, and from `shift`
+    otherwise. Each remainder r_k is kept only as its fingerprint r_k mod
+    _PRINT_MOD, updated per digit as r <- (r*L - P) * Q^-1 with each digit
+    value's constants cached. x's denominator and every Q are prime to the
+    modulus, else the walk returns None, so equal remainders have equal
+    fingerprints: the first fingerprint repeat (j, k) comes no later than
+    the first true one. The repeat is certified by encode(seq) == x, and a
+    failed certification returns None.
+
+    A prime of W never leaves a denominator, so the aperiodicity witness
+    is tested on each batch's end remainder; when it is there, the batch
+    is walked again with exact steps for the first remainder that holds it.
+    """
+    mod = _PRINT_MOD
+    # the step r -> (r*a - b) % mod of each digit, with a = L/Q and b = P/Q
+    steps = {}
+    fp = x.numerator * pow(x.denominator, -1, mod) % mod
+    prints = {fp: 0}
+    digits = []
+    cur = x
+    while len(digits) < max_steps:
+        count = max_steps - len(digits)
+        word = None
+        if cur.denominator.bit_length() > _BATCH_BITS:
+            # no digit sum is held to a budget here, as in the exact walk
+            word, rest = _leading_digits(dist, cur, count, count * series.MAX_DIGIT_SUM)
+        if not word:
+            c, rest = shift(dist, cur)
+            word = (c,)
+        if math.gcd(rest.denominator, w) > 1:
+            return _first_witness(dist, cur, word, digits, w)
+        k = len(digits)
+        digits += word
+        for c in word:
+            step = steps.get(c)
+            if step is None:
+                p, q, l = dist.affine(c)
+                if not q % mod:
+                    return None
+                inv = pow(q, -1, mod)
+                step = steps[c] = (l * inv % mod, p * inv % mod)
+            fp = (fp * step[0] - step[1]) % mod
+            k += 1
+            j = prints.setdefault(fp, k)
+            if j < k:
+                seq = DigitSeq(tuple(digits[:j]), tuple(digits[j:k]))
+                try:
+                    return seq if encode(dist, seq) == x else None
+                except ResourceLimitError:
+                    # a false repeat's word over the budget: the exact walk decides
+                    return None
+        cur = rest
+    return NotDetected(tuple(digits))
+
+
+def _first_witness(dist: Distribution, x: Fraction, word, digits: list, w: int):
+    """Aperiodic at x's first remainder after a digit of `word` whose denominator meets W.
+
+    `digits` leads to x, and x's remainder after the whole word holds a
+    prime of W, so some digit of the word brings it; `digits` is extended
+    up to that digit. Should none do, the result is None, which hands the
+    point to the exact walk.
+    """
+    for c in word:
+        x = _remainder(x.numerator, x.denominator, *dist.affine(c))
+        digits.append(c)
+        witness = math.gcd(x.denominator, w)
+        if witness > 1:
+            return Aperiodic(tuple(digits), witness, len(digits))
+    return None
 
 
 def cylinder(dist: Distribution, word) -> Cylinder:

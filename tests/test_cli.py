@@ -1,8 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from probmink import alt_series_periodic_closed_form, cli, graph_points, parse_distribution
 from probmink.cli import main
@@ -339,3 +345,28 @@ def test_consecutive_calls_share_no_state(capsys):
     assert code == 0 and out == expected_plain
     code, out, _ = run(capsys, "eval", "--dist", "dyadic", "--x", "1/2")
     assert code == 0 and out.splitlines()[0] == "1/3"
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--dist", "dyadic", "--x", "1/2"),
+    ("qmark", "--x", "1/3", "--precision", "100000"),
+])
+def test_broken_pipe_exits_quietly(argv):
+    # stdout is a pipe whose reader is already gone, and block-buffered as in
+    # a shell pipeline: a short output fails at main's flush, a long one
+    # inside print, and neither may print a traceback at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.Popen([sys.executable, "-m", "probmink.cli", *argv],
+                                stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    code = proc.wait(timeout=60)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert code == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""

@@ -7,6 +7,7 @@ compares their numerators and denominators exactly.
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -448,6 +449,79 @@ def test_aperiodic_certificate_by_hand():
             for p in _prime_factors(w):
                 assert all(_valuation(den, p) == 0 for den in dens[: r.step]), (dist, x, p)
     assert fired > 150
+
+
+def _exact_walk(dist, x, max_steps=4096):
+    with mock.patch.object(expansion, "_WALK_BATCH_BITS", 1 << 62):
+        return decode_periodic(dist, x, max_steps)
+
+
+def test_batched_walk_hands_hard_points_to_the_exact_walk():
+    rng = random.Random(23)
+    g = Geometric(F(1, 3))
+    _, w = g.branch_primes()
+    seq = DigitSeq((2,), tuple(rng.randint(1, 3) for _ in range(1500)))
+    x = encode(g, seq)
+    assert x.denominator.bit_length() > expansion._WALK_BATCH_BITS
+    # a false repeat: fingerprints modulo a tiny prime collide within a few
+    # digits, and its certification fails; Q(2) = 2 is a multiple of 2; and
+    # 3 divides the denominator of x / 3, so the batched stage never starts
+    tiny = next(p for p in (5, 7, 11, 13) if x.denominator % p)
+    y = x / 3
+    cases = ((x, tiny, 1), (x, 2, 1), (y, 3, 0))
+    for point, modulus, calls in cases:
+        with mock.patch.object(expansion, "_PRINT_MOD", modulus), \
+                mock.patch.object(expansion, "_batched_walk",
+                                  wraps=expansion._batched_walk) as batched:
+            assert decode_periodic(g, point) == _exact_walk(g, point)
+            assert batched.call_count == calls
+            if calls:
+                assert expansion._batched_walk(g, point, 4096, w) is None
+    assert decode_periodic(g, x) == seq
+
+
+def test_batched_walk_witness_inside_a_batch():
+    # a random word's map applied to a long point with no period: the witness
+    # 2 arrives after the word, and the remainders stay long enough for
+    # full-size batches, so it is found by walking one batch again
+    rng = random.Random(5)
+    g = Geometric(F(1, 3))
+    word = tuple(rng.randint(1, 3) for _ in range(700))
+    d = rng.getrandbits(2000) | 1
+    a, b, den = expansion._compose(g, word)
+    x = (a + b * F(rng.randrange(d), d)) / den
+    found = []
+    first_witness = expansion._first_witness
+
+    def spy(dist, y, batch, digits, w):
+        start = len(digits)
+        result = first_witness(dist, y, batch, digits, w)
+        found.append((len(batch), result.step - start, y.denominator.bit_length()))
+        return result
+
+    with mock.patch.object(expansion, "_first_witness", spy):
+        result = decode_periodic(g, x)
+    assert isinstance(result, Aperiodic) and result.step > len(word)
+    assert result == _exact_walk(g, x)
+    (length, offset, bits), = found
+    assert 1 <= offset < length and bits > expansion._BATCH_BITS
+
+
+def test_decode_periodic_memory_is_linear():
+    # the exact walk kept every remainder, 18-28 MB at an 8 000-digit period;
+    # the batched stage keeps one 61-bit fingerprint per remainder
+    rng = random.Random(8000)
+    for dist in (Dyadic(), Geometric(F(1, 3)), FAMILIES[7]):
+        seq = DigitSeq((2, 3), tuple(rng.randint(1, 3) for _ in range(8000)))
+        x = encode(dist, seq)
+        tracemalloc.start()
+        try:
+            result = decode_periodic(dist, x, max_steps=8100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == seq
+        assert peak < 4 << 20, (dist, peak)
 
 
 def test_digit_search_budget(monkeypatch):

@@ -277,6 +277,16 @@ def test_continuity_modulus_fixtures():
         continuity_modulus_check(DigitSeq((2, 1), (2, 1)), DigitSeq((), (2, 1)))
 
 
+def test_dyadic_jump_at_a_cylinder_end():
+    # M is right-continuous at the cylinder end 1/2 = prefix(2) and jumps
+    # there: its left limit is 1, the finite sum over the word (1,), while
+    # the stream of 1/2 itself is 2, 1, 1, ...
+    d = Dyadic()
+    assert eval_minkowski(d, Fraction(1, 2)) == Fraction(1, 3)
+    left = eval_minkowski_enclosure(d, Fraction(1, 2) - Fraction(1, 1 << 40), 200)
+    assert 1 - Fraction(1, 1 << 30) < left.lower <= left.upper <= 1
+
+
 def test_monotonicity_witnesses():
     for dist in DISTS:
         dec, inc = monotonicity_witnesses(dist)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from probmink import Aperiodic, CustomPrefixTail, DigitSeq, Dyadic, Geometric, NotDetected
 from probmink import (
+    ResourceLimitError,
     cylinder,
     cylinder_increment,
     decode,
@@ -23,6 +24,7 @@ from probmink import (
     expansion,
     functional_equation_residuals,
     graph_points,
+    series,
     singularity_ratio_step,
 )
 from probmink.expansion import _compose
@@ -251,6 +253,123 @@ def test_decode_matches_reference_on_small_batches(dist, data):
     n = data.draw(st.integers(min_value=1, max_value=80))
     with mock.patch.multiple(expansion, _BATCH_BITS=batch, _LEAD_BITS=lead, _WORD_BITS=word):
         _check_decode(dist, x, n)
+
+
+# a stage threshold that no point reaches: decode_periodic walks exactly
+EXACT_STAGE = 1 << 62
+# batch sizes small enough that batches run down to remainders of a few bits
+SMALL_BATCHES = {"_BATCH_BITS": 24, "_LEAD_BITS": 16, "_WORD_BITS": 8}
+
+
+def _walk(dist, x, max_steps, stage_bits, **sizes):
+    """decode_periodic's result, or its ResourceLimitError message, at a patched stage threshold."""
+    with mock.patch.multiple(expansion, _WALK_BATCH_BITS=stage_bits, **sizes):
+        try:
+            return decode_periodic(dist, x, max_steps)
+        except ResourceLimitError as exc:
+            return str(exc)
+
+
+def _check_walk(dist, x, max_steps, **sizes):
+    """The batched stage, forced on x, gives the exact walk's result; returns it."""
+    exact = _walk(dist, x, max_steps, EXACT_STAGE)
+    assert _walk(dist, x, max_steps, 0, **sizes) == exact
+    return exact
+
+
+@settings(DETERMINISTIC, max_examples=25)
+@given(st.sampled_from(FAMILIES), st.integers(min_value=0, max_value=1 << 32),
+       st.integers(min_value=300, max_value=4000), st.integers(min_value=0, max_value=8),
+       st.sampled_from((2, 3, 6)))
+def test_batched_walk_matches_exact_walk_on_long_periods(dist, seed, length, pre, top):
+    seq = DigitSeq(_seeded_digits(seed + 1, pre, top), _seeded_digits(seed, length, top))
+    x = encode(dist, seq)
+    assert _check_walk(dist, x, 4100) == seq
+    if length <= 500:
+        assert ref_decode_periodic(dist, x, 4100) == seq
+
+
+@st.composite
+def aperiodic_tails(draw, dist):
+    """The map of a long random word applied to a point with no period.
+
+    5/7 has no period under these families; a random rational with an odd
+    denominator of over 1 000 bits keeps the remainders long, so that the
+    witness arrives inside a full-size batch.
+    """
+    seed = draw(st.integers(min_value=0, max_value=1 << 32))
+    word = _seeded_digits(seed, draw(st.integers(min_value=1, max_value=1500)), 3)
+    if draw(st.booleans()):
+        y = Fraction(5, 7)
+    else:
+        rng = random.Random(seed + 1)
+        d = rng.getrandbits(draw(st.integers(min_value=1100, max_value=3000))) | 1
+        y = Fraction(rng.randrange(d), d)
+    a, b, den = _compose(dist, word)
+    return (a + b * y) / den
+
+
+@settings(DETERMINISTIC, max_examples=40)
+@given(st.sampled_from((Geometric(Fraction(1, 3)), Geometric(Fraction(2, 5)),
+                        Geometric(Fraction(1, 10)), FAMILIES[8])),
+       st.data(), st.booleans())
+def test_batched_walk_finds_the_exact_witness(dist, data, small):
+    x = data.draw(aperiodic_tails(dist))
+    result = _check_walk(dist, x, 4096, **(SMALL_BATCHES if small else {}))
+    assert isinstance(result, Aperiodic)
+    # the plain walk finds no period along the same digits
+    ref = ref_decode_periodic(dist, x, result.step + 5)
+    assert isinstance(ref, NotDetected) and ref.prefix[: result.step] == result.prefix
+
+
+@settings(DETERMINISTIC, max_examples=30)
+@given(st.sampled_from([d for d in FAMILIES if d.branch_primes()[1] == 1 and
+                        isinstance(d, CustomPrefixTail)]),
+       large_rationals(1100, 4000), st.integers(min_value=1, max_value=400), st.booleans())
+def test_batched_walk_not_detected_prefix(dist, x, max_steps, small):
+    # with W = 1 nothing certifies these points, so both stages walk the whole budget
+    result = _check_walk(dist, x, max_steps, **(SMALL_BATCHES if small else {}))
+    assert isinstance(result, NotDetected) and len(result.prefix) == max_steps
+    assert result == ref_decode_periodic(dist, x, max_steps)
+
+
+@settings(DETERMINISTIC, max_examples=30)
+@given(st.sampled_from((Geometric(Fraction(1, 10)), Geometric(Fraction(1, 100)), FAMILIES[-1])),
+       large_rationals(1100, 4000), st.integers(min_value=12, max_value=60), st.booleans())
+def test_batched_walk_budget_message(dist, x, budget, small):
+    # a digit over the budget raises in both stages, with the same message
+    with mock.patch.object(series, "MAX_DIGIT_SUM", budget):
+        result = _check_walk(dist, x, 4096, **(SMALL_BATCHES if small else {}))
+        try:
+            ref = ref_decode_periodic(dist, x, 4096)
+        except ResourceLimitError as exc:
+            ref = str(exc)
+    if isinstance(result, Aperiodic):
+        # the certificate can end the walk before a digit over budget
+        assert isinstance(ref, (NotDetected, str))
+    else:
+        assert isinstance(result, str) and result == ref
+
+
+@settings(DETERMINISTIC, max_examples=60)
+@given(st.sampled_from(FAMILIES), st.data(), st.sampled_from((2, 3, 5, 7)),
+       st.sampled_from((None, 30)))
+def test_batched_walk_with_a_tiny_modulus(dist, data, modulus, budget):
+    # modulo a tiny prime false repeats are common, and so are moduli that
+    # divide some Q or the point's denominator: each hands the point to the
+    # exact walk, so the result is still the exact walk's; on a small digit
+    # budget, so is a false repeat whose period is over the budget
+    seed = data.draw(st.integers(min_value=0, max_value=1 << 32))
+    kind = data.draw(st.sampled_from(("period", "tail", "random")))
+    if kind == "period":
+        x = encode(dist, DigitSeq(_seeded_digits(seed + 1, seed % 5, 3),
+                                  _seeded_digits(seed, data.draw(st.integers(1, 300)), 3)))
+    elif kind == "tail":
+        x = data.draw(aperiodic_tails(dist))
+    else:
+        x = data.draw(large_rationals(8, 1200))
+    with mock.patch.object(series, "MAX_DIGIT_SUM", budget or series.MAX_DIGIT_SUM):
+        _check_walk(dist, x, 600, _PRINT_MOD=modulus, **SMALL_BATCHES)
 
 
 @DETERMINISTIC
