@@ -15,6 +15,14 @@ digits with tail ratio rn/rd). `digit_of` and the decoder's periodicity
 walk both run it. `branch_primes() -> (S, W)` gives the primes that the
 walk tracks (see `expansion`).
 
+All three families are a finite head of digit masses followed by a
+geometric tail, and `head_tail() -> (head, rest, r)` names that shape:
+the masses p_1..p_k of the head, the mass rest = 1 - (p_1 + ... + p_k)
+left for the tail, and the tail ratio r, so that p_(k+1+j) = rest (1-r) r^j.
+`Dyadic` is the tail with r = 1/2 and no head, and `Geometric(q)` the tail
+with r = 1 - q and no head. The mass transform and the decoders' word
+tables read the distribution through it alone.
+
 Instances are immutable and hashable; all operations are pure. Equality,
 hashing and repr come from one definition in the `_Frozen` base, keyed on
 each family's public fields, so two instances are equal exactly when they
@@ -124,6 +132,29 @@ class Distribution(_Frozen):
         """
         raise NotImplementedError
 
+    def head_tail(self) -> tuple:
+        """(head, rest, r): head masses p_1..p_k, the tail's mass 1 - sum(head), its ratio.
+
+        Digit k+1+j has mass rest * (1-r) * r^j for j >= 0, so the masses
+        strictly decrease from digit k+1 on; the head's need not.
+        """
+        raise NotImplementedError
+
+    def mass_transform(self, a: int, z: Fraction) -> Fraction:
+        """T(a, z), the exact sum of pmf(c)^a * z^c over all digits c.
+
+        For integers a >= 1 and rationals 0 <= z <= 1. The head is summed
+        term by term, and the tail, p_(k+1+j) = rest (1-r) r^j, is one
+        geometric series: (rest (1-r))^a z^(k+1) / (1 - r^a z).
+        """
+        z = Fraction(z)
+        if not (isinstance(a, int) and a >= 1 and 0 <= z <= 1):
+            raise DomainError(f"mass transform needs an integer a >= 1 and 0 <= z <= 1, "
+                              f"got a={a}, z={z}")
+        head, rest, r = self.head_tail()
+        total = sum((p**a * z**c for c, p in enumerate(head, start=1)), Fraction(0))
+        return total + (rest * (1 - r)) ** a * z ** (len(head) + 1) / (1 - r**a * z)
+
     def spec_string(self) -> str:
         """The textual form accepted by parse_distribution."""
         raise NotImplementedError
@@ -201,6 +232,9 @@ class Dyadic(Distribution):
     def branch_primes(self) -> tuple:
         return 2, 1
 
+    def head_tail(self) -> tuple:
+        return (), Fraction(1), Fraction(1, 2)
+
     def spec_string(self) -> str:
         return "dyadic"
 
@@ -257,6 +291,9 @@ class Geometric(Distribution):
     def branch_primes(self) -> tuple:
         # L = t^c; Q(c) = s u^(c-1), and s u is coprime to t
         return self._t, self._s * self._u
+
+    def head_tail(self) -> tuple:
+        return (), Fraction(1), 1 - self.q
 
     def spec_string(self) -> str:
         return f"geometric:{self.q}"
@@ -357,6 +394,9 @@ class CustomPrefixTail(Distribution):
         primes = h * rd
         w = math.gcd(*(b - a for a, b in zip(cum[1:], cum[2:])), self._rest * (rd - rn))
         return primes, w // _smooth_part(w, primes)
+
+    def head_tail(self) -> tuple:
+        return self.head, Fraction(self._rest, self._lcm), self.tail_ratio
 
     def spec_string(self) -> str:
         probs = ",".join(str(p) for p in self.head)

@@ -43,6 +43,29 @@ the test; then a bisection over the word's prefixes finds the longest
 certified one. A batch touches the long remainder a fixed number of
 times, where the plain loop runs one full-size step per digit.
 
+A remainder of at most _BATCH_BITS bits is decoded up to _TABLE_DIGITS
+digits per lookup, as table-driven decoders of prefix codes read several
+symbols at once (Moffat and Turpin 1997): the expansion is an
+arithmetic-code decoder for the distribution. The distribution's word
+table (`_word_table`) holds the words of up to _TABLE_DIGITS digits whose
+cylinders have measure at least 2^-_TABLE_MEASURE_BITS, as disjoint
+intervals sorted by their left ends over a common denominator T: each
+word of _TABLE_DIGITS digits is one interval, and a shorter word holds
+the parts of its cylinder that no longer word of the table covers. A
+lookup is one bisect_right(lefts, n*T // d), and it finds the longest
+word in the table that x's digits start with. A lookup cannot return a
+wrong digit: the row it finds is only a candidate, since x's first digit
+may have no row, until `_remainder`'s test A*d <= n*D < (A+B)*d, which
+holds exactly when x lies in the word's cylinder, certifies it and gives
+the reduced remainder, the same rational as the plain loop's. A failed
+test costs one plain step. The trailing-ones rule: digit 1 fixes 0 and
+maps a nonzero remainder to a nonzero one, so when the remainder after a
+word is 0 the stream's first zero remainder came after the word with its
+trailing 1s removed, and every later digit is 1. `decode` needs no such
+rule, since its remainder after the word is the same either way; the
+geometric Monte Carlo walk, which closes a sample at the first zero, uses
+it (see `integral`).
+
 `decode_periodic` runs the same step on a remainder n/d held as d = e*f,
 as plain integers. Each step is one call of the distribution's integer
 digit search, `dist._branch(n, d) -> (c, P, Q, L)`, which returns the
@@ -98,8 +121,10 @@ batched walk's DigitSeq, Aperiodic, NotDetected and every error are the
 exact walk's, bit for bit.
 """
 
+import functools
 import math
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -265,6 +290,15 @@ _FOLD_DIGITS = 64
 # Mersenne prime _PRINT_MOD
 _WALK_BATCH_BITS = 2560
 _PRINT_MOD = (1 << 61) - 1
+# decode's plain loop and the geometric Monte Carlo walk read up to
+# _TABLE_DIGITS digits per lookup, from a table of the words of up to that
+# length whose cylinders have measure at least 2^-_TABLE_MEASURE_BITS; a table
+# whose common denominator has more than _TABLE_SCALE_BITS bits is not built,
+# and the last _TABLE_CACHE tables are kept
+_TABLE_DIGITS = 3
+_TABLE_MEASURE_BITS = 9
+_TABLE_SCALE_BITS = 512
+_TABLE_CACHE = 16
 
 
 def _check_unit_interval(x: Fraction) -> None:
@@ -368,15 +402,24 @@ def decode(dist: Distribution, x: Fraction, n: int) -> tuple:
 
     A remainder with a denominator of more than _BATCH_BITS bits gives its
     digits in certified batches (`_leading_digits`, and the module
-    docstring). A shorter one takes one `shift` per digit, and so does the
-    next digit after a batch that certifies nothing. Both give the digits
-    and the remainder of one `shift` per digit, bit for bit.
+    docstring). A shorter one, and a long one after a batch that certifies
+    nothing, reads up to _TABLE_DIGITS digits at a time from dist's word
+    table (`_word_table`): a lookup names the longest word in the table
+    that the remainder's digits can start with, and `_remainder`'s cylinder
+    test certifies it and gives the reduced remainder after it. A lookup
+    that fails the test costs one plain step and never a wrong digit. One
+    `shift` takes the next digit after such a miss, for the last fewer
+    than _TABLE_DIGITS digits, and for each digit of a word that would take
+    the digit sum past the budget, so the error names the sum the plain
+    loop reaches. All give the digits and the remainder of one `shift` per
+    digit, bit for bit.
     """
     _check_unit_interval(x)
     if n < 1:
         raise DomainError(f"digit count must be >= 1, got {n}")
     series.check_digit_sum(n)
     budget = series.MAX_DIGIT_SUM
+    table = _word_table(dist)
     digits = []
     total = 0
     cur = x
@@ -390,9 +433,22 @@ def decode(dist: Distribution, x: Fraction, n: int) -> tuple:
                 total += sum(word)
                 cur = rest
                 continue
-            # the next digit is past the short point's reach: one plain step
+            # the next digit is past the short point's reach: one lookup or plain step
             run = 1
-        for _ in range(min(n - len(digits), run)):
+        stop = min(n, len(digits) + run)
+        while len(digits) < stop:
+            if table is not None and n - len(digits) >= _TABLE_DIGITS:
+                scale, lefts, rows = table
+                num, den = cur.numerator, cur.denominator
+                a, b, d, word, word_sum, _ = rows[bisect_right(lefts, num * scale // den) - 1]
+                # a word past the budget is stepped digit by digit, to the digit that passes
+                if total + word_sum <= budget:
+                    rest = _remainder(num, den, a, b, d)
+                    if rest is not None:
+                        digits += word
+                        total += word_sum
+                        cur = rest
+                        continue
             c, cur = shift(dist, cur)
             digits.append(c)
             total += c
@@ -483,6 +539,116 @@ def _remainder(n: int, d: int, a: int, b: int, den: int):
     if g > 1:
         m, b = m // g, b // g
     return _coprime_fraction(m, d * b)
+
+
+class _WordTable(NamedTuple):
+    """A distribution's words of up to _TABLE_DIGITS digits, as sorted intervals.
+
+    rows[i] = (A, B, D, word, digit sum, alt): the word's map
+    y -> (A + B*y) / D as `_compose` builds it, its digit sum, and its
+    series accumulator alt, which `series`'s m <- (m << c) + sign gives
+    over the word from m = 0 and sign 1. Row i holds the points from
+    lefts[i] / scale up to the next row's left end, all inside the word's
+    cylinder [A/D, (A+B)/D), except that the last row of a first digit
+    also reaches over the first digits that have no rows; `scale` is the
+    lcm of the left ends' denominators.
+    """
+
+    scale: int
+    lefts: tuple
+    rows: tuple
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _word_table(dist: Distribution):
+    """dist's _WordTable, or None when it has no rows or too long a scale.
+
+    The table's words are those of 1 to _TABLE_DIGITS digits whose
+    cylinders have measure at least 2^-_TABLE_MEASURE_BITS, built from
+    `dist.affine`. Each word of _TABLE_DIGITS digits is one row, and every
+    shorter word gets a row for each gap that its children in the table
+    leave in its cylinder. So a point whose first digit is in the table
+    lies in the row of the longest word in the table that its digits start
+    with. Cylinders of one length are disjoint, so there are at most
+    2^_TABLE_MEASURE_BITS words of each length, and at most twice as many
+    rows as words. The rows come out in the lexicographic order of their
+    words, which is the order of their left ends, by one depth-first walk.
+    Each digit of the head is tried, since head masses need not decrease;
+    in the tail the masses do, so the first tail digit whose mass is too
+    small ends the digits tried after a word. No table is built when the
+    common denominator of the left ends has more than _TABLE_SCALE_BITS
+    bits, and the build stops as soon as a digit's L or a word's D does,
+    since each divides that denominator; this bounds the build's integers
+    and a lookup's multiplication.
+
+    A lookup is one bisection: the row i with lefts[i] <= floor(x*scale)
+    is the only row that can hold x, as the rows are disjoint and sorted.
+    It is only a candidate, since x's first digit may have no rows: the
+    caller certifies that x lies in its word's cylinder, with the integer
+    test that `_remainder` makes, and steps one digit when it does not.
+    So a lookup never yields a wrong digit.
+    """
+    bits, cap, size = _TABLE_MEASURE_BITS, _TABLE_SCALE_BITS, _TABLE_DIGITS
+    head = len(dist.head_tail()[0])
+    digits = []
+    c = 1
+    # a digit over the budget has no triple; its mass is below any table's
+    while c <= series.MAX_DIGIT_SUM:
+        p, q, l = dist.affine(c)
+        if q << bits >= l:
+            if l.bit_length() > cap:
+                return None
+            digits.append((c, p, q, l))
+        elif c > head:
+            break
+        c += 1
+    # each row, and its left end as a fraction num/low, in order; equal
+    # measures and denominators, which recur across words, share one int
+    rows, nums, lows = [], [], []
+    shared = {}
+
+    def tile(word, a, b, den, total, alt, sign):
+        """Add the rows of the word's cylinder; False once a denominator passes the cap."""
+        row = None
+        # the left end of the part not yet tiled
+        num, low = a, den
+        if len(word) < size:
+            for c, p, q, l in digits:
+                bq, dl = b * q, den * l
+                if bq << bits < dl:
+                    if c > head:
+                        break
+                    continue
+                if dl.bit_length() > cap:
+                    return False
+                child = a * l + b * p
+                if num * dl < child * low:
+                    row = row or (a, b, den, word, total, alt)
+                    rows.append(row)
+                    nums.append(num)
+                    lows.append(low)
+                bq, dl = shared.setdefault(bq, bq), shared.setdefault(dl, dl)
+                if not tile(word + (c,), child, bq, dl, total + c, (alt << c) + sign, -sign):
+                    return False
+                num, low = child + bq, dl
+        if num * den < (a + b) * low:
+            rows.append(row or (a, b, den, word, total, alt))
+            nums.append(num)
+            lows.append(low)
+        return True
+
+    for c, p, q, l in digits:
+        if not tile((c,), p, q, l, c, 1, -1):
+            return None
+    if not rows:
+        return None
+    scale = math.lcm(*lows)
+    if scale.bit_length() > cap:
+        return None
+    # tuples, as the cache hands one table to every caller
+    lefts = tuple(num * (scale // low) for num, low in zip(nums, lows))
+    rows = tuple(rows)
+    return _WordTable(scale, lefts, rows)
 
 
 def decode_periodic(dist: Distribution, x: Fraction, max_steps: int = 4096):

@@ -1,66 +1,53 @@
 """Three independent evaluations of the integral of the induced function.
 
-The mass transforms alpha = sum p_j / 2^j and gamma = sum p_j^2 / 2^j have
-closed forms in every built-in family. Two candidate closed forms for the
+The mass transforms alpha = sum p_j / 2^j and gamma = sum p_j^2 / 2^j are
+the values T(1, 1/2) and T(2, 1/2) of the distribution's closed-form
+`mass_transform` T(a, z) = sum p_j^a z^j. Two candidate closed forms for the
 integral are reported side by side: 2*alpha/(1+alpha), produced by applying
 the change of variables x = prefix(j) + pmf(j)*y once per first-digit
 cylinder, and 2*alpha/(1+gamma), the variant in which the substitution
 picks up a second factor of pmf(j). Neither is presumed correct; a rigorous
 cylinder quadrature with an exact error enclosure adjudicates, and a seeded
 Monte Carlo estimate cross-checks the winner.
+
+The Monte Carlo kernels decode each sample x = a / 2^64 to depth 64 and
+return the same integers as a walk of one digit per step. The geometric
+walk reads up to three digits per lookup from the law's word table
+(`expansion._word_table`), and custom heads decode through `decode`,
+which reads the same tables. A lookup cannot return a wrong digit: it only
+proposes the longest word of the table that x's digits can start with, and
+the word is taken only after the integer test 0 <= n*D - A*d < d*B, which
+holds exactly when x lies in the word's cylinder [A/D, (A+B)/D); otherwise
+the walk takes one plain step. The trailing-ones rule: when the remainder
+after a word is 0, the first zero of the walk came after the word with its
+trailing 1s removed, because digit 1 fixes 0 and maps a nonzero remainder
+to a nonzero one; the sample is closed there, as the one-digit walk closes
+it.
 """
 
 import functools
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import series
-from .distribution import CustomPrefixTail, Distribution, Dyadic, Geometric, _check_geometric_digit
+from .distribution import Distribution, Geometric, _check_geometric_digit
 from .errors import DomainError
+from .expansion import _TABLE_CACHE, _TABLE_DIGITS, _word_table
 from .fmt import rational_text, render_decimal
 from .minkowski import eval_minkowski_enclosure
 
 
 def alpha(dist: Distribution) -> Fraction:
-    """Exact sum of pmf(j) / 2^j over all digits j."""
-    if isinstance(dist, Dyadic):
-        # sum of 4^-j
-        return Fraction(1, 3)
-    if isinstance(dist, Geometric):
-        q = dist.q
-        return q / (1 + q)
-    if isinstance(dist, CustomPrefixTail):
-        head = sum(
-            (p / (1 << j) for j, p in enumerate(dist.head, start=1)), Fraction(0)
-        )
-        m = len(dist.head) + 1
-        rem = 1 - sum(dist.head, Fraction(0))
-        tail = rem * (1 - dist.tail_ratio) / ((1 << (m - 1)) * (2 - dist.tail_ratio))
-        return head + tail
-    raise DomainError(f"no closed-form mass transform for {dist!r}")
+    """Exact sum of pmf(j) / 2^j over all digits j: the mass transform T(1, 1/2)."""
+    return dist.mass_transform(1, Fraction(1, 2))
 
 
 def gamma(dist: Distribution) -> Fraction:
-    """Exact sum of pmf(j)^2 / 2^j over all digits j; strictly below 1."""
-    if isinstance(dist, Dyadic):
-        # sum of 8^-j
-        return Fraction(1, 7)
-    if isinstance(dist, Geometric):
-        q = dist.q
-        return q * q / (2 - (1 - q) ** 2)
-    if isinstance(dist, CustomPrefixTail):
-        head = sum(
-            (p * p / (1 << j) for j, p in enumerate(dist.head, start=1)), Fraction(0)
-        )
-        m = len(dist.head) + 1
-        rem = 1 - sum(dist.head, Fraction(0))
-        tail = (rem * (1 - dist.tail_ratio)) ** 2 / (
-            (1 << (m - 1)) * (2 - dist.tail_ratio**2)
-        )
-        return head + tail
-    raise DomainError(f"no closed-form mass transform for {dist!r}")
+    """Exact sum of pmf(j)^2 / 2^j over all digits j, T(2, 1/2); strictly below 1."""
+    return dist.mass_transform(2, Fraction(1, 2))
 
 
 class ClosedForms(NamedTuple):
@@ -188,48 +175,93 @@ def _mc_sample_dyadic(a: int) -> tuple:
     return 12 * odd - 6 * zeros + sign, n_bits
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _geometric_table(s: int, t: int):
+    """The word table of the geometric law with q = s/t, keyed on plain ints."""
+    return _word_table(Geometric(Fraction(s, t)))
+
+
 def _mc_sample_geometric(s: int, t: int, a: int) -> tuple:
     """The sample at x = a / 2^64 under the geometric law with q = s/t.
 
-    Walks y = 1 - x = w/v as an unreduced integer pair. With u = t - s, the
-    digit c is the smallest with u^c v < t^c w; the search keeps u^c v and
-    t^c w as running products, and the step reuses them:
-    w, v <- t^c w - u^c v, s u^(c-1) v. The series partial sum is
-    accumulated as m / 2^(s_k - 1). Returns (A, e) with the sample value
-    A / (3 * 2^e): the exact value when the remainder hits zero (w == v; the
-    stream ends in ones and the alternating tail closes in one step),
-    otherwise the midpoint of the depth-64 enclosure.
+    Walks x = n/d as an unreduced integer pair, from n = a and d = 2^64.
+    While _TABLE_DIGITS or more digits are left, a lookup in the law's word
+    table (`expansion._word_table`) proposes the longest word of the table
+    that x's digits can start with, and the integer test
+    0 <= n*D - A*d < d*B certifies it. Then n, d <- n*D - A*d, d*B, and the
+    series accumulator takes the word in one step,
+    m <- (m << S_w) + sign * M_w, with S_w the word's digit sum and M_w its
+    accumulator from m = 0; the sign flips when the word's length is odd.
+    A lookup cannot give a wrong digit: the test holds exactly when x lies
+    in the word's cylinder, and a failed one costs a plain step. When the
+    remainder after a word is 0, the walk's first zero is after the word
+    with its trailing 1s removed: digit 1 fixes 0, and it maps a nonzero
+    remainder to a nonzero one.
+
+    A plain step searches for the smallest digit c with u^c d < t^c (d - n),
+    u = t - s, keeping u^c d and t^c (d - n) as running products, and the
+    step reuses them: n, d <- t u^(c-1) d - t^c (d - n), s u^(c-1) d. Each
+    digit's series term is accumulated as m / 2^(s_k - 1). Returns (A, e)
+    with the sample value A / (3 * 2^e): the exact value when the remainder
+    hits zero (the stream ends in ones and the alternating tail closes in
+    one step), otherwise the midpoint of the depth-64 enclosure.
 
     The search is held to the budget before it builds any power, by
     `Geometric`'s lower bound on the digit, taken in the bits of t^c: at
     least k = bit_length(t) - 1 per digit. A digit inside the digit budget
     can still need a power of hundreds of megabits: at q = 1/10^8 a digit
-    near 10^7 has t^c of about 3*10^8 bits.
+    near 10^7 has t^c of about 3*10^8 bits. Such a law walks with no
+    table, whose words would all have too small a measure anyway.
     """
     u = t - s
     k = t.bit_length() - 1
     bounded = t * k > s * series.MAX_DIGIT_SUM
-    v = 1 << _MC_DEPTH
-    w = v - a
+    table = None if bounded else _geometric_table(s, t)
+    if table is not None:
+        scale, lefts, rows = table
+    d = 1 << _MC_DEPTH
+    n = a
     m = s_k = 0
     sign = 1
-    for _ in range(_MC_DEPTH):
-        if w == v:
+    left = _MC_DEPTH
+    while left:
+        if not n:
             return 6 * m + 2 * sign, s_k
+        if table is not None and left >= _TABLE_DIGITS:
+            a_w, b_w, d_w, word, sum_w, alt = rows[bisect_right(lefts, n * scale // d) - 1]
+            r = n * d_w - a_w * d
+            db = d * b_w
+            if 0 <= r < db:
+                if not r:
+                    while word[-1] == 1:
+                        word = word[:-1]
+                    for c in word:
+                        m = (m << c) + sign
+                        s_k += c
+                        sign = -sign
+                    return 6 * m + 2 * sign, s_k
+                n, d = r, db
+                m = (m << sum_w) + sign * alt
+                s_k += sum_w
+                length = len(word)
+                if length & 1:
+                    sign = -sign
+                left -= length
+                continue
         if bounded:
-            # x = 1 - w/v
-            _check_geometric_digit(v - w, v, s, t, k)
-        prev, lo, hi, c = v, u * v, t * w, 1
+            _check_geometric_digit(n, d, s, t, k)
+        prev, lo, hi, c = d, u * d, t * (d - n), 1
         while lo >= hi:
             prev = lo
             lo *= u
             hi *= t
             c += 1
-        w, v = hi - lo, s * prev
+        n, d = t * prev - hi, s * prev
         m = (m << c) + sign
         s_k += c
         sign = -sign
-    if w == v:
+        left -= 1
+    if not n:
         return 6 * m + 2 * sign, s_k
     return 3 * (4 * m + sign), s_k + 1
 
@@ -269,7 +301,10 @@ def _mc_generic(dist: Distribution, samples: int, rng: random.Random) -> tuple:
     """Sample loop for custom heads: one depth-64 enclosure per sample.
 
     This is the production path for `CustomPrefixTail`, which `_mc_fast`
-    does not cover; each sample decodes 64 digits through `shift`.
+    does not cover. Each sample decodes 64 digits with `decode`, which
+    reads most of them up to three at a time from the family's word table
+    and takes the rest, after a lookup that misses and for the last one or
+    two digits, by `shift`; each sample's midpoint is one Fraction.
     """
     total = Fraction(0)
     sq_total = Fraction(0)
@@ -287,19 +322,20 @@ def integral_mc(dist: Distribution, samples: int, seed: int) -> MCEstimate:
 
     Draws uniform 64-bit dyadic rationals and averages the midpoints of
     depth-64 enclosures (exact values where the expansion terminates).
-    The dyadic and geometric families run `_mc_fast`, whose integer sample
-    kernels reproduce the rational loop `_mc_generic` (the path for custom
-    heads) sample for sample; runs are reproducible.
+    A law with no head, a geometric tail alone (the dyadic and geometric
+    families), runs `_mc_fast`, whose integer sample kernels reproduce the
+    rational loop `_mc_generic` (the path for custom heads) sample for
+    sample; runs are reproducible.
     """
     if samples < 1:
         raise DomainError(f"sample count must be >= 1, got {samples}")
     rng = random.Random(seed)
-    if isinstance(dist, Dyadic):
-        total, sq_total = _mc_fast(Fraction(1, 2), samples, rng)
-    elif isinstance(dist, Geometric):
-        total, sq_total = _mc_fast(dist.q, samples, rng)
-    else:
+    head, _, ratio = dist.head_tail()
+    if head:
         total, sq_total = _mc_generic(dist, samples, rng)
+    else:
+        # a tail alone is the geometric law with q = 1 - r, the dyadic one at r = 1/2
+        total, sq_total = _mc_fast(1 - ratio, samples, rng)
     mean = total / samples
     if samples > 1:
         variance = (sq_total - samples * mean * mean) / (samples - 1)

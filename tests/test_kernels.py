@@ -4,11 +4,14 @@ Fractions are always held in lowest terms, so `==` on two Fractions
 compares their numerators and denominators exactly.
 """
 
+import importlib
 import math
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -28,13 +31,14 @@ from probmink import (
     decode_periodic,
     encode,
     graph_points,
+    parse_distribution,
     prefix_enclosure,
     render_decimal,
     shift,
 )
 from probmink import expansion, fmt, series
 from probmink.errors import DomainError, ResourceLimitError
-from probmink.expansion import _coprime_fraction
+from probmink.expansion import _compose, _coprime_fraction, _word_table
 from probmink.integral import _mc_sample_dyadic, _mc_sample_geometric
 from probmink.series import _finite_sum
 
@@ -44,6 +48,7 @@ from oracles import (
     ref_alt_series_exact,
     ref_decode,
     ref_decode_periodic,
+    ref_digit_of,
     ref_encode,
     ref_finite_sum,
     ref_mc_sample_int,
@@ -375,6 +380,99 @@ def test_mc_sample_kernels_match_reference():
     # digits near 100 per step: each reference sample walks about 6 400 candidates
     for a in (0, (1 << 64) - 1, random.Random(100).getrandbits(64)):
         assert _mc_sample_geometric(1, 100, a) == ref_mc_sample_int(1, 100, a), a
+
+
+def test_table_walk_zero_inside_a_word():
+    # under q = 1/4 the left end of the cylinder of (2,) is 1/4, whose remainder is 0
+    # after its first digit: the walk certifies the word (2, 1, 1) and stops at (2,)
+    for a in (1 << 62, (1 << 62) - 1, (1 << 62) + 1, 0):
+        assert _mc_sample_geometric(1, 4, a) == ref_mc_sample_int(1, 4, a), a
+    assert _mc_sample_geometric(1, 4, 1 << 62) == (6 * 1 - 2, 2)
+
+
+def _bench_specs(monkeypatch):
+    """Every distribution spec that the benchmark's workloads send to the CLI."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    specs = set(workloads.EXACT_FAMILIES) | set(workloads.SWEEP_FAMILIES)
+    specs.update(spec for kind in workloads.MC_FAMILIES.values() for spec in kind)
+    return sorted(specs)
+
+
+def _heavy_words(dist, bits, size):
+    """Every word of 1 to `size` digits with measure at least 2^-bits, searched with `ref_pmf`."""
+    head = len(dist.head) if isinstance(dist, CustomPrefixTail) else 0
+    heavy, c = [], 1
+    while True:
+        p = ref_pmf(dist, c)
+        if p * (1 << bits) >= 1:
+            heavy.append((c, p))
+        elif c > head:
+            break
+        c += 1
+    words, level = [], [((), F(1))]
+    for _ in range(size):
+        level = [(w + (c,), m * p) for w, m in level for c, p in heavy
+                 if m * p * (1 << bits) >= 1]
+        words += [w for w, _ in level]
+    return words
+
+
+def test_word_table_bounds(monkeypatch):
+    bits, size = expansion._TABLE_MEASURE_BITS, expansion._TABLE_DIGITS
+    cap = expansion._TABLE_SCALE_BITS
+    odd = (1 << 200) + 235
+    dists = [parse_distribution(spec) for spec in _bench_specs(monkeypatch)] + [
+        Geometric(F(1, 10**8)),
+        Geometric(F(10**8 - 1, 10**8)),
+        # a head whose first mass is tiny, and one whose masses have 200-bit denominators
+        CustomPrefixTail((F(1, 10**9), F(1, 2)), F(1, 2)),
+        CustomPrefixTail((F(odd // 3, odd), F(odd // 5, odd + 2)), F(1, 3)),
+    ]
+    for dist in dists:
+        took = []
+        for _ in range(5):
+            _word_table.cache_clear()
+            start = time.perf_counter()
+            table = _word_table(dist)
+            took.append(time.perf_counter() - start)
+        assert min(took) < 1e-3, (dist, took)
+        heavy = _heavy_words(dist, bits, size)
+        if table is None:
+            # nothing to tabulate, or a common denominator past the cap
+            assert not heavy or max(_compose(dist, w)[2] for w in heavy).bit_length() > cap
+            continue
+        scale, lefts, rows = table
+        words = [row[3] for row in rows]
+        assert scale.bit_length() <= cap, dist
+        assert set(words) <= set(heavy) and len(rows) <= 2 * len(heavy)
+        for length in range(1, size + 1):
+            assert len({w for w in words if len(w) == length}) <= 1 << bits
+        # each word of the full length is one row, in order
+        assert [w for w in words if len(w) == size] == [w for w in heavy if len(w) == size]
+        assert all(left < right for left, right in zip(lefts, lefts[1:]))
+        ends = [F(left, scale) for left in lefts] + [None]
+        for i, (a, b, den, word, total, alt) in enumerate(rows):
+            assert (a, b, den) == _compose(dist, word)
+            assert (alt, total) == _finite_sum(word)[:2]
+            # the row starts inside its word's cylinder, where no longer word of the table starts
+            x = ends[i]
+            assert F(a, den) <= x < F(a + b, den)
+            if len(word) < size:
+                rest = (x * den - a) / b
+                assert word + (ref_digit_of(dist, rest),) not in heavy
+            # the rows of one first digit tile its cylinder, each inside its word's
+            first = cylinder(dist, word[:1])
+            if i == 0 or rows[i - 1][3][0] != word[0]:
+                assert x == first.inf
+            if i + 1 < len(rows) and rows[i + 1][3][0] == word[0]:
+                assert ends[i + 1] <= F(a + b, den)
+            else:
+                assert F(a + b, den) == first.sup
+    _word_table.cache_clear()
+    assert _word_table(Geometric(F(1, 10**8))) is None
+    assert {row[3] for row in _word_table(Geometric(F(10**8 - 1, 10**8))).rows} == {
+        (1,), (1, 1), (1, 1, 1)}
 
 
 def _strip(n, primes):

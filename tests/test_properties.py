@@ -25,6 +25,7 @@ from probmink import (
     functional_equation_residuals,
     graph_points,
     series,
+    shift,
     singularity_ratio_step,
 )
 from probmink.expansion import _compose
@@ -38,6 +39,7 @@ from oracles import (
     ref_digit_of,
     ref_graph_points,
     ref_mc_sample_int,
+    ref_pmf,
     question_mark_by_mediants,
 )
 
@@ -62,6 +64,62 @@ def geometric_parameters(draw):
 def test_geometric_sample_kernel_matches_reference(params, a):
     s, t = params
     assert _mc_sample_geometric(s, t, a) == ref_mc_sample_int(s, t, a)
+
+
+# the laws of the word-table walk: q = 1/100 has no table, as its digits of
+# mass 2^-9 or more reach 100^78, past the table's scale; q = 99/100 has a
+# row for each of the words 1, 11, 111 and for those with one digit 2
+TABLE_QS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(1, 4), Fraction(3, 4),
+            Fraction(99, 100), Fraction(1, 100))
+
+
+@settings(DETERMINISTIC, max_examples=60)
+@given(st.sampled_from(TABLE_QS), DRAWS)
+def test_geometric_table_walk_matches_reference(q, a):
+    s, t = q.numerator, q.denominator
+    assert _mc_sample_geometric(s, t, a) == ref_mc_sample_int(s, t, a)
+
+
+@st.composite
+def sample_cylinder_ends(draw):
+    """(s, t, a): q = s/t with t a power of two, and a/2^64 a cylinder's left end or a neighbour.
+
+    The left end of a word's cylinder is encode(word + (1,)), whose
+    denominator divides t^S for the word's digit sum S; with S*log2(t) <= 64
+    it is a draw a / 2^64 whose remainder hits 0 right after the word, often
+    inside one of the words that the table walk reads.
+    """
+    k = draw(st.integers(min_value=1, max_value=4))
+    t = 1 << k
+    s = draw(st.integers(min_value=1, max_value=t - 1))
+    word = []
+    for c in draw(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=40)):
+        if (sum(word) + c) * k > 64:
+            break
+        word.append(c)
+    x = encode(Geometric(Fraction(s, t)), DigitSeq(tuple(word), (1,)))
+    a = x.numerator << (64 - x.denominator.bit_length() + 1)
+    a += draw(st.sampled_from((0, 0, -1, 1)))
+    return s, t, min(max(a, 0), (1 << 64) - 1)
+
+
+@DETERMINISTIC
+@given(sample_cylinder_ends())
+def test_geometric_table_walk_at_cylinder_ends(params):
+    s, t, a = params
+    assert _mc_sample_geometric(s, t, a) == ref_mc_sample_int(s, t, a)
+
+
+@DETERMINISTIC
+@given(st.sampled_from(FAMILIES), st.integers(min_value=1, max_value=3),
+       st.fractions(min_value=0, max_value=1, max_denominator=64),
+       st.integers(min_value=0, max_value=80))
+def test_mass_transform_against_partial_sums(dist, a, z, n):
+    # the terms after the first n are positive, and each is at most pmf(c) z^(n+1)
+    partial = sum((ref_pmf(dist, c) ** a * z**c for c in range(1, n + 1)), Fraction(0))
+    rest = dist.mass_transform(a, z) - partial
+    bound = (1 - sum((ref_pmf(dist, c) for c in range(1, n + 1)), Fraction(0))) * z ** (n + 1)
+    assert (0 < rest <= bound) if z else rest == 0
 
 
 WALK_FAMILIES = st.one_of(
@@ -253,6 +311,70 @@ def test_decode_matches_reference_on_small_batches(dist, data):
     n = data.draw(st.integers(min_value=1, max_value=80))
     with mock.patch.multiple(expansion, _BATCH_BITS=batch, _LEAD_BITS=lead, _WORD_BITS=word):
         _check_decode(dist, x, n)
+
+
+# families with tables of every shape: two of the benchmark's custom heads, a
+# head whose first digit is too light for any word, a law whose first digit
+# holds almost all the mass, so its words are ones and at most one 2, and a
+# law with no table at all
+TABLE_FAMILIES = FAMILIES + (
+    CustomPrefixTail((Fraction(1, 4), Fraction(1, 6)), Fraction(1, 2)),
+    CustomPrefixTail((Fraction(2, 5), Fraction(1, 10)), Fraction(3, 5)),
+    CustomPrefixTail((Fraction(1, 10**9), Fraction(1, 2)), Fraction(1, 2)),
+    Geometric(Fraction(99, 100)),
+    Geometric(Fraction(1, 100)),
+)
+
+
+def _short_points(dist):
+    """Points whose remainders stay short, cylinder ends, and points past the batch size."""
+    return st.one_of(large_rationals(1, 900), cylinder_ends(dist, 60), large_rationals(900, 3000))
+
+
+@settings(DETERMINISTIC, max_examples=150)
+@given(st.sampled_from(TABLE_FAMILIES), st.data())
+def test_decode_table_words_match_reference(dist, data):
+    # n of any residue modulo the word length, so the last digits step plainly;
+    # at q = 1/100 digits near 100 grow the remainder by about 660 bits each
+    x = data.draw(_short_points(dist))
+    most = 24 if dist.max_p() < Fraction(1, 50) else 200
+    _check_decode(dist, x, data.draw(st.integers(min_value=1, max_value=most)))
+
+
+def _decode_outcome(fn, dist, x, n):
+    """fn's result, or the message of the ResourceLimitError it raises."""
+    try:
+        return fn(dist, x, n)
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
+def _ref_decode_held(dist, x, n):
+    """One `shift` per digit, refused as `decode` is: n, then the running digit sum."""
+    series.check_digit_sum(n)
+    digits, cur, total = [], x, 0
+    for _ in range(n):
+        c, cur = shift(dist, cur)
+        digits.append(c)
+        total += c
+        series.check_digit_sum(total)
+    return digits, cur
+
+
+@settings(DETERMINISTIC, max_examples=150)
+@given(st.sampled_from(TABLE_FAMILIES), st.data(), st.integers(min_value=2, max_value=120))
+def test_decode_table_words_budget_message(dist, data, budget):
+    # a word past a small budget steps digit by digit, to the digit sum the plain loop
+    # refuses; a table built on a small budget holds no digit above it
+    x = data.draw(_short_points(dist))
+    n = data.draw(st.integers(min_value=1, max_value=150))
+    with mock.patch.object(series, "MAX_DIGIT_SUM", budget):
+        for fresh in (False, True):
+            if fresh:
+                expansion._word_table.cache_clear()
+            assert (_decode_outcome(decode, dist, x, n)
+                    == _decode_outcome(_ref_decode_held, dist, x, n))
+    expansion._word_table.cache_clear()
 
 
 # a stage threshold that no point reaches: decode_periodic walks exactly
