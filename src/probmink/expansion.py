@@ -82,13 +82,14 @@ The lemma: if a prime p of W divides some remainder's denominator, the
 stream is not eventually periodic. A cycle would leave v_p fixed, so it
 could use only digits with p not dividing Q(c), which is digit 1 alone;
 but the cycle of digit 1 is the remainder 0, whose denominator p does not
-divide. The converse, for `Dyadic` and `Geometric`, where every prime of
-Q(c) outside S lies in W: if no prime of W ever arrives, e stays fixed and
-f only loses primes, so every remainder's denominator divides the first
-one, and a period closes within that many steps. For these two families
-the walk therefore decides periodicity, given the steps. Under a custom
-head some Q(c) can hold primes outside S and W, and W may be 1, so the
-walk certifies some of its points and may run out of steps on others.
+divide. The converse, for a law with no head, where every prime of Q(c)
+outside S lies in W: if no prime of W ever arrives, e stays fixed and f
+only loses primes, so every remainder's denominator divides the first
+one, and a period closes within that many steps. For such a law (`Dyadic`
+and `Geometric`) the walk therefore decides periodicity, given the steps.
+Under a custom head some Q(c) can hold primes outside S and W, and W may
+be 1, so the walk certifies some of its points and may run out of steps
+on others.
 
 The exact walk keeps every remainder since the last clear, and each of its
 steps costs as much as the remainder, so a long period costs time

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import series
-from .distribution import Distribution, Geometric, _check_geometric_digit
+from .distribution import Distribution, Geometric, _check_digit_bound
 from .errors import DomainError
 from .expansion import _TABLE_CACHE, _TABLE_DIGITS, _word_table
 from .fmt import rational_text, render_decimal
@@ -206,8 +206,8 @@ def _mc_sample_geometric(s: int, t: int, a: int) -> tuple:
     hits zero (the stream ends in ones and the alternating tail closes in
     one step), otherwise the midpoint of the depth-64 enclosure.
 
-    The search is held to the budget before it builds any power, by
-    `Geometric`'s lower bound on the digit, taken in the bits of t^c: at
+    The search is held to the budget before it builds any power, by the
+    tail search's lower bound on the digit, taken in the bits of t^c: at
     least k = bit_length(t) - 1 per digit. A digit inside the digit budget
     can still need a power of hundreds of megabits: at q = 1/10^8 a digit
     near 10^7 has t^c of about 3*10^8 bits. Such a law walks with no
@@ -249,7 +249,8 @@ def _mc_sample_geometric(s: int, t: int, a: int) -> tuple:
                 left -= length
                 continue
         if bounded:
-            _check_geometric_digit(n, d, s, t, k)
+            # -log(1-x) >= x and -log(1-q) <= q/(1-q) give c > x*u/s
+            _check_digit_bound(n * u // (d * s) + 1, k)
         prev, lo, hi, c = d, u * d, t * (d - n), 1
         while lo >= hi:
             prev = lo

@@ -10,7 +10,10 @@ in `series`, `expansion`, `distribution` and `fmt`: each step builds and
 reduces a Fraction. `ref_mc_sample_int` is the Monte Carlo sampler that
 walks one digit at a time. The kernels must equal them bit for bit.
 `ref_digit_of` is each family's digit search that reads the point back
-through `Fraction` and returns the digit alone. `ref_digit_seq` is
+through `Fraction` and returns the digit alone. `ref_family_affine`,
+`ref_geometric_branch` and `ref_family_branch_primes` are the per-family
+integer bodies that the shared head+tail core of `Distribution` replaced,
+for the laws with no head. `ref_digit_seq` is
 `DigitSeq`'s canonical form absorbing one preperiod digit per step.
 `ref_graph_points` is the graph enumeration that recomposes every word from
 its first digit. `ref_decode_periodic` is period detection with no
@@ -275,6 +278,53 @@ def ref_digit_of(dist, x):
             j += 1
         return len(head) + j
     raise TypeError(f"no reference search for {dist!r}")
+
+
+def ref_family_affine(dist, i):
+    """`Dyadic.affine` or `Geometric.affine` as each family computed it alone.
+
+    (2^i - 2, 1, 2^i) for `Dyadic`, and (t^i - t u^(i-1), s u^(i-1), t^i)
+    for `Geometric(s/t)` with u = t - s.
+    """
+    if isinstance(dist, Dyadic):
+        return (1 << i) - 2, 1, 1 << i
+    if isinstance(dist, Geometric):
+        s, t = dist.q.numerator, dist.q.denominator
+        u_pow = (t - s) ** (i - 1)
+        l = t**i
+        return l - t * u_pow, s * u_pow, l
+    raise TypeError(f"no family body for {dist!r}")
+
+
+def ref_geometric_branch(dist, n, d):
+    """`Geometric._branch` as the family computed it alone, with no budget checks.
+
+    The smallest c with (u/t)^c < 1 - n/d, from running products of u and
+    t, and affine(c) from t^c and u^(c-1).
+    """
+    s, t = dist.q.numerator, dist.q.denominator
+    u = t - s
+    c, u_prev, up, tp = 1, 1, u, t
+    lo, hi = u * d, t * (d - n)
+    while lo >= hi:
+        u_prev = up
+        up *= u
+        tp *= t
+        lo *= u
+        hi *= t
+        c += 1
+    return c, tp - t * u_prev, s * u_prev, tp
+
+
+def ref_family_branch_primes(dist):
+    """`Dyadic.branch_primes` or `Geometric.branch_primes` as each family gave it."""
+    if isinstance(dist, Dyadic):
+        return 2, 1
+    if isinstance(dist, Geometric):
+        s, t = dist.q.numerator, dist.q.denominator
+        # L = t^c; Q(c) = s u^(c-1), and s u is coprime to t
+        return t, s * (t - s)
+    raise TypeError(f"no family body for {dist!r}")
 
 
 def ref_shift(dist, x):

@@ -106,6 +106,8 @@ def test_custom_validation():
         CustomPrefixTail((F(1, 3),), F(0))  # degenerate tail ratio
     with pytest.raises(DomainError):
         CustomPrefixTail((F(1, 3),), F(1))
+    with pytest.raises(DomainError):
+        CustomPrefixTail((), F(2, 3))  # no head: its spec string "custom:;2/3" would not parse
 
 
 def test_parse_distribution():

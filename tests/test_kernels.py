@@ -37,6 +37,7 @@ from probmink import (
     shift,
 )
 from probmink import expansion, fmt, series
+from probmink.distribution import Distribution
 from probmink.errors import DomainError, ResourceLimitError
 from probmink.expansion import _compose, _coprime_fraction, _word_table
 from probmink.integral import _mc_sample_dyadic, _mc_sample_geometric
@@ -50,7 +51,10 @@ from oracles import (
     ref_decode_periodic,
     ref_digit_of,
     ref_encode,
+    ref_family_affine,
+    ref_family_branch_primes,
     ref_finite_sum,
+    ref_geometric_branch,
     ref_mc_sample_int,
     ref_pmf,
     ref_prefix,
@@ -107,6 +111,35 @@ def test_affine_matches_reference_formulas():
             assert F(p, l) == dist.prefix(i) == ref_prefix(dist, i)
             assert F(q, l) == dist.pmf(i) == ref_pmf(dist, i)
             assert dist.prefix(i) + dist.pmf(i) == dist.prefix(i + 1)
+
+
+def test_core_matches_family_bodies():
+    # equal as integers, not only as fractions: decode_periodic's S-part
+    # bookkeeping, the word tables' scale and encode's unreduced composition
+    # all read the raw triples
+    rng = random.Random(41)
+    points, deep = [], []
+    for bits in (8, 64, 256, 1024, 1900):
+        for _ in range(12):
+            d = rng.getrandbits(bits) | (1 << (bits - 1))
+            near = d - (d >> rng.randint(1, 150)) - rng.randint(1, 3)
+            points += [(rng.randrange(d), d), (near, d)]
+            deep.append((d - rng.randint(1, 3), d))
+    headless = [dist for dist in FAMILIES if not dist.head_tail()[0]]
+    assert len(headless) == 7
+    for dist in headless:
+        assert dist.branch_primes() == ref_family_branch_primes(dist), dist
+        for i in range(1, 61):
+            assert dist.affine(i) == ref_family_affine(dist, i), (dist, i)
+        for n, d in points + deep if isinstance(dist, Dyadic) else points:
+            branch = dist._branch(n, d)
+            if isinstance(dist, Dyadic):
+                # the bit-length override against the shared search, digits up to 1 901
+                assert branch[0] < 2000
+                assert branch == Distribution._branch(dist, n, d), (n, d)
+            else:
+                assert branch == ref_geometric_branch(dist, n, d), (dist, n, d)
+            assert branch[1:] == dist.affine(branch[0])
 
 
 def test_series_matches_reference_on_random_streams():
@@ -503,8 +536,21 @@ def _valuation(n, p):
     return v
 
 
+def _random_law(rng):
+    """A geometric law with q = s/t, t <= 1000, or a custom head of 1-4 masses."""
+    if rng.random() < 0.5:
+        t = rng.randint(2, 1000)
+        return Geometric(F(rng.randint(1, t - 1), t))
+    while True:
+        head = tuple(F(rng.randint(1, 6), rng.randint(7, 60)) for _ in range(rng.randint(1, 4)))
+        if sum(head) < 1:
+            rd = rng.randint(2, 60)
+            return CustomPrefixTail(head, F(rng.randint(1, rd - 1), rd))
+
+
 def test_branch_primes_against_affine():
-    for dist in FAMILIES:
+    rng = random.Random(29)
+    for dist in FAMILIES + tuple(_random_law(rng) for _ in range(60)):
         primes, w = dist.branch_primes()
         assert primes > 1 and w >= 1 and math.gcd(w, primes) == 1
         g = 0
