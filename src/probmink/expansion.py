@@ -29,18 +29,24 @@ on a short leading part, then apply their product to the long operand
 once. While the remainder x = n/d has a denominator of more than
 _BATCH_BITS bits, a point y0 <= x of _LEAD_BITS bits is cut from x's
 leading bits and decoded until its word's measure B/D falls below
-2^-_WORD_BITS, one integer search `dist._branch` per digit with the
-unreduced update (n*L - P*d) / (d*Q): only y0's digits are used, and its
-gcds would cost more than the few bits they save. The word's cylinder
-[A/D, (A+B)/D) holds exactly the points whose digits start with the word,
-so the integer test A*d <= n*D < (A+B)*d certifies that the word is x's
-own, and x's remainder after it is (n*D - A*d) / (d*B), the same rational
-the plain loop reaches. It is reduced as `shift` reduces, by gcd(D, d) and then by
+2^-_WORD_BITS. y0 is read up to _TABLE_DIGITS digits per lookup in the
+word table described below, each table word certified on y0 by the
+unreduced test 0 <= yn*D - A*yd < yd*B, and one integer search
+`dist._branch` per digit where a lookup misses. Every update is left
+unreduced, as (yn*D - A*yd) / (yd*B) or (yn*L - P*yd) / (yd*Q): only
+y0's digits are used, and its gcds would cost more than the few bits
+they save. The word's cylinder [A/D, (A+B)/D) holds exactly the points
+whose digits start with the word, so the integer test
+A*d <= n*D < (A+B)*d certifies that the word is x's own, and x's
+remainder after it is (n*D - A*d) / (d*B), the same rational the plain
+loop reaches. It is reduced as `shift` reduces, by gcd(D, d) and then by
 the gcd of the new numerator with B, with D and B short, so it is the
 plain loop's remainder bit for bit. x and y0 differ by less than
 2^-_LEAD_BITS relative to x, so only a cylinder end between them fails
-the test; then a bisection over the word's prefixes finds the longest
-certified one. A batch touches the long remainder a fixed number of
+the test; then a bisection over the prefixes that end at a table word's
+or a searched digit's boundary finds the longest certified one. A
+shorter certified prefix is still x's own digits, and the next batch
+picks up the rest. A batch touches the long remainder a fixed number of
 times, where the plain loop runs one full-size step per digit.
 
 A remainder of at most _BATCH_BITS bits is decoded up to _TABLE_DIGITS
@@ -94,8 +100,10 @@ on others.
 The exact walk keeps every remainder since the last clear, and each of its
 steps costs as much as the remainder, so a long period costs time
 quadratic in its length and memory to match. A point whose denominator has
-more than _WALK_BATCH_BITS bits is walked in batches instead: its digits
-come from `decode`'s certified batches, and each remainder r_k is kept
+more than _WALK_BATCH_BITS bits is walked in batches instead, which win
+over the exact walk once the remainders stay longer than _BATCH_BITS
+bits: its digits come from `decode`'s certified batches, each reading
+the short point through the word table, and each remainder r_k is kept
 only as its fingerprint, its residue modulo the prime p = _PRINT_MOD =
 2^61 - 1 (Karp and Rabin's fingerprints). A digit with triple (P, Q, L)
 updates it as r <- (r*L - P) * Q^-1 mod p.
@@ -288,14 +296,18 @@ _PLAIN_RUN = 64
 _FOLD_DIGITS = 64
 # decode_periodic walks in batches when x's denominator has more than
 # _WALK_BATCH_BITS bits, keeping each remainder's fingerprint modulo the
-# Mersenne prime _PRINT_MOD
-_WALK_BATCH_BITS = 2560
+# Mersenne prime _PRINT_MOD. Timed in-process against the exact walk on
+# random periods (Python 3.11.7, 2-CPU x86-64 host), the batched walk wins
+# from about 1 100-1 250 bits under dyadic and 1 050-1 100 under
+# geometric:1/3 and custom:1/3,1/4;1/2; below _BATCH_BITS it would step
+# one `shift` per digit and lose by 1.6-2.9x. 1 280 serves all three.
+_WALK_BATCH_BITS = 1280
 _PRINT_MOD = (1 << 61) - 1
-# decode's plain loop and the geometric Monte Carlo walk read up to
-# _TABLE_DIGITS digits per lookup, from a table of the words of up to that
-# length whose cylinders have measure at least 2^-_TABLE_MEASURE_BITS; a table
-# whose common denominator has more than _TABLE_SCALE_BITS bits is not built,
-# and the last _TABLE_CACHE tables are kept
+# decode's plain loop, its batches' short points and the geometric Monte
+# Carlo walk read up to _TABLE_DIGITS digits per lookup, from a table of the
+# words of up to that length whose cylinders have measure at least
+# 2^-_TABLE_MEASURE_BITS; a table whose common denominator has more than
+# _TABLE_SCALE_BITS bits is not built, and the last _TABLE_CACHE tables are kept
 _TABLE_DIGITS = 3
 _TABLE_MEASURE_BITS = 9
 _TABLE_SCALE_BITS = 512
@@ -403,7 +415,8 @@ def decode(dist: Distribution, x: Fraction, n: int) -> tuple:
 
     A remainder with a denominator of more than _BATCH_BITS bits gives its
     digits in certified batches (`_leading_digits`, and the module
-    docstring). A shorter one, and a long one after a batch that certifies
+    docstring), whose short point is read from the same word table. A
+    shorter one, and a long one after a batch that certifies
     nothing, reads up to _TABLE_DIGITS digits at a time from dist's word
     table (`_word_table`): a lookup names the longest word in the table
     that the remainder's digits can start with, and `_remainder`'s cylinder
@@ -439,9 +452,8 @@ def decode(dist: Distribution, x: Fraction, n: int) -> tuple:
         stop = min(n, len(digits) + run)
         while len(digits) < stop:
             if table is not None and n - len(digits) >= _TABLE_DIGITS:
-                scale, lefts, rows = table
                 num, den = cur.numerator, cur.denominator
-                a, b, d, word, word_sum, _ = rows[bisect_right(lefts, num * scale // den) - 1]
+                a, b, d, word, word_sum, _ = _lookup(table, num, den)
                 # a word past the budget is stepped digit by digit, to the digit that passes
                 if total + word_sum <= budget:
                     rest = _remainder(num, den, a, b, d)
@@ -464,18 +476,25 @@ def _leading_digits(dist: Distribution, x: Fraction, count: int, room: int):
     1. Cut y0 = (n >> k) / ((d >> k) + 1) <= x from the leading bits of
        x = n/d, with k chosen so that y0's denominator has _LEAD_BITS bits
        (so _BATCH_BITS must be at least _LEAD_BITS).
-    2. Decode y0 one `dist._branch` per digit on plain integers, with
-       `shift`'s update left unreduced, composing the digits' branches
-       into each prefix's map (A, B, D) from the triples the search
-       returns. Stop after `count` digits, once the measure B/D falls
-       below 2^-_WORD_BITS, or before a digit that takes the digit sum
-       past `room` or the digit budget, so that x's own `shift` raises
-       with the plain loop's message. A word of one digit is dropped:
-       testing it costs as much as one plain shift of x.
+    2. Decode y0 = yn/yd on plain integers, with every update left
+       unreduced. While at least _TABLE_DIGITS digits are left, a lookup
+       in dist's word table (`_word_table`) proposes a word with map
+       (A, B, D), and 0 <= yn*D - A*yd < yd*B certifies it as y0's; y0
+       moves on to (yn*D - A*yd) / (yd*B). A miss, a word past the last
+       _TABLE_DIGITS - 1 digits, and a word whose digit sum passes `room`
+       or the digit budget take one `dist._branch` step instead, with
+       `shift`'s update. Each word's or digit's map composes into the
+       prefix's map (a, b, den), kept at these boundaries only. Stop
+       after `count` digits, once the measure b/den falls below
+       2^-_WORD_BITS, or before a digit that takes the digit sum past
+       `room` or the digit budget, so that x's own `shift` raises with
+       the plain loop's message. A word of one digit is dropped: testing
+       it costs as much as one plain shift of x.
     3. y0 lies in every prefix's cylinder and x >= y0, so the prefixes
        whose cylinders hold x are the shortest ones. Test the whole word
-       (`_remainder`); if x lies past its cylinder, bisect for the
-       longest prefix that passes.
+       (`_remainder`); if x lies past its cylinder, bisect over the kept
+       boundaries for the longest prefix that passes. That prefix is
+       still x's own digits; the next batch reads the rest.
 
     The word is empty when no prefix passes; y is then None.
     """
@@ -483,32 +502,46 @@ def _leading_digits(dist: Distribution, x: Fraction, count: int, room: int):
     k = d.bit_length() - _LEAD_BITS
     yn, yd = n >> k, (d >> k) + 1
     branch = dist._branch
-    word, maps = [], []
+    table = _word_table(dist)
+    limit = series.MAX_DIGIT_SUM
+    # maps[i] is the map of word[:ends[i]]
+    word, maps, ends = [], [], []
     a, b, den = 0, 1, 1
     total = 0
     while len(word) < count:
-        try:
-            c, p, q, l = branch(yn, yd)
-        except ResourceLimitError:
-            # a digit of y0 over the budget ends the word
-            break
-        total += c
-        if total > room:
-            break
+        # a table word's map (A, B, D) takes the place of a digit's (P, Q, L)
+        step = None
+        if table is not None and count - len(word) >= _TABLE_DIGITS:
+            p, q, l, step, step_sum, _ = _lookup(table, yn, yd)
+            m = yn * l - p * yd
+            # a table built on a larger budget can hold a digit over this one
+            if not (0 <= m < yd * q and total + step_sum <= room and step_sum <= limit):
+                step = None
+        if step is None:
+            try:
+                c, p, q, l = branch(yn, yd)
+            except ResourceLimitError:
+                # a digit of y0 over the budget ends the word
+                break
+            if total + c > room:
+                break
+            step, step_sum, m = (c,), c, yn * l - p * yd
         a, b, den = a * l + b * p, b * q, den * l
-        word.append(c)
+        word += step
+        total += step_sum
         maps.append((a, b, den))
+        ends.append(len(word))
         if b << _WORD_BITS < den:
             break
         # y0's remainder, unreduced
-        yn, yd = yn * l - p * yd, yd * q
+        yn, yd = m, yd * q
     if len(word) < 2:
         return [], None
     rest = _remainder(n, d, *maps[-1])
     if rest is not None:
         return word, rest
-    # prefixes word[:lo] pass and word[:hi] fails
-    lo, hi = 0, len(word)
+    # the prefixes up to ends[lo - 1] pass and the one up to ends[hi - 1] fails
+    lo, hi = 0, len(maps)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         found = _remainder(n, d, *maps[mid - 1])
@@ -516,7 +549,13 @@ def _leading_digits(dist: Distribution, x: Fraction, count: int, room: int):
             hi = mid
         else:
             lo, rest = mid, found
-    return word[:lo], rest
+    return word[: ends[lo - 1] if lo else 0], rest
+
+
+def _lookup(table, n: int, d: int) -> tuple:
+    """The row of dist's word table (`_word_table`) that can hold the point n/d."""
+    scale, lefts, rows = table
+    return rows[bisect_right(lefts, n * scale // d) - 1]
 
 
 def _remainder(n: int, d: int, a: int, b: int, den: int):
@@ -663,7 +702,10 @@ def decode_periodic(dist: Distribution, x: Fraction, max_steps: int = 4096):
 
     A point whose denominator has more than _WALK_BATCH_BITS bits is walked
     in batches (`_batched_walk`), which keep each remainder only as its
-    residue modulo the prime _PRINT_MOD. A true repeat is never missed:
+    residue modulo the prime _PRINT_MOD. The digits come from `decode`'s
+    certified batches, which read the short point up to _TABLE_DIGITS
+    digits per table lookup and never past the steps left, so the walk
+    stops at max_steps digits exactly. A true repeat is never missed:
     while the prime divides neither x's denominator nor any Q, equal
     remainders have equal residues. A false one is never returned: a
     residue repeat is certified by encode(seq) == x, and encode is

@@ -624,6 +624,41 @@ def test_batched_walk_hands_hard_points_to_the_exact_walk():
     assert decode_periodic(g, x) == seq
 
 
+def test_batched_walk_in_the_band_below_2560_bits():
+    # on points of _WALK_BATCH_BITS to 2 560 bits the batched walk gives the
+    # exact walk's DigitSeq, Aperiodic and NotDetected; a step budget that is
+    # no multiple of 3 stops it where a table word would run past it
+    rng = random.Random(1280)
+    band = range(expansion._WALK_BATCH_BITS + 1, 2561)
+    # period lengths of about 1 350, 1 800 and 2 400 bits under each family
+    lengths = {"dyadic": (680, 900, 1180), "geometric:1/3": (430, 570, 760),
+               "custom:1/3,1/4;1/2": (500, 660, 880)}
+    for spec, spans in lengths.items():
+        dist = parse_distribution(spec)
+        _, w = dist.branch_primes()
+        points = []
+        for length in spans:
+            seq = DigitSeq((2, 1), tuple(rng.randint(1, 3) for _ in range(length)))
+            points.append((encode(dist, seq), seq))
+        for bits in (1400, 2000, 2500):
+            d = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+            points.append((F(rng.randrange(d), d), None))
+        for x, seq in points:
+            assert x.denominator.bit_length() in band, (dist, x.denominator.bit_length())
+            for max_steps in (4096, 100, 497, 802):
+                with mock.patch.object(expansion, "_batched_walk",
+                                       wraps=expansion._batched_walk) as batched:
+                    result = decode_periodic(dist, x, max_steps)
+                assert batched.call_count == 1
+                assert result == _exact_walk(dist, x, max_steps)
+                if seq is not None and max_steps > len(seq.preperiod + seq.period):
+                    assert result == seq
+                elif isinstance(result, NotDetected):
+                    assert len(result.prefix) == max_steps
+                else:
+                    assert w > 1 and isinstance(result, Aperiodic)
+
+
 def test_batched_walk_witness_inside_a_batch():
     # a random word's map applied to a long point with no period: the witness
     # 2 arrives after the word, and the remainders stay long enough for

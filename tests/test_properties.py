@@ -4,6 +4,7 @@ Hypothesis runs derandomized, with no deadline and no example database,
 so every run draws the same examples and the suite stays deterministic.
 """
 
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -381,6 +382,36 @@ def test_decode_table_words_budget_message(dist, data, budget):
 EXACT_STAGE = 1 << 62
 # batch sizes small enough that batches run down to remainders of a few bits
 SMALL_BATCHES = {"_BATCH_BITS": 24, "_LEAD_BITS": 16, "_WORD_BITS": 8}
+# the benchmark's three families, and a law with no word table
+BATCH_FAMILIES = (Dyadic(), Geometric(Fraction(1, 3)), FAMILIES[7], Geometric(Fraction(1, 100)))
+
+
+@settings(DETERMINISTIC, max_examples=120)
+@given(st.sampled_from(BATCH_FAMILIES), st.data(), st.booleans(),
+       st.sampled_from((None, 4, 12, 40)))
+def test_leading_digits_are_the_points_own(dist, data, small, budget):
+    # the short point's words, read from the table or stepped, certified on x:
+    # x's own leading digits and remainder, held to room and the digit budget,
+    # also under a budget smaller than the one the cached table was built on
+    low = 40 if small else 1100
+    points = st.one_of(large_rationals(low, 3000), long_period_points(dist),
+                       cylinder_ends(dist, 1200))
+    x = data.draw(points.filter(lambda y: y.denominator.bit_length() > low))
+    count = data.draw(st.integers(min_value=1, max_value=400))
+    room = data.draw(st.integers(min_value=1, max_value=2000))
+    # the table is cached on the full budget, so under a small one it holds digits past it
+    expansion._word_table(dist)
+    with mock.patch.multiple(expansion, **SMALL_BATCHES) if small else contextlib.nullcontext(), \
+            mock.patch.object(series, "MAX_DIGIT_SUM", budget or series.MAX_DIGIT_SUM):
+        word, rest = expansion._leading_digits(dist, x, count, room)
+    if not word:
+        assert rest is None
+        return
+    assert len(word) <= count and sum(word) <= room
+    assert budget is None or max(word) <= budget
+    ref_digits, ref_rest = ref_decode(dist, x, len(word))
+    assert word == ref_digits
+    assert (rest.numerator, rest.denominator) == (ref_rest.numerator, ref_rest.denominator)
 
 
 def _walk(dist, x, max_steps, stage_bits, **sizes):
