@@ -33,6 +33,8 @@ from .expansion import (
     parse_digit_seq,
 )
 from .fmt import (
+    _CHUNK,
+    _CHUNK_DIGITS,
     _ratio_decimal,
     _ratio_text,
     parse_ints,
@@ -226,12 +228,35 @@ def _write_graph_csv(handle, rows, precision: int) -> None:
     # digits, "/", "-", "." and "…", so its minimal quoting never fires, and
     # the bytes are the same on stdout and under --out. One write per row:
     # a 2^20-point graph's CSV is 115-130 MB, held whole by a joined string.
+    # A row with 0 <= num <= den < _CHUNK on both axes, as every graph point
+    # has, is formatted inline from Fraction's private slots. Its ints are
+    # below the int-string limit, so str() prints them; one divmod rounds each
+    # decimal half to even, and as q <= 10^precision the decimal's digits are
+    # those of q + 10^precision after the first. Other rows, and all rows at a
+    # precision of _CHUNK_DIGITS or more, go through _ratio_text and
+    # _ratio_decimal.
     write = handle.write
     write("x_rational,y_rational,x_decimal,y_decimal\r\n")
+    scale = 10**precision
+    # at a limit of 0 every row takes the general path
+    limit = _CHUNK if precision < _CHUNK_DIGITS else 0
     for x, y in rows:
-        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-        write(f"{_ratio_text(xn, xd)},{_ratio_text(yn, yd)},"
-              f"{_ratio_decimal(xn, xd, precision)},{_ratio_decimal(yn, yd, precision)}\r\n")
+        xn, xd, yn, yd = x._numerator, x._denominator, y._numerator, y._denominator
+        if 0 <= xn <= xd < limit and 0 <= yn <= yd < limit:
+            xq, xr = divmod(xn * scale, xd)
+            if 2 * xr > xd or (2 * xr == xd and xq & 1):
+                xq += 1
+            yq, yr = divmod(yn * scale, yd)
+            if 2 * yr > yd or (2 * yr == yd and yq & 1):
+                yq += 1
+            xt, yt = str(xq + scale), str(yq + scale)
+            write(f"{xn if xd == 1 else f'{xn}/{xd}'},{yn if yd == 1 else f'{yn}/{yd}'},"
+                  f"{'1' if xq == scale else '0'}.{xt[1:]}{'…' if xr else ''},"
+                  f"{'1' if yq == scale else '0'}.{yt[1:]}{'…' if yr else ''}\r\n")
+        else:
+            write(f"{_ratio_text(xn, xd)},{_ratio_text(yn, yd)},"
+                  f"{_ratio_decimal(xn, xd, precision)},"
+                  f"{_ratio_decimal(yn, yd, precision)}\r\n")
 
 
 def _parse_digit_word(text: str) -> tuple:
@@ -250,30 +275,36 @@ def cmd_diagnose(args) -> int:
     dist = parse_distribution(args.dist)
     word = _parse_digit_word(args.digits)
     reports = [cylinder_increment(dist, word[:n]) for n in range(1, len(word) + 1)]
-    payload = {"prefixes": []}
-    plain = []
+    steps = {d: singularity_ratio_step(dist, d) for d in set(word[1:])}
+    # only the format that is printed is built
+    if args.format == "json":
+        entries = []
+        for n, rep in enumerate(reports, start=1):
+            entry = {
+                "digits": list(rep.digits),
+                "digit_sum": rep.digit_sum,
+                "delta": _rational_payload(rep.delta, precision),
+                "measure": _rational_payload(rep.measure, precision),
+                "quotient": _rational_payload(rep.quotient, precision),
+            }
+            if n > 1:
+                ratio = rep.quotient / reports[n - 2].quotient
+                entry["quotient_step"] = _rational_payload(ratio, precision)
+                entry["quotient_step_matches_formula"] = ratio == steps[rep.digits[-1]]
+            entries.append(entry)
+        print(json.dumps({"prefixes": entries}, indent=2))
+        return 0
+    lines = []
     for n, rep in enumerate(reports, start=1):
-        entry = {
-            "digits": list(rep.digits),
-            "digit_sum": rep.digit_sum,
-            "delta": _rational_payload(rep.delta, precision),
-            "measure": _rational_payload(rep.measure, precision),
-            "quotient": _rational_payload(rep.quotient, precision),
-        }
-        plain.append(
-            f"depth {n} digits {','.join(str(d) for d in rep.digits)} "
-            f"delta {rational_text(rep.delta)} measure {rational_text(rep.measure)} "
-            f"quotient {rational_text(rep.quotient)}"
-        )
+        lines.append(f"depth {n} digits {','.join(map(str, rep.digits))} "
+                     f"delta {rational_text(rep.delta)} measure {rational_text(rep.measure)} "
+                     f"quotient {rational_text(rep.quotient)}")
         if n > 1:
-            step = singularity_ratio_step(dist, rep.digits[-1])
+            step = steps[rep.digits[-1]]
             ratio = rep.quotient / reports[n - 2].quotient
-            entry["quotient_step"] = _rational_payload(ratio, precision)
-            entry["quotient_step_matches_formula"] = ratio == step
-            plain.append(f"  quotient step {rational_text(ratio)} "
+            lines.append(f"  quotient step {rational_text(ratio)} "
                          f"formula {rational_text(step)} match {ratio == step}")
-        payload["prefixes"].append(entry)
-    _emit(args, payload, plain)
+    print("\n".join(lines))
     return 0
 
 

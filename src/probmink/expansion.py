@@ -163,8 +163,8 @@ class DigitSeq(_Frozen):
 
     def __post_init__(self, preperiod: tuple, period: tuple) -> None:
         """Canonicalise the stream and set both fields."""
-        pre = tuple(int(d) for d in preperiod)
-        per = tuple(int(d) for d in period)
+        pre = tuple(map(int, preperiod))
+        per = tuple(map(int, period))
         if not per:
             raise DomainError("period must be nonempty; a terminating stream has period (1,)")
         for d in pre + per:
@@ -213,8 +213,8 @@ class DigitSeq(_Frozen):
         return DigitSeq((digit,) + self.preperiod, self.period)
 
     def __str__(self) -> str:
-        pre = ",".join(str(d) for d in self.preperiod)
-        per = ",".join(str(d) for d in self.period)
+        pre = ",".join(map(str, self.preperiod))
+        per = ",".join(map(str, self.period))
         return f"{pre}({per})"
 
 

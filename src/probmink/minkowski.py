@@ -9,6 +9,7 @@ continuity modulus, and the non-monotonicity witness pairs.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -199,7 +200,8 @@ def graph_points(dist: Distribution, depth: int, cap: int) -> GraphResult:
     need a digit above the cap are not sampled; their total x-measure is
     reported as uncovered_mass. More than MAX_GRAPH_POINTS points, or a
     digit sum over series.MAX_DIGIT_SUM, raises ResourceLimitError before
-    any branch is built.
+    any branch is built. Under cap 1 the only word is all ones, so the
+    sample is the single point (0, 2/3) at every depth, with no enumeration.
 
     The words are enumerated level by level. A state (A, B, D, m, s, sign)
     holds a word's composed branch map y -> (A + B*y) / D, as `encode`
@@ -219,6 +221,8 @@ def graph_points(dist: Distribution, depth: int, cap: int) -> GraphResult:
     if cap < 1:
         raise DomainError(f"digit cap must be >= 1, got {cap}")
     _graph_size(depth, cap)
+    if cap == 1:
+        return GraphResult(((Fraction(0), Fraction(2, 3)),), 1 - dist.prefix(2) ** depth)
     branches = [(c, *dist.affine(c)) for c in range(1, cap + 1)]
     states = [(0, 1, 1, 0, 0, 1)]
     for _ in range(depth - 1):
@@ -244,8 +248,7 @@ def graph_points(dist: Distribution, depth: int, cap: int) -> GraphResult:
             k = min((y_num & -y_num).bit_length() - 1, halvings)
             append((_coprime_fraction(x_num // g, x_den // g),
                     _coprime_fraction(y_num >> k, 3 << (halvings - k))))
-    uncovered = 1 - dist.prefix(cap + 1) ** depth
-    return GraphResult(tuple(points), uncovered)
+    return GraphResult(tuple(points), 1 - dist.prefix(cap + 1) ** depth)
 
 
 class IncrementReport(NamedTuple):
@@ -273,8 +276,13 @@ def cylinder_increment(dist: Distribution, word) -> IncrementReport:
     low = DigitSeq(digits, (1,))
     high = DigitSeq(digits[:-1] + (digits[-1] + 1,), (1,))
     delta = alt_series_exact(high) - alt_series_exact(low)
-    triples = [dist.affine(d) for d in digits]
-    measure = Fraction(math.prod(q for _, q, _ in triples), math.prod(l for _, _, l in triples))
+    # pmf(d) = Q/L for the triple (P, Q, L) = affine(d): one triple per distinct digit
+    num = den = 1
+    for d, k in Counter(digits).items():
+        _, q, l = dist.affine(d)
+        num *= q**k
+        den *= l**k
+    measure = Fraction(num, den)
     return IncrementReport(
         digits=digits,
         digit_sum=sum(digits),

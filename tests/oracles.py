@@ -19,11 +19,15 @@ for the laws with no head. `ref_digit_seq` is
 its first digit. `ref_decode_periodic` is period detection with no
 aperiodicity certificate, keyed on every reduced remainder. `ref_decode` is
 the decoder that runs one full-size `shift` per digit, and `ref_compose`
-the left fold of a word's branch triples. `FAMILIES` are the distributions
-the kernel and property tests share.
+the left fold of a word's branch triples. `ref_write_graph_csv` writes
+every graph row through the general `fmt` formatters, and
+`ref_cmd_diagnose` builds both the JSON payload and the plain lines of
+`diagnose` and prints one. `FAMILIES` are the distributions the kernel and
+property tests share.
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 from probmink import (
@@ -35,10 +39,15 @@ from probmink import (
     NotDetected,
     ProbminkError,
     alt_series_exact,
+    cylinder_increment,
     encode,
+    parse_distribution,
     series,
     shift,
+    singularity_ratio_step,
 )
+from probmink.cli import _check_precision, _parse_digit_word, _rational_payload
+from probmink.fmt import _ratio_decimal, _ratio_text, rational_text
 from probmink.integral import alpha
 
 
@@ -113,6 +122,53 @@ def ref_graph_points(dist, depth, cap):
             sign = -sign
         points.append((Fraction(a, den), Fraction(2 * (3 * m + sign), 3 << s)))
     return points
+
+
+def ref_write_graph_csv(handle, rows, precision):
+    """Graph CSV with every field from `_ratio_text` and `_ratio_decimal`, one write per row."""
+    write = handle.write
+    write("x_rational,y_rational,x_decimal,y_decimal\r\n")
+    for x, y in rows:
+        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+        write(f"{_ratio_text(xn, xd)},{_ratio_text(yn, yd)},"
+              f"{_ratio_decimal(xn, xd, precision)},{_ratio_decimal(yn, yd, precision)}\r\n")
+
+
+def ref_cmd_diagnose(args):
+    """`diagnose` building both formats and one `singularity_ratio_step` per prefix."""
+    precision = _check_precision(args)
+    dist = parse_distribution(args.dist)
+    word = _parse_digit_word(args.digits)
+    reports = [cylinder_increment(dist, word[:n]) for n in range(1, len(word) + 1)]
+    payload = {"prefixes": []}
+    plain = []
+    for n, rep in enumerate(reports, start=1):
+        entry = {
+            "digits": list(rep.digits),
+            "digit_sum": rep.digit_sum,
+            "delta": _rational_payload(rep.delta, precision),
+            "measure": _rational_payload(rep.measure, precision),
+            "quotient": _rational_payload(rep.quotient, precision),
+        }
+        plain.append(
+            f"depth {n} digits {','.join(str(d) for d in rep.digits)} "
+            f"delta {rational_text(rep.delta)} measure {rational_text(rep.measure)} "
+            f"quotient {rational_text(rep.quotient)}"
+        )
+        if n > 1:
+            step = singularity_ratio_step(dist, rep.digits[-1])
+            ratio = rep.quotient / reports[n - 2].quotient
+            entry["quotient_step"] = _rational_payload(ratio, precision)
+            entry["quotient_step_matches_formula"] = ratio == step
+            plain.append(f"  quotient step {rational_text(ratio)} "
+                         f"formula {rational_text(step)} match {ratio == step}")
+        payload["prefixes"].append(entry)
+    if args.format == "json":
+        print(json.dumps(payload, indent=2))
+    else:
+        for line in plain:
+            print(line)
+    return 0
 
 
 def question_mark_by_mediants(x: Fraction) -> Fraction:

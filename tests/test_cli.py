@@ -14,6 +14,8 @@ from probmink import alt_series_periodic_closed_form, cli, graph_points, parse_d
 from probmink.cli import main
 from probmink.fmt import rational_text, render_decimal
 
+from oracles import brute_graph_points, ref_write_graph_csv
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -185,6 +187,42 @@ def test_graph_rows_match_csv_writer(tmp_path, capsys):
             code, _, _ = run(capsys, *argv, "--out", str(path))
             assert code == 0
             assert path.read_bytes() == out.encode("utf-8"), (spec, precision)
+
+
+def test_graph_wide_denominators_match_reference(tmp_path, capsys):
+    # x's denominators pass 10^4000 from digit 1 001 on, so those rows take the
+    # writer's general path and the others its inline one
+    argv = ("graph", "--dist", "geometric:1/10000", "--depth", "1", "--cap", "1050")
+    points = graph_points(parse_distribution("geometric:1/10000"), 1, 1050).points
+    assert max(x.denominator for x, _ in points) > 10**4000
+    expected = io.StringIO(newline="")
+    ref_write_graph_csv(expected, points, 30)
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, expected.getvalue())
+    path = tmp_path / "wide.csv"
+    code, _, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+def test_graph_cap_one_is_one_point(capsys):
+    for spec in GRAPH_FAMILIES:
+        dist = parse_distribution(spec)
+        for depth in range(1, 7):
+            result = graph_points(dist, depth, 1)
+            assert list(result.points) == brute_graph_points(dist, depth, 1)
+            assert result.uncovered_mass == 1 - dist.pmf(1) ** depth
+    # the point does not depend on the depth, so a deep graph is immediate
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "graph", "--dist", "geometric:2/5", "--depth", "1000000",
+                       "--cap", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (0, "x_rational,y_rational,x_decimal,y_decimal\r\n"
+                              "0,2/3,0.000000000000000000000000000000,"
+                              "0.666666666666666666666666666667…\r\n")
+    code, out, err = run(capsys, "graph", "--dist", "geometric:2/5", "--depth", "20000000",
+                         "--cap", "1")
+    assert (code, out) == (4, "") and "exceeds the budget" in err
 
 
 def test_graph_budgets_exit_4(capsys):

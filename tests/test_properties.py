@@ -5,17 +5,19 @@ so every run draws the same examples and the suite stays deterministic.
 """
 
 import contextlib
+import io
 import math
 import random
 from fractions import Fraction
 from unittest import mock
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from probmink import Aperiodic, CustomPrefixTail, DigitSeq, Dyadic, Geometric, NotDetected
 from probmink import (
     ResourceLimitError,
+    cli,
     cylinder,
     cylinder_increment,
     decode,
@@ -25,6 +27,7 @@ from probmink import (
     expansion,
     functional_equation_residuals,
     graph_points,
+    parse_distribution,
     series,
     shift,
     singularity_ratio_step,
@@ -34,6 +37,7 @@ from probmink.integral import _mc_sample_dyadic, _mc_sample_geometric
 
 from oracles import (
     FAMILIES,
+    ref_cmd_diagnose,
     ref_compose,
     ref_decode,
     ref_decode_periodic,
@@ -41,6 +45,7 @@ from oracles import (
     ref_graph_points,
     ref_mc_sample_int,
     ref_pmf,
+    ref_write_graph_csv,
     question_mark_by_mediants,
 )
 
@@ -552,3 +557,74 @@ def test_increment_law(dist, word):
     quotients = [cylinder_increment(dist, word[:i]).quotient for i in range(1, len(word) + 1)]
     for i in range(1, len(word)):
         assert quotients[i] / quotients[i - 1] == singularity_ratio_step(dist, word[i])
+
+
+# the precisions at the edges of the writer's fast path (below
+# fmt._CHUNK_DIGITS = 4 000) and a few ordinary ones
+CSV_PRECISIONS = st.one_of(st.sampled_from((1, 30, 3999, 4000)),
+                           st.integers(min_value=1, max_value=60))
+
+
+@st.composite
+def csv_values(draw, precision):
+    kind = draw(st.sampled_from(("unit", "integer", "exact", "tie", "near_one", "wide")))
+    if kind == "integer":
+        return Fraction(draw(st.integers(min_value=-3, max_value=3)))
+    if kind == "exact":
+        # a denominator 2^a 5^b: the decimal is exact once precision >= max(a, b)
+        den = 2 ** draw(st.integers(0, 40)) * 5 ** draw(st.integers(0, 40))
+        return Fraction(draw(st.integers(min_value=0, max_value=den)), den)
+    if kind == "tie":
+        # half a unit of the last kept digit past a multiple of it
+        k = draw(st.integers(min_value=0, max_value=10**precision - 1))
+        return Fraction(2 * k + 1, 2 * 10**precision)
+    if kind == "near_one":
+        # 1 - 1/den with den > 2*10^precision rounds up to 1.000…
+        den = 10 ** (precision + draw(st.integers(min_value=1, max_value=3))) + draw(DRAWS)
+        return Fraction(den - 1, den)
+    if kind == "wide":
+        den = draw(st.integers(min_value=1, max_value=1 << 14000))
+        return Fraction(draw(st.integers(min_value=-den, max_value=2 * den)), den)
+    den = draw(st.integers(min_value=1, max_value=1 << 200))
+    return Fraction(draw(st.integers(min_value=0, max_value=den)), den)
+
+
+@DETERMINISTIC
+@given(st.data())
+def test_graph_csv_writer_matches_reference(data):
+    precision = data.draw(CSV_PRECISIONS)
+    value = csv_values(precision)
+    rows = data.draw(st.lists(st.tuples(value, value), min_size=1, max_size=6))
+    got, want = io.StringIO(newline=""), io.StringIO(newline="")
+    cli._write_graph_csv(got, rows, precision)
+    ref_write_graph_csv(want, rows, precision)
+    assert got.getvalue().encode() == want.getvalue().encode()
+
+
+SWEEP_SPECS = ("dyadic", "geometric:2/5", "custom:1/3,1/5;2/3")
+
+
+def _diagnose_output(command, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert command(cli.build_parser().parse_args(argv)) == 0
+    return out.getvalue()
+
+
+@DETERMINISTIC
+@given(st.sampled_from(SWEEP_SPECS), st.lists(st.integers(min_value=1, max_value=6),
+                                              min_size=1, max_size=24).map(tuple),
+       st.integers(min_value=0, max_value=3), st.sampled_from(("plain", "json")),
+       st.sampled_from((1, 30)))
+@example("geometric:2/5", (5,), 0, "plain", 30)
+@example("custom:1/3,1/5;2/3", (6,), 0, "json", 30)
+@example("dyadic", (3, 2), 4, "json", 1)
+def test_diagnose_matches_reference(spec, word, ones, fmt, precision):
+    word += (1,) * ones
+    argv = ["diagnose", "--dist", spec, "--digits", ",".join(map(str, word)),
+            "--format", fmt, "--precision", str(precision)]
+    assert _diagnose_output(cli.cmd_diagnose, argv) == _diagnose_output(ref_cmd_diagnose, argv)
+    dist = parse_distribution(spec)
+    for n in range(1, len(word) + 1):
+        measure = math.prod((ref_pmf(dist, d) for d in word[:n]), start=Fraction(1))
+        assert cylinder_increment(dist, word[:n]).measure == measure
