@@ -17,10 +17,11 @@ trailing ellipsis when inexact.
 
 import argparse
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .distribution import parse_distribution
 from .errors import DomainError, ParseError, ResourceLimitError
@@ -59,9 +60,33 @@ def _check_precision(args) -> int:
     return args.precision
 
 
+@functools.cache
+def _level_encoder(separator: str):
+    return c_make_encoder(None, None, encode_basestring_ascii, None, ": ", separator,
+                          False, False, True)
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2) for dicts with str keys, lists and scalars.
+
+    Before Python 3.13 json.dumps indents only with its pure-Python encoder.
+    Here each list or dict of scalars is one call of the C encoder that
+    json.dumps builds, with the new line and the indent in its item separator.
+    """
+    inner = pad + "  "
+    items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
+    if not any(map(isinstance, items, repeat((dict, list)))):
+        text = "".join(_level_encoder("," + inner)(value, 0))
+        return text[0] + inner + text[1:-1] + pad + text[-1] if items else text
+    if isinstance(value, dict):
+        parts = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
+    return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + pad + "]"
+
+
 def _emit(args, payload: dict, plain_lines: list) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         for line in plain_lines:
             print(line)
@@ -292,7 +317,7 @@ def cmd_diagnose(args) -> int:
                 entry["quotient_step"] = _rational_payload(ratio, precision)
                 entry["quotient_step_matches_formula"] = ratio == steps[rep.digits[-1]]
             entries.append(entry)
-        print(json.dumps({"prefixes": entries}, indent=2))
+        print(_json_text({"prefixes": entries}))
         return 0
     lines = []
     for n, rep in enumerate(reports, start=1):

@@ -88,7 +88,7 @@ class Distribution(_Frozen):
     multiplications for digit c and its own reads c from two bit lengths.
     """
 
-    __slots__ = ("_law", "_cum", "_head_affine", "_tail")
+    __slots__ = ("_law", "_cum", "_head_affine", "_tail", "_hash")
 
     def _set_law(self, head: tuple, ratio: Fraction) -> None:
         """Set the slots for head masses `head` and tail ratio `ratio` = rn/rd.
@@ -109,6 +109,11 @@ class Distribution(_Frozen):
         object.__setattr__(self, "_head_affine", tuple(
             (a, b - a, h) for a, b in zip(cum, cum[1:])))
         object.__setattr__(self, "_tail", (h, rest, rn, rd, rest * rn, h * rd, rd - rn))
+        object.__setattr__(self, "_hash", hash(self._key()))
+
+    def __hash__(self) -> int:
+        # the hash of the public fields, stored: the decoders' table caches hash on every call
+        return self._hash
 
     def affine(self, i: int) -> tuple:
         """Integers (P, Q, L) with prefix(i) == P/L and pmf(i) == Q/L, for i >= 1.

@@ -61,10 +61,11 @@ the parts of its cylinder that no longer word of the table covers. A
 lookup is one bisect_right(lefts, n*T // d), and it finds the longest
 word in the table that x's digits start with. A lookup cannot return a
 wrong digit: the row it finds is only a candidate, since x's first digit
-may have no row, until `_remainder`'s test A*d <= n*D < (A+B)*d, which
-holds exactly when x lies in the word's cylinder, certifies it and gives
-the reduced remainder, the same rational as the plain loop's. A failed
-test costs one plain step. The trailing-ones rule: digit 1 fixes 0 and
+may have no row, until the test 0 <= n*D - A*d < d*B, which holds exactly
+when x lies in the word's cylinder, certifies it. x then steps to the
+unreduced pair (n*D - A*d, d*B); one gcd reduces it before a `shift`
+(after a failed test, which costs one plain step) and at the end of each
+run of _PLAIN_RUN digits. The trailing-ones rule: digit 1 fixes 0 and
 maps a nonzero remainder to a nonzero one, so when the remainder after a
 word is 0 the stream's first zero remainder came after the word with its
 trailing 1s removed, and every later digit is 1. `decode` needs no such
@@ -419,10 +420,11 @@ def decode(dist: Distribution, x: Fraction, n: int) -> tuple:
     shorter one, and a long one after a batch that certifies
     nothing, reads up to _TABLE_DIGITS digits at a time from dist's word
     table (`_word_table`): a lookup names the longest word in the table
-    that the remainder's digits can start with, and `_remainder`'s cylinder
-    test certifies it and gives the reduced remainder after it. A lookup
-    that fails the test costs one plain step and never a wrong digit. One
-    `shift` takes the next digit after such a miss, for the last fewer
+    that the remainder's digits can start with, and the cylinder test
+    certifies it. Certified words step the unreduced pair (num, den), with
+    one gcd before each `shift` and one at the end of each run, so the
+    length check and `shift` see the reduced remainder. One `shift` takes
+    the next digit after a lookup that fails the test, for the last fewer
     than _TABLE_DIGITS digits, and for each digit of a word that would take
     the digit sum past the budget, so the error names the sum the plain
     loop reaches. All give the digits and the remainder of one `shift` per
@@ -433,7 +435,9 @@ def decode(dist: Distribution, x: Fraction, n: int) -> tuple:
         raise DomainError(f"digit count must be >= 1, got {n}")
     series.check_digit_sum(n)
     budget = series.MAX_DIGIT_SUM
-    table = _word_table(dist)
+    # table lookups run while at least _TABLE_DIGITS digits are left
+    scale, lefts, rows = _word_table(dist) or (1, (), ())
+    last = n - _TABLE_DIGITS if rows else -1
     digits = []
     total = 0
     cur = x
@@ -450,23 +454,25 @@ def decode(dist: Distribution, x: Fraction, n: int) -> tuple:
             # the next digit is past the short point's reach: one lookup or plain step
             run = 1
         stop = min(n, len(digits) + run)
+        # the remainder num/den, left unreduced across table words; cur is None until reduced
+        num, den = cur.numerator, cur.denominator
         while len(digits) < stop:
-            if table is not None and n - len(digits) >= _TABLE_DIGITS:
-                num, den = cur.numerator, cur.denominator
-                a, b, d, word, word_sum, _ = _lookup(table, num, den)
+            if len(digits) <= last:
+                a, b, d, word, word_sum, _ = rows[bisect_right(lefts, num * scale // den) - 1]
+                m, db = num * d - a * den, den * b
                 # a word past the budget is stepped digit by digit, to the digit that passes
-                if total + word_sum <= budget:
-                    rest = _remainder(num, den, a, b, d)
-                    if rest is not None:
-                        digits += word
-                        total += word_sum
-                        cur = rest
-                        continue
-            c, cur = shift(dist, cur)
+                if 0 <= m < db and total + word_sum <= budget:
+                    digits += word
+                    total += word_sum
+                    num, den, cur = m, db, None
+                    continue
+            c, cur = shift(dist, Fraction(num, den) if cur is None else cur)
+            num, den = cur.numerator, cur.denominator
             digits.append(c)
             total += c
             if total > budget:
                 series.check_digit_sum(total)
+        cur = Fraction(num, den) if cur is None else cur
     return digits, cur
 
 
@@ -502,7 +508,7 @@ def _leading_digits(dist: Distribution, x: Fraction, count: int, room: int):
     k = d.bit_length() - _LEAD_BITS
     yn, yd = n >> k, (d >> k) + 1
     branch = dist._branch
-    table = _word_table(dist)
+    scale, lefts, rows = _word_table(dist) or (1, (), ())
     limit = series.MAX_DIGIT_SUM
     # maps[i] is the map of word[:ends[i]]
     word, maps, ends = [], [], []
@@ -511,8 +517,8 @@ def _leading_digits(dist: Distribution, x: Fraction, count: int, room: int):
     while len(word) < count:
         # a table word's map (A, B, D) takes the place of a digit's (P, Q, L)
         step = None
-        if table is not None and count - len(word) >= _TABLE_DIGITS:
-            p, q, l, step, step_sum, _ = _lookup(table, yn, yd)
+        if rows and count - len(word) >= _TABLE_DIGITS:
+            p, q, l, step, step_sum, _ = rows[bisect_right(lefts, yn * scale // yd) - 1]
             m = yn * l - p * yd
             # a table built on a larger budget can hold a digit over this one
             if not (0 <= m < yd * q and total + step_sum <= room and step_sum <= limit):
@@ -550,12 +556,6 @@ def _leading_digits(dist: Distribution, x: Fraction, count: int, room: int):
         else:
             lo, rest = mid, found
     return word[: ends[lo - 1] if lo else 0], rest
-
-
-def _lookup(table, n: int, d: int) -> tuple:
-    """The row of dist's word table (`_word_table`) that can hold the point n/d."""
-    scale, lefts, rows = table
-    return rows[bisect_right(lefts, n * scale // d) - 1]
 
 
 def _remainder(n: int, d: int, a: int, b: int, den: int):

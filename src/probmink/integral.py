@@ -11,18 +11,14 @@ cylinder quadrature with an exact error enclosure adjudicates, and a seeded
 Monte Carlo estimate cross-checks the winner.
 
 The Monte Carlo kernels decode each sample x = a / 2^64 to depth 64 and
-return the same integers as a walk of one digit per step. The geometric
-walk reads up to three digits per lookup from the law's word table
-(`expansion._word_table`), and custom heads decode through `decode`,
-which reads the same tables. A lookup cannot return a wrong digit: it only
-proposes the longest word of the table that x's digits can start with, and
-the word is taken only after the integer test 0 <= n*D - A*d < d*B, which
-holds exactly when x lies in the word's cylinder [A/D, (A+B)/D); otherwise
-the walk takes one plain step. The trailing-ones rule: when the remainder
-after a word is 0, the first zero of the walk came after the word with its
-trailing 1s removed, because digit 1 fixes 0 and maps a nonzero remainder
-to a nonzero one; the sample is closed there, as the one-digit walk closes
-it.
+give the midpoint of its enclosure, exact where the expansion terminates,
+as integers (A, e) with the value A / (3 * 2^e). The dyadic law reads the
+digits from bit masks, the geometric walk up to three per lookup in the
+law's word table (`expansion._word_table`), each word certified by an
+integer cylinder test, and custom heads decode through `decode`, which
+reads the same tables. The values of every family are summed as integers
+over a running power of two (`_mc_sums`), and each sum becomes one
+Fraction, so a run equals the one-digit-per-step rational loop exactly.
 """
 
 import functools
@@ -267,21 +263,12 @@ def _mc_sample_geometric(s: int, t: int, a: int) -> tuple:
     return 3 * (4 * m + sign), s_k + 1
 
 
-def _mc_fast(q: Fraction, samples: int, rng: random.Random) -> tuple:
-    """Exact (sum, sum of squares) over geometric-family samples.
+def _mc_sums(sample, samples: int, rng: random.Random) -> tuple:
+    """Exact (sum, sum of squares) of sample(a) = (A, e), the value A / (3 * 2^e), at seeded a.
 
-    Each draw goes through one integer kernel: `_mc_sample_dyadic` for
-    q = 1/2 (the dyadic law), `_mc_sample_geometric` for every other q.
-    Both give the sample's depth-64 enclosure midpoint (the exact value
-    where the expansion terminates), equal to `_mc_generic`'s bit for bit.
-    Sample values A_i / (3 * 2^(e_i)) are accumulated over running common
-    power-of-two denominators with integer shifts only, so the totals are
-    exact and independent of accumulation order.
+    The values are summed over running common powers of two with integer
+    shifts only, so the totals are exact and independent of their order.
     """
-    if q == Fraction(1, 2):
-        sample = _mc_sample_dyadic
-    else:
-        sample = functools.partial(_mc_sample_geometric, q.numerator, q.denominator)
     total, total_exp = 0, 0
     sq_total, sq_exp = 0, 0
     for _ in range(samples):
@@ -298,24 +285,17 @@ def _mc_fast(q: Fraction, samples: int, rng: random.Random) -> tuple:
     return Fraction(total, 3 << total_exp), Fraction(sq_total, 9 << sq_exp)
 
 
-def _mc_generic(dist: Distribution, samples: int, rng: random.Random) -> tuple:
-    """Sample loop for custom heads: one depth-64 enclosure per sample.
+def _mc_sample_decode(dist: Distribution, a: int) -> tuple:
+    """The sample at x = a / 2^64 from `decode`: the path for custom heads.
 
-    This is the production path for `CustomPrefixTail`, which `_mc_fast`
-    does not cover. Each sample decodes 64 digits with `decode`, which
-    reads most of them up to three at a time from the family's word table
-    and takes the rest, after a lookup that misses and for the last one or
-    two digits, by `shift`; each sample's midpoint is one Fraction.
+    The depth-64 enclosure's ends have denominators 2^k, or both 3 * 2^k
+    where the expansion terminates, so their midpoint is num / (2 * den)
+    over the larger denominator den, returned as (A, e).
     """
-    total = Fraction(0)
-    sq_total = Fraction(0)
-    for _ in range(samples):
-        x = Fraction(rng.getrandbits(_MC_DEPTH), 1 << _MC_DEPTH)
-        enclosure = eval_minkowski_enclosure(dist, x, _MC_DEPTH)
-        v = enclosure.midpoint
-        total += v
-        sq_total += v * v
-    return total, sq_total
+    _, lower, upper = eval_minkowski_enclosure(dist, Fraction(a, 1 << _MC_DEPTH), _MC_DEPTH)
+    den = max(lower.denominator, upper.denominator)
+    num = sum(v.numerator * (den // v.denominator) for v in (lower, upper))
+    return (3 * num, den.bit_length()) if den % 3 else (num, (den // 3).bit_length())
 
 
 def integral_mc(dist: Distribution, samples: int, seed: int) -> MCEstimate:
@@ -324,19 +304,22 @@ def integral_mc(dist: Distribution, samples: int, seed: int) -> MCEstimate:
     Draws uniform 64-bit dyadic rationals and averages the midpoints of
     depth-64 enclosures (exact values where the expansion terminates).
     A law with no head, a geometric tail alone (the dyadic and geometric
-    families), runs `_mc_fast`, whose integer sample kernels reproduce the
-    rational loop `_mc_generic` (the path for custom heads) sample for
-    sample; runs are reproducible.
+    families), runs an integer kernel, `_mc_sample_dyadic` or
+    `_mc_sample_geometric`, whose values are `_mc_sample_decode`'s (the
+    path for custom heads) sample for sample; runs are reproducible.
     """
     if samples < 1:
         raise DomainError(f"sample count must be >= 1, got {samples}")
-    rng = random.Random(seed)
     head, _, ratio = dist.head_tail()
     if head:
-        total, sq_total = _mc_generic(dist, samples, rng)
+        sample = functools.partial(_mc_sample_decode, dist)
+    elif ratio == Fraction(1, 2):
+        sample = _mc_sample_dyadic
     else:
-        # a tail alone is the geometric law with q = 1 - r, the dyadic one at r = 1/2
-        total, sq_total = _mc_fast(1 - ratio, samples, rng)
+        # a tail alone is the geometric law with q = 1 - r
+        sample = functools.partial(_mc_sample_geometric, ratio.denominator - ratio.numerator,
+                                   ratio.denominator)
+    total, sq_total = _mc_sums(sample, samples, random.Random(seed))
     mean = total / samples
     if samples > 1:
         variance = (sq_total - samples * mean * mean) / (samples - 1)

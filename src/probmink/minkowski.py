@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .distribution import Distribution
+from .distribution import Distribution, _Frozen
 from .errors import DomainError, PeriodDetectionError, ProbminkError, ResourceLimitError
 from .expansion import (
     Aperiodic,
@@ -161,11 +161,27 @@ def ifs_maps(dist: Distribution, t_max: int) -> list:
     ]
 
 
-class GraphResult(NamedTuple):
-    """Exact graph sample plus the x-mass missed by capping the digits."""
+class GraphResult(_Frozen):
+    """Exact graph sample plus the x-mass missed by capping the digits.
 
+    The mass may be given as a function of no arguments, called when it is
+    first read: a graph written to stdout never prints it.
+    """
+
+    __slots__ = ("points", "_mass")
+    _fields = ("points", "uncovered_mass")
     points: tuple
     uncovered_mass: Fraction
+
+    def __init__(self, points: tuple, uncovered_mass) -> None:
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "_mass", uncovered_mass)
+
+    @property
+    def uncovered_mass(self) -> Fraction:
+        if callable(self._mass):
+            object.__setattr__(self, "_mass", self._mass())
+        return self._mass
 
 
 def _graph_size(depth: int, cap: int) -> int:
@@ -198,10 +214,11 @@ def graph_points(dist: Distribution, depth: int, cap: int) -> GraphResult:
     Lexicographic order is increasing x, because digit c's branch maps
     [0,1) increasingly onto [prefix(c), prefix(c+1)). Points whose words
     need a digit above the cap are not sampled; their total x-measure is
-    reported as uncovered_mass. More than MAX_GRAPH_POINTS points, or a
-    digit sum over series.MAX_DIGIT_SUM, raises ResourceLimitError before
-    any branch is built. Under cap 1 the only word is all ones, so the
-    sample is the single point (0, 2/3) at every depth, with no enumeration.
+    reported as uncovered_mass, computed when first read. More than
+    MAX_GRAPH_POINTS points, or a digit sum over series.MAX_DIGIT_SUM,
+    raises ResourceLimitError before any branch is built. Under cap 1 the
+    only word is all ones, so the sample is the single point (0, 2/3) at
+    every depth, with no enumeration.
 
     The words are enumerated level by level. A state (A, B, D, m, s, sign)
     holds a word's composed branch map y -> (A + B*y) / D, as `encode`
@@ -222,7 +239,7 @@ def graph_points(dist: Distribution, depth: int, cap: int) -> GraphResult:
         raise DomainError(f"digit cap must be >= 1, got {cap}")
     _graph_size(depth, cap)
     if cap == 1:
-        return GraphResult(((Fraction(0), Fraction(2, 3)),), 1 - dist.prefix(2) ** depth)
+        return GraphResult(((Fraction(0), Fraction(2, 3)),), lambda: 1 - dist.prefix(2) ** depth)
     branches = [(c, *dist.affine(c)) for c in range(1, cap + 1)]
     states = [(0, 1, 1, 0, 0, 1)]
     for _ in range(depth - 1):
@@ -248,7 +265,7 @@ def graph_points(dist: Distribution, depth: int, cap: int) -> GraphResult:
             k = min((y_num & -y_num).bit_length() - 1, halvings)
             append((_coprime_fraction(x_num // g, x_den // g),
                     _coprime_fraction(y_num >> k, 3 << (halvings - k))))
-    return GraphResult(tuple(points), 1 - dist.prefix(cap + 1) ** depth)
+    return GraphResult(tuple(points), lambda: 1 - dist.prefix(cap + 1) ** depth)
 
 
 class IncrementReport(NamedTuple):

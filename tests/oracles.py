@@ -8,7 +8,9 @@ series, and the partial-sum helpers add terms one at a time.
 The `ref_*` routines are the plain `Fraction` forms of the integer kernels
 in `series`, `expansion`, `distribution` and `fmt`: each step builds and
 reduces a Fraction. `ref_mc_sample_int` is the Monte Carlo sampler that
-walks one digit at a time. The kernels must equal them bit for bit.
+walks one digit at a time, and `ref_mc_generic` the Monte Carlo loop that
+sums each enclosure midpoint as a Fraction. The kernels must equal them bit
+for bit.
 `ref_digit_of` is each family's digit search that reads the point back
 through `Fraction` and returns the digit alone. `ref_family_affine`,
 `ref_geometric_branch` and `ref_family_branch_primes` are the per-family
@@ -41,6 +43,7 @@ from probmink import (
     alt_series_exact,
     cylinder_increment,
     encode,
+    eval_minkowski_enclosure,
     parse_distribution,
     series,
     shift,
@@ -506,3 +509,19 @@ def ref_mc_sample_int(s, t, a, depth=64):
     if num == 0:
         return 6 * m + 2 * sign, s_k
     return 3 * (4 * m + sign), s_k + 1
+
+
+def ref_mc_generic(dist, samples, rng, depth=64):
+    """Exact (sum, sum of squares) of depth-`depth` enclosure midpoints at seeded draws.
+
+    Each draw a gives x = a / 2^64; each midpoint is one Fraction, and the
+    sums are two Fraction additions per sample over growing denominators.
+    """
+    total = Fraction(0)
+    sq_total = Fraction(0)
+    for _ in range(samples):
+        x = Fraction(rng.getrandbits(64), 1 << 64)
+        v = eval_minkowski_enclosure(dist, x, depth).midpoint
+        total += v
+        sq_total += v * v
+    return total, sq_total

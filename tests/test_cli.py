@@ -2,11 +2,13 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -14,7 +16,7 @@ from probmink import alt_series_periodic_closed_form, cli, graph_points, parse_d
 from probmink.cli import main
 from probmink.fmt import rational_text, render_decimal
 
-from oracles import brute_graph_points, ref_write_graph_csv
+from oracles import brute_graph_points, ref_cmd_diagnose, ref_write_graph_csv
 
 
 def run(capsys, *argv):
@@ -223,6 +225,49 @@ def test_graph_cap_one_is_one_point(capsys):
     code, out, err = run(capsys, "graph", "--dist", "geometric:2/5", "--depth", "20000000",
                          "--cap", "1")
     assert (code, out) == (4, "") and "exceeds the budget" in err
+
+
+def test_graph_to_stdout_leaves_uncovered_mass_unbuilt(tmp_path, capsys):
+    # the CSV never prints the mass, so its power is built only when read, as --out reads it
+    dist = parse_distribution("geometric:2/5")
+    result = graph_points(dist, 2, 3)
+    assert callable(result._mass)
+    assert result.uncovered_mass == 1 - dist.prefix(4) ** 2
+    assert result.uncovered_mass is result._mass
+    with mock.patch.object(type(dist), "prefix", side_effect=AssertionError("mass built")):
+        code, out, _ = run(capsys, "graph", "--dist", "geometric:2/5", "--depth", "2",
+                           "--cap", "3")
+        assert code == 0 and len(out.splitlines()) == 10
+    code, out, _ = run(capsys, "graph", "--dist", "geometric:2/5", "--depth", "2", "--cap", "3",
+                       "--out", str(tmp_path / "g.csv"))
+    assert (code, out) == (0, f"points 9\nuncovered_mass {1 - dist.prefix(4) ** 2}\n")
+
+
+def test_json_text_is_indented_dumps():
+    payloads = ([], {}, [[], {}], {"a": []}, [{"a": [1, [2, {}]]}, True, None, "…", 1.5, -0.0],
+                {"k": {"r": 'x\n"q\\'}}, 3, "s", False, {"digits": [3, 1, 2], "exact": True},
+                {"prefixes": [{"digits": [1], "delta": {"rational": "-1/3", "decimal": "…"}}]})
+    for payload in payloads:
+        assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+
+def _diagnose_bytes(command, argv):
+    out = io.StringIO()
+    with mock.patch("sys.stdout", out):
+        assert command(cli.build_parser().parse_args(argv)) == 0
+    return out.getvalue().encode()
+
+
+def test_diagnose_json_bytes_match_indented_dumps():
+    # the reference prints json.dumps(payload, indent=2), escapes of "…" included
+    rng = random.Random(64)
+    for spec in GRAPH_FAMILIES:
+        for length in (1, 2, 3, 5, 17, 40, 64):
+            word = ",".join(str(rng.randint(1, 5)) for _ in range(length))
+            argv = ["diagnose", "--dist", spec, "--digits", word, "--format", "json"]
+            got = _diagnose_bytes(cli.cmd_diagnose, argv)
+            assert b"\\u2026" in got
+            assert got == _diagnose_bytes(ref_cmd_diagnose, argv), (spec, length)
 
 
 def test_graph_budgets_exit_4(capsys):

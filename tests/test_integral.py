@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -15,9 +16,14 @@ from probmink import (
     integral_quadrature,
     integral_report,
 )
-from probmink.integral import _mc_fast, _mc_generic
+from probmink.integral import (
+    _mc_sample_decode,
+    _mc_sample_dyadic,
+    _mc_sample_geometric,
+    _mc_sums,
+)
 
-from oracles import brute_corner_sum, corner_sum_uncapped
+from oracles import brute_corner_sum, corner_sum_uncapped, ref_mc_generic
 
 F = Fraction
 DISTS = (Dyadic(), Geometric(F(1, 3)), CustomPrefixTail((F(1, 3), F(1, 6)), F(1, 2)))
@@ -117,7 +123,7 @@ def test_quadrature_domain_errors():
 
 
 def test_mc_fast_path_matches_generic():
-    # the integer fast path against the plain rational loop, same draws
+    # the integer kernels and the decode path against the plain rational loop, same draws
     for dist, q in (
         (Dyadic(), F(1, 2)),
         (Geometric(F(1, 2)), F(1, 2)),
@@ -125,12 +131,32 @@ def test_mc_fast_path_matches_generic():
         (Geometric(F(2, 5)), F(2, 5)),
         (Geometric(F(1, 4)), F(1, 4)),
     ):
-        rng_fast = random.Random(505)
-        rng_ref = random.Random(505)
-        total_fast, sq_fast = _mc_fast(q, 100, rng_fast)
-        total_ref, sq_ref = _mc_generic(dist, 100, rng_ref)
-        assert total_fast == total_ref
-        assert sq_fast == sq_ref
+        if q == F(1, 2):
+            fast = _mc_sample_dyadic
+        else:
+            fast = functools.partial(_mc_sample_geometric, q.numerator, q.denominator)
+        want = ref_mc_generic(dist, 100, random.Random(505))
+        decoded = functools.partial(_mc_sample_decode, dist)
+        assert _mc_sums(fast, 100, random.Random(505)) == want
+        assert _mc_sums(decoded, 100, random.Random(505)) == want
+
+
+def test_mc_decode_sums_match_rational_loop():
+    # custom heads: integer sums of decode's midpoints against one Fraction per midpoint
+    for dist in (
+        CustomPrefixTail((F(1, 3), F(1, 5)), F(2, 3)),
+        CustomPrefixTail((F(2, 5), F(1, 10)), F(3, 5)),
+        CustomPrefixTail((F(1, 7), F(2, 9), F(1, 12)), F(3, 5)),
+    ):
+        for seed in (1, 5, 42):
+            got = _mc_sums(functools.partial(_mc_sample_decode, dist), 150, random.Random(seed))
+            assert got == ref_mc_generic(dist, 150, random.Random(seed))
+    # the run's mean and variance are those of the rational loop's sums
+    dist = CustomPrefixTail((F(1, 3), F(1, 5)), F(2, 3))
+    total, sq_total = ref_mc_generic(dist, 40, random.Random(9))
+    estimate = integral_mc(dist, 40, 9)
+    assert estimate.mean == total / 40
+    assert estimate.variance == (sq_total - 40 * estimate.mean**2) / 39
 
 
 def test_mc_deterministic_and_sane():

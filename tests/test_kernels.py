@@ -5,6 +5,7 @@ compares their numerators and denominators exactly.
 """
 
 import importlib
+import itertools
 import math
 import random
 import sys
@@ -378,6 +379,35 @@ def test_decode_budget_on_running_digit_sum(monkeypatch):
             with mock.patch.multiple(expansion, _BATCH_BITS=sizes[0], _LEAD_BITS=sizes[1],
                                      _WORD_BITS=sizes[2]):
                 assert _budget_outcome(decode, dist, x, 30) == want
+
+
+def test_short_decode_with_zero_remainder_inside_a_word():
+    # a lookup can propose a word such as (3, 1, 1) whose remainder is 0 after its
+    # first digit; the unreduced pair (0, d*B) must come out as the plain loop's 0/1
+    for dist in FAMILIES:
+        for word in ((2, 3), (1, 2), (3,), (2, 2, 2, 1, 2), (4, 1, 3)):
+            x = encode(dist, DigitSeq(word, (1,)))
+            for n in range(1, 12):
+                assert decode(dist, x, n) == ref_decode(dist, x, n)
+
+
+def test_decode_budget_inside_a_table_word(monkeypatch):
+    # a budget that a table word would pass is met digit by digit, so the error
+    # names the running digit sum that the plain loop reaches
+    rng = random.Random(16)
+    cases = []
+    for dist in (Dyadic(), Geometric(F(1, 3)), FAMILIES[7]):
+        # built and cached on the full budget
+        assert _word_table(dist) is not None
+        x = encode(dist, DigitSeq(tuple(rng.randint(1, 3) for _ in range(40)), (2,)))
+        cases.append((dist, x, *ref_decode(dist, x, 40)))
+    for dist, x, digits, rest in cases:
+        sums = list(itertools.accumulate(digits))
+        for budget in range(40, sums[-1] + 2):
+            monkeypatch.setattr(series, "MAX_DIGIT_SUM", budget)
+            over = next((total for total in sums if total > budget), None)
+            want = (digits, rest) if over is None else _budget_message(over)
+            assert _budget_outcome(decode, dist, x, 40) == want, (dist, budget)
 
 
 def _budget_message(total):

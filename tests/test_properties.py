@@ -303,6 +303,26 @@ def test_decode_matches_reference(dist, data):
     _check_decode(dist, x, data.draw(st.integers(min_value=1, max_value=bits + 50)))
 
 
+@st.composite
+def short_points(draw, dist):
+    """A 64-bit point, or the left end of a short word's cylinder, where a remainder hits 0."""
+    if draw(st.booleans()):
+        return Fraction(draw(DRAWS), 1 << 64)
+    word = draw(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=12))
+    return encode(dist, DigitSeq(tuple(word), (1,)))
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(st.sampled_from(FAMILIES), st.data())
+def test_short_decode_matches_reference(dist, data):
+    # the short-remainder loop steps table words on the unreduced pair and reduces
+    # before each shift and at the end of a run; n below _TABLE_DIGITS takes shifts only
+    x = data.draw(short_points(dist))
+    n = data.draw(st.one_of(st.integers(min_value=1, max_value=5),
+                            st.integers(min_value=6, max_value=150)))
+    _check_decode(dist, x, n)
+
+
 @settings(DETERMINISTIC, max_examples=200)
 @given(st.sampled_from(FAMILIES), st.data())
 def test_decode_matches_reference_on_small_batches(dist, data):

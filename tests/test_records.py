@@ -31,6 +31,7 @@ from probmink import (
     NotDetected,
     QuadratureEnclosure,
     WitnessPair,
+    parse_distribution,
 )
 from probmink.selftest import CheckResult
 
@@ -65,6 +66,17 @@ def test_distribution_equality_and_hash():
     head = (F(1, 3), F(1, 4))
     assert hash(CustomPrefixTail(head, F(1, 2))) == hash((head, F(1, 2)))
     assert len({Dyadic(), Dyadic(), Geometric(F(1, 2)), Geometric(F(1, 2))}) == 2
+
+
+def test_distribution_hash_is_stored_once():
+    # the word-table caches hash a distribution on every decode, so it keeps its hash
+    for spec in ("dyadic", "geometric:2/5", "custom:1/3,1/5;2/3"):
+        dist = parse_distribution(spec)
+        assert hash(dist) == hash(dist._key()) == dist._hash
+        clones = (copy.copy(dist), copy.deepcopy(dist), pickle.loads(pickle.dumps(dist)),
+                  parse_distribution(dist.spec_string()))
+        for clone in clones:
+            assert clone == dist and hash(clone) == hash(dist) == hash(clone._key())
 
 
 def test_reprs():
