@@ -17,6 +17,7 @@ trailing ellipsis when inexact.
 
 import argparse
 import functools
+import math
 import os
 import sys
 from fractions import Fraction
@@ -144,7 +145,7 @@ def cmd_decode(args) -> int:
             raise seq.error(x)
         if isinstance(seq, NotDetected):
             raise DomainError(
-                f"no digit period detected for {x} within {args.max_steps} steps"
+                f"no digit period detected for {rational_text(x)} within {args.max_steps} steps"
             )
         _emit(args, {"digits": str(seq)}, [str(seq)])
         return 0
@@ -233,7 +234,7 @@ def cmd_graph(args) -> int:
     precision = _check_precision(args)
     dist = parse_distribution(args.dist)
     result = graph_points(dist, args.depth, args.cap)
-    rows = result.points
+    rows = result._rows
     if args.out:
         try:
             with open(args.out, "w", newline="") as handle:
@@ -253,20 +254,19 @@ def _write_graph_csv(handle, rows, precision: int) -> None:
     # digits, "/", "-", "." and "…", so its minimal quoting never fires, and
     # the bytes are the same on stdout and under --out. One write per row:
     # a 2^20-point graph's CSV is 115-130 MB, held whole by a joined string.
+    # Each row is a point's reduced quadruple (xn, xd, yn, yd) with xd, yd > 0.
     # A row with 0 <= num <= den < _CHUNK on both axes, as every graph point
-    # has, is formatted inline from Fraction's private slots. Its ints are
-    # below the int-string limit, so str() prints them; one divmod rounds each
-    # decimal half to even, and as q <= 10^precision the decimal's digits are
-    # those of q + 10^precision after the first. Other rows, and all rows at a
-    # precision of _CHUNK_DIGITS or more, go through _ratio_text and
-    # _ratio_decimal.
+    # has, is formatted inline. Its ints are below the int-string limit, so
+    # str() prints them; one divmod rounds each decimal half to even, and as
+    # q <= 10^precision the decimal's digits are those of q + 10^precision
+    # after the first. Other rows, and all rows at a precision of _CHUNK_DIGITS
+    # or more, go through _ratio_text and _ratio_decimal.
     write = handle.write
     write("x_rational,y_rational,x_decimal,y_decimal\r\n")
     scale = 10**precision
     # at a limit of 0 every row takes the general path
     limit = _CHUNK if precision < _CHUNK_DIGITS else 0
-    for x, y in rows:
-        xn, xd, yn, yd = x._numerator, x._denominator, y._numerator, y._denominator
+    for xn, xd, yn, yd in rows:
         if 0 <= xn <= xd < limit and 0 <= yn <= yd < limit:
             xq, xr = divmod(xn * scale, xd)
             if 2 * xr > xd or (2 * xr == xd and xq & 1):
@@ -300,11 +300,18 @@ def cmd_diagnose(args) -> int:
     dist = parse_distribution(args.dist)
     word = _parse_digit_word(args.digits)
     reports = [cylinder_increment(dist, word[:n]) for n in range(1, len(word) + 1)]
-    steps = {d: singularity_ratio_step(dist, d) for d in set(word[1:])}
+    steps = {d: singularity_ratio_step(dist, d).as_integer_ratio() for d in set(word[1:])}
+    # each quotient step as a reduced pair of ints, from the two reduced quotients
+    ratios = [None]
+    for prev, rep in zip(reports, reports[1:]):
+        a = rep.quotient.numerator * prev.quotient.denominator
+        b = rep.quotient.denominator * prev.quotient.numerator
+        g = math.gcd(a, b)
+        ratios.append((a // g, b // g))
     # only the format that is printed is built
     if args.format == "json":
         entries = []
-        for n, rep in enumerate(reports, start=1):
+        for rep, ratio in zip(reports, ratios):
             entry = {
                 "digits": list(rep.digits),
                 "digit_sum": rep.digit_sum,
@@ -312,23 +319,22 @@ def cmd_diagnose(args) -> int:
                 "measure": _rational_payload(rep.measure, precision),
                 "quotient": _rational_payload(rep.quotient, precision),
             }
-            if n > 1:
-                ratio = rep.quotient / reports[n - 2].quotient
-                entry["quotient_step"] = _rational_payload(ratio, precision)
+            if ratio:
+                entry["quotient_step"] = {"rational": _ratio_text(*ratio),
+                                          "decimal": _ratio_decimal(*ratio, precision)}
                 entry["quotient_step_matches_formula"] = ratio == steps[rep.digits[-1]]
             entries.append(entry)
         print(_json_text({"prefixes": entries}))
         return 0
     lines = []
-    for n, rep in enumerate(reports, start=1):
+    for n, (rep, ratio) in enumerate(zip(reports, ratios), start=1):
         lines.append(f"depth {n} digits {','.join(map(str, rep.digits))} "
                      f"delta {rational_text(rep.delta)} measure {rational_text(rep.measure)} "
                      f"quotient {rational_text(rep.quotient)}")
-        if n > 1:
+        if ratio:
             step = steps[rep.digits[-1]]
-            ratio = rep.quotient / reports[n - 2].quotient
-            lines.append(f"  quotient step {rational_text(ratio)} "
-                         f"formula {rational_text(step)} match {ratio == step}")
+            lines.append(f"  quotient step {_ratio_text(*ratio)} formula {_ratio_text(*step)} "
+                         f"match {ratio == step}")
     print("\n".join(lines))
     return 0
 

@@ -37,7 +37,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, ParseError, ResourceLimitError
-from .fmt import int_text, parse_rational
+from .fmt import int_text, parse_rational, rational_text
 
 
 class _Frozen:
@@ -110,6 +110,13 @@ class Distribution(_Frozen):
             (a, b - a, h) for a, b in zip(cum, cum[1:])))
         object.__setattr__(self, "_tail", (h, rest, rn, rd, rest * rn, h * rd, rd - rn))
         object.__setattr__(self, "_hash", hash(self._key()))
+
+    def __eq__(self, other):
+        # the stored integers determine the parameters of a family, so they are
+        # compared instead of the Fractions of _key(): a word-table cache hit runs this
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._cum == other._cum and self._tail == other._tail
 
     def __hash__(self) -> int:
         # the hash of the public fields, stored: the decoders' table caches hash on every call
@@ -314,11 +321,12 @@ class Geometric(Distribution):
         q = Fraction(q)
         object.__setattr__(self, "q", q)
         if not 0 < q < 1:
-            raise DomainError(f"geometric parameter must lie strictly in (0,1), got {q}")
+            raise DomainError("geometric parameter must lie strictly in (0,1), "
+                              f"got {rational_text(q)}")
         self._set_law((), 1 - q)
 
     def spec_string(self) -> str:
-        return f"geometric:{self.q}"
+        return f"geometric:{rational_text(self.q)}"
 
 
 class CustomPrefixTail(Distribution):
@@ -339,21 +347,23 @@ class CustomPrefixTail(Distribution):
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "tail_ratio", ratio)
         if not 0 < ratio < 1:
-            raise DomainError(f"tail ratio must lie strictly in (0,1), got {ratio}")
+            raise DomainError("tail ratio must lie strictly in (0,1), "
+                              f"got {rational_text(ratio)}")
         # a head-less tail is `Geometric`, and "custom:;r" is no spec string
         if not head:
             raise DomainError("a custom head needs at least one probability")
         for p in head:
             if not 0 < p < 1:
-                raise DomainError(f"head probabilities must lie strictly in (0,1), got {p}")
+                raise DomainError("head probabilities must lie strictly in (0,1), "
+                                  f"got {rational_text(p)}")
         total = sum(head, Fraction(0))
         if total >= 1:
-            raise DomainError(f"head probabilities must sum below 1, got {total}")
+            raise DomainError(f"head probabilities must sum below 1, got {rational_text(total)}")
         self._set_law(head, ratio)
 
     def spec_string(self) -> str:
-        probs = ",".join(str(p) for p in self.head)
-        return f"custom:{probs};{self.tail_ratio}"
+        probs = ",".join(map(rational_text, self.head))
+        return f"custom:{probs};{rational_text(self.tail_ratio)}"
 
 
 def parse_distribution(text: str) -> Distribution:

@@ -25,14 +25,47 @@ _SPLIT_BITS = 1 << 16
 _LEAF_BITS = 128
 
 
-def parse_ints(texts) -> tuple:
-    """The integer literals in `texts` as ints, with ParseError where int() refuses one.
+def _digits_value(text: str) -> int:
+    """int(text) for a string of ASCII digits of any length, by divide and conquer.
 
-    Besides malformed text, int() refuses a literal longer than the
-    interpreter's int-string conversion limit (4 300 digits by default).
+    The mirror of `_decimal_text`: text = hi*10^k + lo with lo its last k
+    digits, k half of its length, both halves converted recursively down to
+    pieces of at most _CHUNK_DIGITS digits that int() reads, and each power
+    10^k built once. Multiplication is subquadratic, so the conversion is too.
     """
+    powers = {}
+
+    def convert(lo, hi):
+        if hi - lo <= _CHUNK_DIGITS:
+            return int(text[lo:hi])
+        k = (hi - lo) >> 1
+        if k not in powers:
+            powers[k] = 10**k
+        return convert(lo, hi - k) * powers[k] + convert(hi - k, hi)
+
+    return convert(0, len(text))
+
+
+def _parse_int(text: str) -> int:
+    """int(text), with a plain literal longer than _CHUNK_DIGITS read by `_digits_value`."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if len(text) <= _CHUNK_DIGITS or not (digits.isascii() and digits.isdigit()):
+        return int(text)
+    value = _digits_value(digits)
+    return -value if text[0] == "-" else value
+
+
+def parse_ints(texts) -> tuple:
+    """The literals of the sequence `texts` as ints, with ParseError where int() refuses one.
+
+    A literal of optional sign and ASCII digits is read at any length, past
+    the interpreter's int-string conversion limit (4 300 digits by default);
+    int() reads every other literal and refuses malformed text.
+    """
+    # a digit word has thousands of short literals, which int() reads directly
+    parse = _parse_int if max(map(len, texts), default=0) > _CHUNK_DIGITS else int
     try:
-        return tuple(map(int, texts))
+        return tuple(map(parse, texts))
     except ValueError as exc:
         raise ParseError(f"integer literal not accepted: {exc}") from None
 
@@ -41,8 +74,8 @@ def parse_rational(text: str) -> Fraction:
     """Parse 'a/b' or an integer literal exactly.
 
     Raises ParseError on anything else, including decimal or scientific
-    notation, empty strings, zero denominators, and literals too long for
-    int().
+    notation, empty strings and zero denominators. Integers of any length
+    are read (see parse_ints).
     """
     s = text.strip()
     if not _RATIONAL_RE.match(s):

@@ -20,15 +20,18 @@ from .expansion import (
     DigitSeq,
     NotDetected,
     _coprime_fraction,
+    _int_tuple,
     decode,
     decode_periodic,
     encode,
     shift,
 )
+from .fmt import rational_text
 from .series import AltSeriesValue, alt_series_exact, check_digit_sum, prefix_enclosure
 
-# the most points one graph samples: at the budget, `graph` writes about
-# 120 MB of CSV in about 15 s at a 0.34 GB peak (Python 3.11, Xeon core)
+# the most points one graph samples: at the budget, `graph --out` writes
+# 109-150 MB of CSV in 6-7 s at a 0.24-0.28 GB peak (dyadic, geometric:2/5
+# and custom:1/3,1/5;2/3; Python 3.11.7, one Xeon core)
 MAX_GRAPH_POINTS = 1 << 20
 
 
@@ -48,7 +51,7 @@ def eval_minkowski(dist: Distribution, arg, max_steps: int = 4096) -> Fraction:
         raise seq.error(arg)
     if isinstance(seq, NotDetected):
         raise PeriodDetectionError(
-            f"no digit period detected for {arg} within {max_steps} steps; "
+            f"no digit period detected for {rational_text(arg)} within {max_steps} steps; "
             "use eval_minkowski_enclosure for a rigorous bracket"
         )
     return alt_series_exact(seq)
@@ -75,7 +78,7 @@ def continued_fraction(x: Fraction) -> tuple:
     a final digit 1 except for x = 1 itself, whose expansion is (1,).
     """
     if not 0 <= x <= 1:
-        raise DomainError(f"continued fraction input must lie in [0,1], got {x}")
+        raise DomainError(f"continued fraction input must lie in [0,1], got {rational_text(x)}")
     if x == 0:
         return ()
     digits = []
@@ -165,17 +168,28 @@ class GraphResult(_Frozen):
     """Exact graph sample plus the x-mass missed by capping the digits.
 
     The mass may be given as a function of no arguments, called when it is
-    first read: a graph written to stdout never prints it.
+    first read: a graph written to stdout never prints it. `graph_points`
+    passes its points as `rows`, one reduced quadruple (xn, xd, yn, yd) per
+    point, and the Fraction pairs of `points` are built when first read.
     """
 
-    __slots__ = ("points", "_mass")
+    __slots__ = ("_points", "_rows", "_mass")
     _fields = ("points", "uncovered_mass")
     points: tuple
     uncovered_mass: Fraction
 
-    def __init__(self, points: tuple, uncovered_mass) -> None:
-        object.__setattr__(self, "points", points)
+    def __init__(self, points, uncovered_mass, rows: tuple = ()) -> None:
+        object.__setattr__(self, "_points", points)
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_mass", uncovered_mass)
+
+    @property
+    def points(self) -> tuple:
+        if self._points is None:
+            object.__setattr__(self, "_points", tuple(
+                (_coprime_fraction(xn, xd), _coprime_fraction(yn, yd))
+                for xn, xd, yn, yd in self._rows))
+        return self._points
 
     @property
     def uncovered_mass(self) -> Fraction:
@@ -232,6 +246,8 @@ def graph_points(dist: Distribution, depth: int, cap: int) -> GraphResult:
     so x = A/D, reduced by one gcd, and y = (3m + sign) / (3 * 2^(s-1)).
     y's numerator is even and never divisible by 3, so y is reduced by
     removing the numerator's trailing zero bits, at most s - 1 of them.
+    The result keeps each point as these reduced integers (xn, xd, yn, yd),
+    and builds the Fraction pairs of `points` only when they are first read.
     """
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
@@ -239,7 +255,7 @@ def graph_points(dist: Distribution, depth: int, cap: int) -> GraphResult:
         raise DomainError(f"digit cap must be >= 1, got {cap}")
     _graph_size(depth, cap)
     if cap == 1:
-        return GraphResult(((Fraction(0), Fraction(2, 3)),), lambda: 1 - dist.prefix(2) ** depth)
+        return GraphResult(None, lambda: 1 - dist.prefix(2) ** depth, ((0, 1, 2, 3),))
     branches = [(c, *dist.affine(c)) for c in range(1, cap + 1)]
     states = [(0, 1, 1, 0, 0, 1)]
     for _ in range(depth - 1):
@@ -252,7 +268,8 @@ def graph_points(dist: Distribution, depth: int, cap: int) -> GraphResult:
     append = points.append
     gcd = math.gcd
     # each state is dropped once extended and the points reuse its memory: a
-    # 2^20-point graph peaks at 335 MB, against 402 MB with the list kept whole
+    # 2^20-point graph (geometric:2/5, depth 20, cap 2) peaks at 275 MB,
+    # against 414 MB with the list kept whole
     states.reverse()
     pop = states.pop
     while states:
@@ -262,10 +279,11 @@ def graph_points(dist: Distribution, depth: int, cap: int) -> GraphResult:
             g = gcd(x_num, x_den)
             # 3m' + sign' for the word's m' = (m << c) + sign and sign' = -sign
             y_num, halvings = 3 * (m << c) + 2 * sign, s + c - 1
-            k = min((y_num & -y_num).bit_length() - 1, halvings)
-            append((_coprime_fraction(x_num // g, x_den // g),
-                    _coprime_fraction(y_num >> k, 3 << (halvings - k))))
-    return GraphResult(tuple(points), lambda: 1 - dist.prefix(cap + 1) ** depth)
+            k = (y_num & -y_num).bit_length() - 1
+            if k > halvings:
+                k = halvings
+            append((x_num // g, x_den // g, y_num >> k, 3 << (halvings - k)))
+    return GraphResult(None, lambda: 1 - dist.prefix(cap + 1) ** depth, tuple(points))
 
 
 class IncrementReport(NamedTuple):
@@ -285,10 +303,10 @@ class IncrementReport(NamedTuple):
 
 def cylinder_increment(dist: Distribution, word) -> IncrementReport:
     """Increment report for the cylinder of a nonempty digit word."""
-    digits = tuple(int(d) for d in word)
+    digits = _int_tuple(word)
     if not digits:
         raise DomainError("cylinder word must be nonempty")
-    if any(d < 1 for d in digits):
+    if min(digits) < 1:
         raise DomainError(f"digits must be >= 1, got {digits}")
     low = DigitSeq(digits, (1,))
     high = DigitSeq(digits[:-1] + (digits[-1] + 1,), (1,))
@@ -299,13 +317,17 @@ def cylinder_increment(dist: Distribution, word) -> IncrementReport:
         _, q, l = dist.affine(d)
         num *= q**k
         den *= l**k
-    measure = Fraction(num, den)
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    # |delta| / measure, with |delta| = a/b and measure = num/den both reduced
+    a, b = abs(delta.numerator) * den, delta.denominator * num
+    g = math.gcd(a, b)
     return IncrementReport(
         digits=digits,
         digit_sum=sum(digits),
         delta=delta,
-        measure=measure,
-        quotient=abs(delta) / measure,
+        measure=_coprime_fraction(num, den),
+        quotient=_coprime_fraction(a // g, b // g),
     )
 
 

@@ -70,14 +70,13 @@ def _finite_sum(digits) -> tuple:
     list. Raises ResourceLimitError when the digit sum exceeds
     MAX_DIGIT_SUM.
     """
-    check_digit_sum(sum(digits))
+    s = sum(digits)
+    check_digit_sum(s)
+    if digits and min(digits) < 1:
+        raise DomainError(f"digits must be >= 1, got {next(d for d in digits if d < 1)}")
     m = 0
-    s = 0
     sign = 1
     for d in digits:
-        if d < 1:
-            raise DomainError(f"digits must be >= 1, got {d}")
-        s += d
         m = (m << d) + sign
         sign = -sign
     return m, s, sign

@@ -24,12 +24,16 @@ the decoder that runs one full-size `shift` per digit, and `ref_compose`
 the left fold of a word's branch triples. `ref_write_graph_csv` writes
 every graph row through the general `fmt` formatters, and
 `ref_cmd_diagnose` builds both the JSON payload and the plain lines of
-`diagnose` and prints one. `FAMILIES` are the distributions the kernel and
-property tests share.
+`diagnose` and prints one. `ref_cylinder_increment` builds the measure and
+the quotient as Fractions, `ref_int_finite_sum` is the series accumulator
+that checks each digit as it sums it, and `ref_check_digits` is
+`DigitSeq`'s digit check by one loop. `FAMILIES` are the distributions the
+kernel and property tests share.
 """
 
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 
 from probmink import (
@@ -38,6 +42,7 @@ from probmink import (
     DomainError,
     Dyadic,
     Geometric,
+    IncrementReport,
     NotDetected,
     ProbminkError,
     alt_series_exact,
@@ -135,6 +140,25 @@ def ref_write_graph_csv(handle, rows, precision):
         xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
         write(f"{_ratio_text(xn, xd)},{_ratio_text(yn, yd)},"
               f"{_ratio_decimal(xn, xd, precision)},{_ratio_decimal(yn, yd, precision)}\r\n")
+
+
+def ref_cylinder_increment(dist, word):
+    """`cylinder_increment` with generator digit checks and Fraction measure and quotient."""
+    digits = tuple(int(d) for d in word)
+    if not digits:
+        raise DomainError("cylinder word must be nonempty")
+    if any(d < 1 for d in digits):
+        raise DomainError(f"digits must be >= 1, got {digits}")
+    low = DigitSeq(digits, (1,))
+    high = DigitSeq(digits[:-1] + (digits[-1] + 1,), (1,))
+    delta = alt_series_exact(high) - alt_series_exact(low)
+    num = den = 1
+    for d, k in Counter(digits).items():
+        _, q, l = dist.affine(d)
+        num *= q**k
+        den *= l**k
+    measure = Fraction(num, den)
+    return IncrementReport(digits, sum(digits), delta, measure, abs(delta) / measure)
 
 
 def ref_cmd_diagnose(args):
@@ -259,6 +283,28 @@ def ref_finite_sum(digits):
         total += sign * Fraction(2, 1 << s)
         sign = -sign
     return total, s, sign
+
+
+def ref_int_finite_sum(digits):
+    """`series._finite_sum` checking each digit in the loop that sums it."""
+    series.check_digit_sum(sum(digits))
+    m = 0
+    s = 0
+    sign = 1
+    for d in digits:
+        if d < 1:
+            raise DomainError(f"digits must be >= 1, got {d}")
+        s += d
+        m = (m << d) + sign
+        sign = -sign
+    return m, s, sign
+
+
+def ref_check_digits(preperiod, period):
+    """`DigitSeq`'s digit check, one comparison per digit in stream order."""
+    for d in tuple(preperiod) + tuple(period):
+        if d < 1:
+            raise DomainError(f"digits must be >= 1, got {d}")
 
 
 def ref_alt_series_exact(stream):

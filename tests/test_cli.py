@@ -12,9 +12,17 @@ from unittest import mock
 
 import pytest
 
-from probmink import alt_series_periodic_closed_form, cli, graph_points, parse_distribution
+from probmink import (
+    Geometric,
+    alt_series_periodic_closed_form,
+    cli,
+    graph_points,
+    integral_closed,
+    parse_distribution,
+)
 from probmink.cli import main
 from probmink.fmt import rational_text, render_decimal
+from probmink.series import MAX_DIGIT_SUM
 
 from oracles import brute_graph_points, ref_cmd_diagnose, ref_write_graph_csv
 
@@ -335,19 +343,46 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "eval", "--help")[0] == 0
 
 
-def test_over_long_literals_exit_2(capsys):
-    # 4 400 digits is past the interpreter's default 4 300-digit int-string limit
+def test_over_long_literals_are_read(capsys):
+    # 4 400 digits is past the interpreter's default 4 300-digit int-string
+    # limit; parse_ints reads the literals, and the values decide the exit codes
     long_digit = "2" * 4400
-    for argv in (
-        ("qmark", "--x", "1/1" + "0" * 4399),
-        ("eval", "--dist", "dyadic", "--digits", "1," + long_digit),
-        ("diagnose", "--dist", "dyadic", "--digits", "1," + long_digit),
-        ("integral", "--dist", "geometric:1/" + "3" * 4400, "--method", "closed"),
+    for argv, digit_sum in (
+        (("qmark", "--x", "1/1" + "0" * 4399), "1" + "0" * 4399),
+        (("eval", "--dist", "dyadic", "--digits", "1," + long_digit), long_digit[:-1] + "3"),
+        # the right corner's word ends in the last digit plus one
+        (("diagnose", "--dist", "dyadic", "--digits", "1," + long_digit), long_digit[:-1] + "4"),
     ):
-        code, out, err = run(capsys, *argv)
-        assert code == 2, argv[0]
-        assert out == ""
-        assert err.startswith("error: integer literal not accepted")
+        assert run(capsys, *argv) == (4, "", f"error: digit sum {digit_sum} exceeds the budget "
+                                             f"of {MAX_DIGIT_SUM} bits for an exact value\n")
+    code, out, err = run(capsys, "integral", "--dist", "geometric:1/" + "3" * 4400,
+                         "--method", "closed")
+    forms = integral_closed(Geometric(Fraction(1, _big_int("3" * 4400))))
+    assert (code, err) == (0, "")
+    assert out == (f"closed_form_alpha {rational_text(forms.alpha_form)}\n"
+                   f"closed_form_gamma {rational_text(forms.gamma_form)}\n")
+    # a domain error on a long literal prints it in full
+    big = "1" + "0" * 4400
+    far = f"1/{big[:-1]}1"
+    aperiodic = f"5{big[1:-1]}1/7{big[1:]}"
+    custom = ("--dist", "custom:1/3,1/4;1/2", "--x", far, "--max-steps", "5")
+    for argv, message in (
+        (("eval", "--dist", "dyadic", "--x", big), f"point must lie in [0,1), got {big}"),
+        (("qmark", "--x", big), f"continued fraction input must lie in [0,1], got {big}"),
+        (("integral", "--dist", "geometric:" + big, "--method", "closed"),
+         f"geometric parameter must lie strictly in (0,1), got {big}"),
+        (("eval", *custom), f"no digit period detected for {far} within 5 steps; "
+                            "use eval_minkowski_enclosure for a rigorous bracket"),
+        (("decode", *custom, "--periodic"), f"no digit period detected for {far} within 5 steps"),
+    ):
+        assert run(capsys, *argv) == (3, "", f"error: {message}\n"), argv[0]
+    code, out, err = run(capsys, "eval", "--dist", "geometric:1/3", "--x", aperiodic)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: no digit period exists for {aperiodic}: the witness 2 ")
+    assert f"so M({aperiodic}) is irrational" in err
+    # malformed text past the limit is still a parse error
+    code, out, err = run(capsys, "qmark", "--x", "1/1" + "0" * 4399 + "x")
+    assert (code, out) == (2, "") and err.startswith("error: not a rational literal")
 
 
 def _big_int(text):

@@ -481,6 +481,21 @@ def _heavy_words(dist, bits, size):
     return words
 
 
+def test_equal_distributions_share_one_word_table():
+    # every CLI op parses a new distribution, and a cache hit compares it by its stored integers
+    for spec in ("dyadic", "geometric:1/3", "custom:1/3,1/5;2/3", "custom:1/10;1/2"):
+        first, second = parse_distribution(spec), parse_distribution(spec)
+        assert first is not second and first == second
+        assert _word_table(first) is _word_table(second)
+    assert _word_table(Dyadic()) is not _word_table(Geometric(F(1, 2)))
+    assert CustomPrefixTail((F(1, 3), F(1, 5)), F(2, 3)) != CustomPrefixTail(
+        (F(1, 3), F(1, 6)), F(2, 3))
+    assert CustomPrefixTail((F(1, 2),), F(1, 2)) != CustomPrefixTail((F(1, 4), F(1, 4)), F(1, 2))
+    # the same lcm, tail mass and ratio, with the head in another order
+    assert CustomPrefixTail((F(1, 6), F(1, 3)), F(1, 2)) != CustomPrefixTail(
+        (F(1, 3), F(1, 6)), F(1, 2))
+
+
 def test_word_table_bounds(monkeypatch):
     bits, size = expansion._TABLE_MEASURE_BITS, expansion._TABLE_DIGITS
     cap = expansion._TABLE_SCALE_BITS

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from probmink import Aperiodic, CustomPrefixTail, DigitSeq, Dyadic, Geometric, NotDetected
 from probmink import (
+    IncrementReport,
+    ProbminkError,
     ResourceLimitError,
     cli,
     cylinder,
@@ -28,21 +30,26 @@ from probmink import (
     functional_equation_residuals,
     graph_points,
     parse_distribution,
+    parse_rational,
     series,
     shift,
     singularity_ratio_step,
 )
 from probmink.expansion import _compose
+from probmink.fmt import rational_text
 from probmink.integral import _mc_sample_dyadic, _mc_sample_geometric
 
 from oracles import (
     FAMILIES,
     ref_cmd_diagnose,
+    ref_check_digits,
     ref_compose,
+    ref_cylinder_increment,
     ref_decode,
     ref_decode_periodic,
     ref_digit_of,
     ref_graph_points,
+    ref_int_finite_sum,
     ref_mc_sample_int,
     ref_pmf,
     ref_write_graph_csv,
@@ -579,6 +586,61 @@ def test_increment_law(dist, word):
         assert quotients[i] / quotients[i - 1] == singularity_ratio_step(dist, word[i])
 
 
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the ProbminkError it raises."""
+    try:
+        return fn(*args)
+    except ProbminkError as exc:
+        return type(exc), str(exc)
+
+
+@DETERMINISTIC
+@given(st.sampled_from(FAMILIES), st.lists(st.integers(min_value=-2, max_value=9), max_size=24))
+@example(Dyadic(), [])
+@example(Dyadic(), [2, 0, 1])
+@example(Geometric(Fraction(1, 3)), [3, -1, 0])
+def test_cylinder_increment_matches_reference(dist, word):
+    # integer measure and quotient, and the digit check by min(), against the old body
+    got = _outcome(cylinder_increment, dist, word)
+    assert got == _outcome(ref_cylinder_increment, dist, word)
+    if isinstance(got, IncrementReport):
+        assert all(type(v) is Fraction for v in got[2:])
+
+
+@DETERMINISTIC
+@given(st.lists(st.integers(min_value=-3, max_value=12), max_size=30),
+       st.lists(st.integers(min_value=-3, max_value=12), min_size=1, max_size=8))
+@example([], [1])
+@example([2, 0, -1], [1])
+@example([3], [2, -2, 0])
+def test_digit_checks_match_per_digit_loops(pre, per):
+    # one min() over the digits, and a rescan for the first offending one on failure
+    assert _outcome(series._finite_sum, tuple(pre)) == _outcome(ref_int_finite_sum, tuple(pre))
+    assert _outcome(series._finite_sum, tuple(per)) == _outcome(ref_int_finite_sum, tuple(per))
+    expected = _outcome(ref_check_digits, pre, per)
+    got = _outcome(DigitSeq, pre, per)
+    if expected is None:
+        assert isinstance(got, DigitSeq)
+    else:
+        assert got == expected
+
+
+# bit lengths about 4 000 decimal digits (13 288 bits), where parse_ints
+# starts to split a literal, and the widest drawn
+WIDE_BITS = st.one_of(st.sampled_from((13_287, 13_288, 13_289, 1 << 16)),
+                      st.integers(min_value=1, max_value=1 << 16))
+
+
+@DETERMINISTIC
+@given(WIDE_BITS, st.data())
+def test_parse_rational_reads_rational_text(bits, data):
+    # past 4 000 decimal digits parse_ints reads a literal by divide and conquer
+    den = data.draw(st.integers(min_value=1, max_value=1 << bits))
+    num = data.draw(st.integers(min_value=-(1 << bits), max_value=1 << bits))
+    for value in (Fraction(num, den), Fraction(1 - (1 << bits), (1 << bits) + 1)):
+        assert parse_rational(rational_text(value)) == value
+
+
 # the precisions at the edges of the writer's fast path (below
 # fmt._CHUNK_DIGITS = 4 000) and a few ordinary ones
 CSV_PRECISIONS = st.one_of(st.sampled_from((1, 30, 3999, 4000)),
@@ -615,8 +677,10 @@ def test_graph_csv_writer_matches_reference(data):
     precision = data.draw(CSV_PRECISIONS)
     value = csv_values(precision)
     rows = data.draw(st.lists(st.tuples(value, value), min_size=1, max_size=6))
+    # the writer takes each point's reduced integers, the reference its Fractions
+    quads = [(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in rows]
     got, want = io.StringIO(newline=""), io.StringIO(newline="")
-    cli._write_graph_csv(got, rows, precision)
+    cli._write_graph_csv(got, quads, precision)
     ref_write_graph_csv(want, rows, precision)
     assert got.getvalue().encode() == want.getvalue().encode()
 

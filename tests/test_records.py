@@ -31,9 +31,12 @@ from probmink import (
     NotDetected,
     QuadratureEnclosure,
     WitnessPair,
+    graph_points,
     parse_distribution,
 )
 from probmink.selftest import CheckResult
+
+from oracles import brute_graph_points
 
 F = Fraction
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -153,6 +156,26 @@ def test_copy_and_pickle_rebuild_equal_values():
             assert clone == value and hash(clone) == hash(value)
     # the private integers are rebuilt too
     assert pickle.loads(pickle.dumps(Geometric(F(2, 5)))).affine(3) == Geometric(F(2, 5)).affine(3)
+
+
+def test_graph_points_built_when_read_equal_eager_ones():
+    # graph_points keeps each point as four reduced ints and builds the Fractions on first read
+    for dist in (Dyadic(), Geometric(F(2, 5)), CustomPrefixTail((F(1, 3), F(1, 5)), F(2, 3))):
+        for depth, cap in ((1, 1), (2, 1), (2, 3), (3, 2)):
+            eager = GraphResult(tuple(brute_graph_points(dist, depth, cap)),
+                                1 - dist.prefix(cap + 1) ** depth)
+            for lazy in (graph_points(dist, depth, cap), copy.copy(graph_points(dist, depth, cap)),
+                         pickle.loads(pickle.dumps(graph_points(dist, depth, cap)))):
+                assert lazy == eager and eager == lazy
+                assert hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
+            lazy = graph_points(dist, depth, cap)
+            assert lazy._points is None
+            assert lazy.points is lazy.points
+            assert all(isinstance(v, Fraction) for point in lazy.points for v in point)
+            assert lazy._rows == tuple((x.numerator, x.denominator, y.numerator, y.denominator)
+                                       for x, y in eager.points)
+            clone = copy.deepcopy(lazy)
+            assert clone == eager and clone.points == eager.points
 
 
 def test_digit_seqs_of_one_stream_are_equal():
