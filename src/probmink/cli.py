@@ -97,32 +97,34 @@ def _rational_payload(value: Fraction, precision: int) -> dict:
     return {"rational": rational_text(value), "decimal": render_decimal(value, precision)}
 
 
+def _emit_value(args, value: Fraction, precision: int) -> None:
+    """Print one value, rendering its rational and decimal texts once for either format."""
+    texts = _rational_payload(value, precision)
+    _emit(args, {"value": texts}, [texts["rational"], texts["decimal"]])
+
+
 def cmd_eval(args) -> int:
     precision = _check_precision(args)
     dist = parse_distribution(args.dist)
     if args.digits is not None:
         value = eval_minkowski(dist, parse_digit_seq(args.digits))
-        _emit(args, {"value": _rational_payload(value, precision)},
-              [rational_text(value), render_decimal(value, precision)])
+        _emit_value(args, value, precision)
         return 0
     x = parse_rational(args.x)
     if args.enclose is not None:
         enclosure = eval_minkowski_enclosure(dist, x, args.enclose)
-        payload = {
-            "lower": _rational_payload(enclosure.lower, precision),
-            "upper": _rational_payload(enclosure.upper, precision),
-            "exact": enclosure.exact,
-        }
-        _emit(args, payload, [
-            f"lower {rational_text(enclosure.lower)}",
-            f"upper {rational_text(enclosure.upper)}",
-            f"lower_decimal {render_decimal(enclosure.lower, precision)}",
-            f"upper_decimal {render_decimal(enclosure.upper, precision)}",
+        # each bound's texts are rendered once: past 2^17 digits rendering is the largest stage
+        lower = _rational_payload(enclosure.lower, precision)
+        upper = _rational_payload(enclosure.upper, precision)
+        _emit(args, {"lower": lower, "upper": upper, "exact": enclosure.exact}, [
+            f"lower {lower['rational']}",
+            f"upper {upper['rational']}",
+            f"lower_decimal {lower['decimal']}",
+            f"upper_decimal {upper['decimal']}",
         ])
         return 0
     value = eval_minkowski(dist, x, max_steps=args.max_steps)
-    _emit(args, {"value": _rational_payload(value, precision)},
-          [rational_text(value), render_decimal(value, precision)])
+    _emit_value(args, value, precision)
     return 0
 
 
@@ -130,8 +132,7 @@ def cmd_encode(args) -> int:
     precision = _check_precision(args)
     dist = parse_distribution(args.dist)
     value = encode(dist, parse_digit_seq(args.digits))
-    _emit(args, {"value": _rational_payload(value, precision)},
-          [rational_text(value), render_decimal(value, precision)])
+    _emit_value(args, value, precision)
     return 0
 
 
@@ -164,8 +165,7 @@ def cmd_decode(args) -> int:
 def cmd_qmark(args) -> int:
     precision = _check_precision(args)
     value = eval_question_mark(parse_rational(args.x))
-    _emit(args, {"value": _rational_payload(value, precision)},
-          [rational_text(value), render_decimal(value, precision)])
+    _emit_value(args, value, precision)
     return 0
 
 
@@ -198,15 +198,12 @@ def cmd_integral(args) -> int:
         return 0
     if args.method == "mc":
         mc = integral_mc(dist, args.samples, args.seed)
-        payload = {
-            "mean": _rational_payload(mc.mean, precision),
-            "stderr": f"{mc.stderr:.3e}",
-            "samples": mc.samples,
-            "seed": mc.seed,
-        }
+        mean = _rational_payload(mc.mean, precision)
+        payload = {"mean": mean, "stderr": f"{mc.stderr:.3e}", "samples": mc.samples,
+                   "seed": mc.seed}
         _emit(args, payload, [
-            f"mean {rational_text(mc.mean)}",
-            f"mean_decimal {render_decimal(mc.mean, precision)}",
+            f"mean {mean['rational']}",
+            f"mean_decimal {mean['decimal']}",
             f"stderr {mc.stderr:.3e}",
         ])
         return 0

@@ -105,9 +105,11 @@ more than _WALK_BATCH_BITS bits is walked in batches instead, which win
 over the exact walk once the remainders stay longer than _BATCH_BITS
 bits: its digits come from `decode`'s certified batches, each reading
 the short point through the word table, and each remainder r_k is kept
-only as its fingerprint, its residue modulo the prime p = _PRINT_MOD =
-2^61 - 1 (Karp and Rabin's fingerprints). A digit with triple (P, Q, L)
-updates it as r <- (r*L - P) * Q^-1 mod p.
+only as its fingerprint, its residue modulo the 61-bit safe prime
+p = _PRINT_MOD (Karp and Rabin's fingerprints). A digit with triple
+(P, Q, L) updates it as r <- (r*L - P) * Q^-1 mod p. Since ord_p(2) is
+far above the digit budget (see _PRINT_MOD), p divides no factor 2^s - 1
+of a dyadic period's point.
 
 No true repeat is missed. When p divides neither x's denominator nor any
 Q, it divides no remainder's denominator, since each divides the previous
@@ -115,11 +117,19 @@ one times Q; then every remainder has a residue, and equal rationals have
 equal residues. So the first fingerprint repeat (j, k) comes no later than
 the exact walk's first repeat.
 
-No false repeat is returned. A hit (j, k) is certified by encode(seq) == x
-for the stream seq with preperiod c_1..c_j and period c_(j+1)..c_k. encode
-is injective on eventually periodic streams, so a passing test proves that
-x's stream is seq, and so r_j = r_k; the first hit that passes is the first
-true repeat, the one the exact walk returns. A failed test, p dividing x's
+No false repeat is returned. The walk keeps each batch's first position
+and x's exact remainder there, one rational per batch. A hit (j, k)
+rebuilds r_j and r_k, each from the last batch start s at or before its
+position, by `_remainder` under the composed map of the digits from s to
+it, at most one batch's. `_remainder` tests that the remainder at s lies
+in those digits' cylinder, so what it returns is T^j x, or T^k x,
+exactly. The hit is returned only when r_j == r_k, the exact walk's own
+repeat test. Let (mu, mu + lambda) be the exact walk's first repeat:
+r_0, ..., r_(mu+lambda-1) are distinct. A hit with k < mu + lambda
+fails the test. At k = mu + lambda, j is the first position with r_k's
+fingerprint, and the test passes only if j = mu. So a passing hit is
+(mu, mu + lambda): its period is primitive and its preperiod absorbs no
+digit, the exact walk's stream. A failed test, p dividing x's
 denominator, or p dividing some Q hands the point to the exact walk.
 
 The witness is tested on each batch's end remainder: a prime of W never
@@ -183,11 +193,17 @@ class DigitSeq(_Frozen):
         digits = pre + per
         if min(digits) < 1:
             raise DomainError(f"digits must be >= 1, got {next(d for d in digits if d < 1)}")
-        n = len(per)
-        for d in range(1, n + 1):
-            if n % d == 0 and per == per[:d] * (n // d):
-                per = per[:d]
-                break
+        try:
+            # digits below 256 fit in bytes, and the primitive root is as long
+            # as the first offset at which the period occurs in itself doubled
+            b = bytes(per)
+            per = per[: (b + b).find(b, 1)]
+        except ValueError:
+            n = len(per)
+            for d in range(1, n + 1):
+                if n % d == 0 and per == per[:d] * (n // d):
+                    per = per[:d]
+                    break
         # absorbing one trailing preperiod digit rotates the period right by
         # one, so the k-th digit from the end meets period digit -1-(k mod p):
         # count the absorbable digits in one backward scan, then cut and rotate once
@@ -289,7 +305,7 @@ def parse_digit_seq(text: str) -> DigitSeq:
 
     def _parse_group(group: str) -> tuple:
         digits = parse_ints(group.replace(" ", "").split(","))
-        if any(d < 1 for d in digits):
+        if min(digits) < 1:
             raise ParseError(f"digits must be positive integers: {text!r}")
         return digits
 
@@ -310,13 +326,20 @@ _PLAIN_RUN = 64
 _FOLD_DIGITS = 64
 # decode_periodic walks in batches when x's denominator has more than
 # _WALK_BATCH_BITS bits, keeping each remainder's fingerprint modulo the
-# Mersenne prime _PRINT_MOD. Timed in-process against the exact walk on
+# prime _PRINT_MOD. Timed in-process against the exact walk on
 # random periods (Python 3.11.7, 2-CPU x86-64 host), the batched walk wins
 # from about 1 100-1 250 bits under dyadic and 1 050-1 100 under
 # geometric:1/3 and custom:1/3,1/4;1/2; below _BATCH_BITS it would step
 # one `shift` per digit and lose by 1.6-2.9x. 1 280 serves all three.
 _WALK_BATCH_BITS = 1280
-_PRINT_MOD = (1 << 61) - 1
+# _PRINT_MOD is a safe prime p = 2q + 1 below 2^61, with q prime. The
+# lemma: ord_p(2) = 2q. It divides p - 1 = 2q and is not 1 or 2; and
+# p = 3 mod 8 makes 2 a non-residue, so 2^q = -1 mod p by Euler's
+# criterion. So p divides 2^s - 1 only when 2q divides s, and 2q is far
+# above series.MAX_DIGIT_SUM: the factor 2^s - 1 that a dyadic period of
+# digit sum s puts in its point's denominator never holds p, where the
+# Mersenne prime 2^61 - 1 divides it whenever 61 divides s
+_PRINT_MOD = 2305843009213691579
 # decode's plain loop, its batches' short points and the geometric Monte
 # Carlo walk read up to _TABLE_DIGITS digits per lookup, from a table of the
 # words of up to that length whose cylinders have measure at least
@@ -708,7 +731,8 @@ def decode_periodic(dist: Distribution, x: Fraction, max_steps: int = 4096):
     """Recover the full eventually periodic digit stream of x, or disprove one.
 
     Walks x one digit at a time, recording remainders; a repeat closes the
-    period. Returns a DigitSeq verified to encode back to x; Aperiodic when
+    period. Returns x's DigitSeq, which the exact walk checks against
+    encode and the batched walk proves by an exact repeat; Aperiodic when
     a prime of W (dist.branch_primes()) enters a remainder's denominator,
     which proves that no period exists; or NotDetected with the digit prefix
     found when neither happens in max_steps.
@@ -721,13 +745,14 @@ def decode_periodic(dist: Distribution, x: Fraction, max_steps: int = 4096):
     stops at max_steps digits exactly. A true repeat is never missed:
     while the prime divides neither x's denominator nor any Q, equal
     remainders have equal residues. A false one is never returned: a
-    residue repeat is certified by encode(seq) == x, and encode is
-    injective on eventually periodic streams, so the first repeat that
-    passes is the first true one. The aperiodicity witness is tested on
-    each batch's end remainder, since its primes never leave, and the one
-    batch that brings it is walked again for its step. So the result is
-    the exact walk's; a failed certification, or the prime dividing x's
-    denominator or some Q, hands the point to the exact walk.
+    residue repeat (j, k) is returned only when the exact remainders after
+    j and k digits, rebuilt from the batches' kept remainders, are equal,
+    so the first repeat that passes is the first true one. The
+    aperiodicity witness is tested on each batch's end remainder, since
+    its primes never leave, and the one batch that brings it is walked
+    again for its step. So the result is the exact walk's; a failed
+    certification, or the prime dividing x's denominator or some Q, hands
+    the point to the exact walk.
 
     The exact walk, which takes shorter points from the start, makes one
     `dist._branch(n, d)` per step, which gives the digit c and its triple
@@ -802,22 +827,31 @@ def _batched_walk(dist: Distribution, x: Fraction, max_steps: int, w: int):
     The digits come from `decode`'s certified batches (`_leading_digits`)
     while the remainder is longer than _BATCH_BITS bits, and from `shift`
     otherwise. Each remainder r_k is kept only as its fingerprint r_k mod
-    _PRINT_MOD, updated per digit as r <- (r*L - P) * Q^-1 with each digit
-    value's constants cached. x's denominator and every Q are prime to the
-    modulus, else the walk returns None, so equal remainders have equal
+    _PRINT_MOD, updated per digit as r <- (r*L - P) * Q^-1; each digit
+    value's constants are built once, before the batch that first holds
+    it is stepped. x's denominator and every Q are prime to the modulus,
+    else the walk returns None, so equal remainders have equal
     fingerprints: the first fingerprint repeat (j, k) comes no later than
-    the first true one. The repeat is certified by encode(seq) == x, and a
-    failed certification returns None.
+    the first true one.
+
+    No false repeat is returned: each batch's first position and exact
+    remainder are kept, and the repeat is returned only when the exact
+    remainders r_j and r_k that `_walk_repeat` rebuilds from them are
+    equal. That is the exact walk's own repeat test, so a passing hit is
+    its first repeat (mu, mu + lambda), and the stream is already
+    canonical; a failed test returns None.
 
     A prime of W never leaves a denominator, so the aperiodicity witness
     is tested on each batch's end remainder; when it is there, the batch
     is walked again with exact steps for the first remainder that holds it.
     """
     mod = _PRINT_MOD
-    # the step r -> (r*a - b) % mod of each digit, with a = L/Q and b = P/Q
-    steps = {}
+    # digit c's triple (P, Q, L), and its step r -> (r*a - b) % mod with a = L/Q and b = P/Q
+    branches, steps = {}, {}
     fp = x.numerator * pow(x.denominator, -1, mod) % mod
     prints = {fp: 0}
+    # starts[i] is the position where batch i begins, and rests[i] x's remainder there
+    starts, rests = [], []
     digits = []
     cur = x
     while len(digits) < max_steps:
@@ -831,28 +865,46 @@ def _batched_walk(dist: Distribution, x: Fraction, max_steps: int, w: int):
             word = (c,)
         if math.gcd(rest.denominator, w) > 1:
             return _first_witness(dist, cur, word, digits, w)
-        k = len(digits)
-        digits += word
-        for c in word:
-            step = steps.get(c)
-            if step is None:
-                p, q, l = dist.affine(c)
+        for c in dict.fromkeys(word):
+            if c not in steps:
+                p, q, l = branches[c] = dist.affine(c)
                 if not q % mod:
                     return None
                 inv = pow(q, -1, mod)
-                step = steps[c] = (l * inv % mod, p * inv % mod)
-            fp = (fp * step[0] - step[1]) % mod
+                steps[c] = (l * inv % mod, p * inv % mod)
+        k = len(digits)
+        starts.append(k)
+        rests.append(cur)
+        digits += word
+        for a, b in map(steps.__getitem__, word):
+            fp = (fp * a - b) % mod
             k += 1
             j = prints.setdefault(fp, k)
             if j < k:
-                seq = DigitSeq(tuple(digits[:j]), tuple(digits[j:k]))
-                try:
-                    return seq if encode(dist, seq) == x else None
-                except ResourceLimitError:
-                    # a false repeat's word over the budget: the exact walk decides
-                    return None
+                return _walk_repeat(branches, digits, starts, rests, j, k)
         cur = rest
     return NotDetected(tuple(digits))
+
+
+def _walk_repeat(branches, digits: list, starts: list, rests: list, j: int, k: int):
+    """The stream with preperiod digits[:j] and period digits[j:k] if r_j == r_k, else None.
+
+    r_i, x's remainder after digits[:i], is rebuilt from the last batch
+    start s <= i: `_remainder` of the remainder kept at s, under the map
+    of digits[s:i], at most one batch's digits. It returns a remainder
+    only when the one at s lies in those digits' cylinder, so it is r_i
+    exactly, whatever the fingerprints did.
+    """
+    found = []
+    for i in (j, k):
+        b = bisect_right(starts, i) - 1
+        y = rests[b]
+        found.append(_remainder(y.numerator, y.denominator,
+                                *_product(branches, digits[starts[b]:i])))
+    r_j, r_k = found
+    if r_j is None or r_j != r_k:
+        return None
+    return DigitSeq(tuple(digits[:j]), tuple(digits[j:k]))
 
 
 def _first_witness(dist: Distribution, x: Fraction, word, digits: list, w: int):

@@ -12,6 +12,8 @@ and continued-fraction digits of rationals.
 The sums run on integers. Over digits d_1..d_n with digit sum s_n, the
 accumulator m = (m << d) + sign gives the partial sum as exactly
 2m / 2^(s_n), and a period closes in one division (see alt_series_exact).
+A long list builds the same m from two bit strings, in time linear in
+s_n (see _finite_sum).
 Only results are built as Fractions, so each value costs one gcd.
 
 A digit sum is a bit count: the result's denominator has about that many
@@ -31,6 +33,11 @@ from .fmt import int_text
 # 2^24 bits (2 MB) per power of two: well above the digit sum of a
 # 500 001-digit dyadic period (about 10^6), and a bounded allocation
 MAX_DIGIT_SUM = 1 << 24
+# _finite_sum's per-digit loop beats its two linear string passes up to
+# about 512 digits of 1-3 and 256 digits of 1-70 (Python 3.11.7, 2-CPU
+# x86-64 host): 89 against 92 us at 512 digits of 1-3, 237 against 173 us
+# at 1 024, 765 against 341 us at 2 048
+_LOOP_SUM_DIGITS = 512
 
 
 class AltSeriesValue(NamedTuple):
@@ -68,18 +75,38 @@ def _finite_sum(digits) -> tuple:
     Returns (m, s_n, sign): the partial sum is 2m / 2^(s_n), s_n is the
     digit sum and sign the sign (-1)^n carried by the next term after the
     list. Raises ResourceLimitError when the digit sum exceeds
-    MAX_DIGIT_SUM.
+    MAX_DIGIT_SUM, and DomainError for a digit below 1, before any sum.
+
+    Term k adds (-1)^(k-1) * 2^(s_n - s_k) to m. Up to _LOOP_SUM_DIGITS
+    digits the accumulator m = (m << d) + sign runs as it is; it copies m
+    once per digit, so it is quadratic in the digit sum. A longer list is
+    summed as m = P - N, where P has a one bit at the end of each
+    odd-numbered term's block of d_k bits and N at the end of each
+    even-numbered one. Each is written as a string of s_n binary digits
+    by one join and read by int(., 2), and both are linear in s_n.
     """
     s = sum(digits)
     check_digit_sum(s)
     if digits and min(digits) < 1:
         raise DomainError(f"digits must be >= 1, got {next(d for d in digits if d < 1)}")
-    m = 0
-    sign = 1
-    for d in digits:
-        m = (m << d) + sign
-        sign = -sign
-    return m, s, sign
+    n = len(digits)
+    if n <= _LOOP_SUM_DIGITS:
+        m = 0
+        sign = 1
+        for d in digits:
+            m = (m << d) + sign
+            sign = -sign
+        return m, s, sign
+    pad = {d: "0" * (d - 1) for d in set(digits)}
+    one = {d: z + "1" for d, z in pad.items()}
+    nil = {d: z + "0" for d, z in pad.items()}
+    odd, even = digits[0::2], digits[1::2]
+    pos, neg = [None] * n, [None] * n
+    pos[0::2] = map(one.__getitem__, odd)
+    pos[1::2] = map(nil.__getitem__, even)
+    neg[0::2] = map(nil.__getitem__, odd)
+    neg[1::2] = map(one.__getitem__, even)
+    return int("".join(pos), 2) - int("".join(neg), 2), s, -1 if n & 1 else 1
 
 
 def alt_series_exact(stream) -> Fraction:

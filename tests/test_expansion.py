@@ -92,6 +92,32 @@ def test_canonical_form_matches_reference():
             _check_canonical(full + (9,), per)
 
 
+def test_canonical_form_of_repeated_words():
+    # the primitive root is found by one bytes search for digits below 256
+    # and by the divisor loop otherwise; long repeated words, rotated, with
+    # absorbable preperiods, and roots that are almost periodic themselves
+    rng = random.Random(256)
+    alphabets = ((1, 2), (1, 2, 3), (255, 256), (1, 256, 2), (1, 300, 1 << 70))
+    for _ in range(600):
+        digits = rng.choice(alphabets)
+        root = tuple(rng.choice(digits) for _ in range(rng.randint(1, 40)))
+        if rng.random() < 0.3:
+            # a root that repeats itself but for its last digit
+            root = root[:3] * 5 + (rng.choice(digits),)
+        per = root * rng.randint(1, 30)
+        r = rng.randrange(len(per))
+        per = per[r:] + per[:r]
+        pre = tuple(rng.choice(digits) for _ in range(rng.randint(0, 3)))
+        pre += per[rng.randint(0, len(per)):] + per * rng.randint(0, 2)
+        _check_canonical(pre, per)
+        _check_canonical((), per)
+    # a repeated word over 2 000 digits, whose last copy has one changed digit
+    for top in (3, 1000):
+        root = tuple(rng.randint(1, top) for _ in range(50))
+        _check_canonical((), root * 40)
+        _check_canonical((), root * 39 + root[:-1] + (root[-1] % top + 1,))
+
+
 def test_canonical_form_is_linear():
     for pre, per in (((2,) * 200_000, (2,)), ((1, 2) * 100_000, (1, 2)),
                      ((5,) + (1, 2, 3) * 66_667, (1, 2, 3, 1, 2, 3))):

@@ -56,6 +56,7 @@ from oracles import (
     ref_family_branch_primes,
     ref_finite_sum,
     ref_geometric_branch,
+    ref_int_finite_sum,
     ref_mc_sample_int,
     ref_pmf,
     ref_prefix,
@@ -170,6 +171,14 @@ def test_series_matches_reference_on_adversarial_streams():
         [rng.randint(150, 200) for _ in range(60)],
     ):
         _check_series(stream)
+
+
+def test_finite_sum_on_a_long_seeded_list():
+    # far past the per-digit loop's length, the two bit strings give its integers
+    rng = random.Random(1 << 16)
+    for length in (1 << 16, (1 << 16) + 1):
+        digits = tuple(rng.randint(1, 3) for _ in range(length))
+        assert _finite_sum(digits) == ref_int_finite_sum(digits)
 
 
 def test_codec_matches_reference_on_random_streams():
@@ -655,18 +664,89 @@ def test_batched_walk_hands_hard_points_to_the_exact_walk():
     # a false repeat: fingerprints modulo a tiny prime collide within a few
     # digits, and its certification fails; Q(2) = 2 is a multiple of 2; and
     # 3 divides the denominator of x / 3, so the batched stage never starts
-    tiny = next(p for p in (5, 7, 11, 13) if x.denominator % p)
+    tiny = [p for p in (5, 7, 11, 13) if x.denominator % p]
     y = x / 3
-    cases = ((x, tiny, 1), (x, 2, 1), (y, 3, 0))
+    cases = [(x, p, 1) for p in tiny] + [(x, 2, 1), (y, 3, 0)]
+    repeats = []
+    walk_repeat = expansion._walk_repeat
+
+    def spy(branches, digits, starts, rests, j, k):
+        result = walk_repeat(branches, digits, starts, rests, j, k)
+        repeats.append((j, k, result))
+        return result
+
     for point, modulus, calls in cases:
+        repeats.clear()
         with mock.patch.object(expansion, "_PRINT_MOD", modulus), \
+                mock.patch.object(expansion, "_walk_repeat", spy), \
                 mock.patch.object(expansion, "_batched_walk",
                                   wraps=expansion._batched_walk) as batched:
             assert decode_periodic(g, point) == _exact_walk(g, point)
             assert batched.call_count == calls
             if calls:
                 assert expansion._batched_walk(g, point, 4096, w) is None
+        # every fingerprint repeat under a tiny prime is false, and the
+        # exact-remainder test refuses it
+        assert bool(repeats) == (modulus in tiny)
+        for j, k, result in repeats:
+            r_j = ref_decode(g, point, j)[1] if j else point
+            assert result is None and r_j != ref_decode(g, point, k)[1]
     assert decode_periodic(g, x) == seq
+
+
+def _is_prime(n):
+    """Miller-Rabin with the first 13 prime bases, exact for n below 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n in bases:
+        return True
+    if n < 2 or any(n % b == 0 for b in bases):
+        return False
+    d, r = n - 1, 0
+    while not d & 1:
+        d, r = d >> 1, r + 1
+    for b in bases:
+        y = pow(b, d, n)
+        if y in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_fingerprint_prime_divides_no_dyadic_period_factor():
+    # p = 2q + 1 with p and q prime; ord_p(2) divides 2q, and 2^2 and 2^q are
+    # not 1, so it is 2q: p divides 2^s - 1 only when 2q divides s
+    p = expansion._PRINT_MOD
+    q = (p - 1) // 2
+    assert p < 1 << 61 and _is_prime(p) and _is_prime(q)
+    assert pow(2, q, p) == p - 1 and pow(2, 2, p) != 1
+    assert 2 * q > series.MAX_DIGIT_SUM
+    # the test itself: a Mersenne prime, and a strong pseudoprime to bases 2, 3, 5 and 7
+    assert _is_prime((1 << 61) - 1) and not _is_prime(3215031751)
+
+
+def test_dyadic_period_with_digit_sum_a_multiple_of_61_takes_the_batched_walk():
+    # 2^61 - 1 divides 2^s - 1, and so the point's denominator, whenever 61
+    # divides the period's digit sum s; the fingerprint prime never does
+    rng = random.Random(61)
+    dyadic = Dyadic()
+    _, w = dyadic.branch_primes()
+    for length in (700, 2000):
+        per = [rng.randint(1, 3) for _ in range(length - 1)]
+        per.append(61 - sum(per) % 61)
+        seq = DigitSeq((3,), tuple(per))
+        x = encode(dyadic, seq)
+        assert sum(seq.period) % 61 == 0 and x.denominator % ((1 << 61) - 1) == 0
+        assert x.denominator.bit_length() > expansion._WALK_BATCH_BITS
+        with mock.patch.object(expansion, "_batched_walk",
+                               wraps=expansion._batched_walk) as batched:
+            assert decode_periodic(dyadic, x) == seq
+        assert batched.call_count == 1
+        assert expansion._batched_walk(dyadic, x, 4096, w) == seq == _exact_walk(dyadic, x)
 
 
 def test_batched_walk_in_the_band_below_2560_bits():

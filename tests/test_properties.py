@@ -474,6 +474,21 @@ def test_batched_walk_matches_exact_walk_on_long_periods(dist, seed, length, pre
         assert ref_decode_periodic(dist, x, 4100) == seq
 
 
+@settings(DETERMINISTIC, max_examples=8)
+@given(st.integers(min_value=0, max_value=1 << 32),
+       st.integers(min_value=300, max_value=3000), st.integers(min_value=0, max_value=8))
+@example(0, 3000, 8)
+def test_batched_walk_certifies_true_repeats(seed, length, pre):
+    # called on its own under every family, the batched walk returns the exact
+    # walk's stream and never hands a true repeat over: the exact-remainder test passes it
+    seq = DigitSeq(_seeded_digits(seed + 1, pre, 3), _seeded_digits(seed, length, 3))
+    for dist in FAMILIES:
+        x = encode(dist, seq)
+        _, w = dist.branch_primes()
+        found = expansion._batched_walk(dist, x, 4100, w)
+        assert found == _walk(dist, x, 4100, EXACT_STAGE) == seq, dist
+
+
 @st.composite
 def aperiodic_tails(draw, dist):
     """The map of a long random word applied to a point with no period.
@@ -623,6 +638,24 @@ def test_digit_checks_match_per_digit_loops(pre, per):
         assert isinstance(got, DigitSeq)
     else:
         assert got == expected
+
+
+@settings(DETERMINISTIC, max_examples=60)
+@given(st.integers(min_value=0, max_value=5000), st.integers(min_value=1, max_value=70),
+       DRAWS, st.sampled_from((None, 0, -3)))
+@example(series._LOOP_SUM_DIGITS, 3, 0, None)
+@example(series._LOOP_SUM_DIGITS + 1, 3, 0, None)
+@example(series._LOOP_SUM_DIGITS + 2, 1, 0, None)
+@example(5000, 70, 1, 0)
+def test_finite_sum_matches_per_digit_loop(length, top, seed, bad):
+    # the per-digit loop and the two linear bit strings, on either side of
+    # their crossover, with the loop's sum, sign and errors
+    rng = random.Random(seed)
+    digits = [rng.randint(1, top) for _ in range(length)]
+    if bad is not None and digits:
+        digits[rng.randrange(length)] = bad
+    digits = tuple(digits)
+    assert _outcome(series._finite_sum, digits) == _outcome(ref_int_finite_sum, digits)
 
 
 # bit lengths about 4 000 decimal digits (13 288 bits), where parse_ints
