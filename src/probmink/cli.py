@@ -85,11 +85,12 @@ def _json_text(value, pad: str = "\n") -> str:
     return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + pad + "]"
 
 
-def _emit(args, payload: dict, plain_lines: list) -> None:
+def _emit(args, payload, plain_lines) -> None:
+    """Print payload() as JSON or the lines of plain_lines(): only the printed format is built."""
     if args.format == "json":
-        print(_json_text(payload))
+        print(_json_text(payload()))
     else:
-        for line in plain_lines:
+        for line in plain_lines():
             print(line)
 
 
@@ -100,7 +101,7 @@ def _rational_payload(value: Fraction, precision: int) -> dict:
 def _emit_value(args, value: Fraction, precision: int) -> None:
     """Print one value, rendering its rational and decimal texts once for either format."""
     texts = _rational_payload(value, precision)
-    _emit(args, {"value": texts}, [texts["rational"], texts["decimal"]])
+    _emit(args, lambda: {"value": texts}, lambda: [texts["rational"], texts["decimal"]])
 
 
 def cmd_eval(args) -> int:
@@ -116,7 +117,7 @@ def cmd_eval(args) -> int:
         # each bound's texts are rendered once: past 2^17 digits rendering is the largest stage
         lower = _rational_payload(enclosure.lower, precision)
         upper = _rational_payload(enclosure.upper, precision)
-        _emit(args, {"lower": lower, "upper": upper, "exact": enclosure.exact}, [
+        _emit(args, lambda: {"lower": lower, "upper": upper, "exact": enclosure.exact}, lambda: [
             f"lower {lower['rational']}",
             f"upper {upper['rational']}",
             f"lower_decimal {lower['decimal']}",
@@ -148,14 +149,13 @@ def cmd_decode(args) -> int:
             raise DomainError(
                 f"no digit period detected for {rational_text(x)} within {args.max_steps} steps"
             )
-        _emit(args, {"digits": str(seq)}, [str(seq)])
+        _emit(args, lambda: {"digits": str(seq)}, lambda: [str(seq)])
         return 0
     digits, remainder = decode(dist, x, args.depth)
-    payload = {
+    _emit(args, lambda: {
         "digits": list(digits),
         "remainder": _rational_payload(remainder, precision),
-    }
-    _emit(args, payload, [
+    }, lambda: [
         "digits " + ",".join(str(d) for d in digits),
         f"remainder {rational_text(remainder)}",
     ])
@@ -174,23 +174,21 @@ def cmd_integral(args) -> int:
     dist = parse_distribution(args.dist)
     if args.method == "closed":
         forms = integral_closed(dist)
-        payload = {
+        _emit(args, lambda: {
             "closed_form_alpha": _rational_payload(forms.alpha_form, precision),
             "closed_form_gamma": _rational_payload(forms.gamma_form, precision),
-        }
-        _emit(args, payload, [
+        }, lambda: [
             f"closed_form_alpha {rational_text(forms.alpha_form)}",
             f"closed_form_gamma {rational_text(forms.gamma_form)}",
         ])
         return 0
     if args.method == "quad":
         quad = integral_quadrature(dist, args.depth, args.cap)
-        payload = {
+        _emit(args, lambda: {
             "lower": _rational_payload(quad.lower, precision),
             "upper": _rational_payload(quad.upper, precision),
             "width": _rational_payload(quad.width, precision),
-        }
-        _emit(args, payload, [
+        }, lambda: [
             f"lower {rational_text(quad.lower)}",
             f"upper {rational_text(quad.upper)}",
             f"width_decimal {render_decimal(quad.width, precision)}",
@@ -199,9 +197,8 @@ def cmd_integral(args) -> int:
     if args.method == "mc":
         mc = integral_mc(dist, args.samples, args.seed)
         mean = _rational_payload(mc.mean, precision)
-        payload = {"mean": mean, "stderr": f"{mc.stderr:.3e}", "samples": mc.samples,
-                   "seed": mc.seed}
-        _emit(args, payload, [
+        _emit(args, lambda: {"mean": mean, "stderr": f"{mc.stderr:.3e}", "samples": mc.samples,
+                             "seed": mc.seed}, lambda: [
             f"mean {mean['rational']}",
             f"mean_decimal {mean['decimal']}",
             f"stderr {mc.stderr:.3e}",
@@ -210,8 +207,7 @@ def cmd_integral(args) -> int:
     report = integral_report(
         dist, depth=args.depth, cap=args.cap, samples=args.samples, seed=args.seed
     )
-    payload = report.to_json_dict(precision)
-    plain = [
+    _emit(args, lambda: report.to_json_dict(precision), lambda: [
         f"alpha {rational_text(report.alpha)}",
         f"gamma {rational_text(report.gamma)}",
         f"closed_form_alpha {rational_text(report.closed_form_alpha)}",
@@ -222,8 +218,7 @@ def cmd_integral(args) -> int:
         f"mc_mean_decimal {render_decimal(report.mc.mean, precision)}",
         f"mc_stderr {report.mc.stderr:.3e}",
         f"verdict {report.verdict}",
-    ]
-    _emit(args, payload, plain)
+    ])
     return 0
 
 

@@ -100,45 +100,27 @@ on others.
 
 The exact walk keeps every remainder since the last clear, and each of its
 steps costs as much as the remainder, so a long period costs time
-quadratic in its length and memory to match. A point whose denominator has
-more than _WALK_BATCH_BITS bits is walked in batches instead, which win
-over the exact walk once the remainders stay longer than _BATCH_BITS
-bits: its digits come from `decode`'s certified batches, each reading
-the short point through the word table, and each remainder r_k is kept
-only as its fingerprint, its residue modulo the 61-bit safe prime
-p = _PRINT_MOD (Karp and Rabin's fingerprints). A digit with triple
-(P, Q, L) updates it as r <- (r*L - P) * Q^-1 mod p. Since ord_p(2) is
-far above the digit budget (see _PRINT_MOD), p divides no factor 2^s - 1
-of a dyadic period's point.
-
-No true repeat is missed. When p divides neither x's denominator nor any
-Q, it divides no remainder's denominator, since each divides the previous
-one times Q; then every remainder has a residue, and equal rationals have
-equal residues. So the first fingerprint repeat (j, k) comes no later than
-the exact walk's first repeat.
-
-No false repeat is returned. The walk keeps each batch's first position
-and x's exact remainder there, one rational per batch. A hit (j, k)
-rebuilds r_j and r_k, each from the last batch start s at or before its
-position, by `_remainder` under the composed map of the digits from s to
-it, at most one batch's. `_remainder` tests that the remainder at s lies
-in those digits' cylinder, so what it returns is T^j x, or T^k x,
-exactly. The hit is returned only when r_j == r_k, the exact walk's own
-repeat test. Let (mu, mu + lambda) be the exact walk's first repeat:
-r_0, ..., r_(mu+lambda-1) are distinct. A hit with k < mu + lambda
-fails the test. At k = mu + lambda, j is the first position with r_k's
-fingerprint, and the test passes only if j = mu. So a passing hit is
-(mu, mu + lambda): its period is primitive and its preperiod absorbs no
-digit, the exact walk's stream. A failed test, p dividing x's
-denominator, or p dividing some Q hands the point to the exact walk.
-
-The witness is tested on each batch's end remainder: a prime of W never
-leaves a denominator, so the end remainder holds one exactly when some
-remainder of the batch does, and that one batch is walked again with
-exact steps to find the first. A digit over the budget reaches x's own
-`shift`, as in `decode`, and the walk stops at max_steps digits. So the
-batched walk's DigitSeq, Aperiodic, NotDetected and every error are the
-exact walk's, bit for bit.
+quadratic in its length. A point whose denominator has more than
+_WALK_BATCH_BITS bits is walked on `decode`'s certified steps instead, its
+batches and its table-word runs, keeping x's exact remainder at the start
+of each and every remainder r_k only as its residue modulo the prime
+p = _PRINT_MOD (Karp and Rabin's fingerprints), updated per digit as
+r <- (r*L - P) * Q^-1 mod p. When p divides neither x's denominator nor
+any Q, it divides no remainder's denominator, so equal remainders have
+equal residues. A residue hit at k rebuilds r_k from the last kept
+remainder, exactly, since `_remainder`'s cylinder test passes only on x's
+own remainder, and compares it with each earlier remainder of that
+residue, oldest first; a refused hit walks on. Let (mu, mu + lambda) be
+the exact walk's first repeat: r_0, ..., r_(mu+lambda-1) are distinct, so
+no hit passes before k = mu + lambda, and there only r_mu does. The
+stream is the exact walk's, and canonical as it stands: a shorter period
+or an absorbable preperiod digit would repeat a remainder sooner. A prime
+of W never leaves a denominator, so the witness is tested on each batch's
+end remainder and the batch that brings it is walked again exactly. A
+digit over the budget reaches x's own `shift`, a preperiod or period over
+it raises as the exact walk's encode check does, and the walk stops at
+max_steps digits, so every result and error is the exact walk's; p
+dividing x's denominator or some Q hands the point to the exact walk.
 """
 
 import functools
@@ -217,16 +199,21 @@ class DigitSeq(_Frozen):
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
 
+    @classmethod
+    def _canonical(cls, preperiod: tuple, period: tuple) -> "DigitSeq":
+        """The DigitSeq of tuples of ints already in canonical form, with no scan."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "preperiod", preperiod)
+        object.__setattr__(seq, "period", period)
+        return seq
+
     def digits(self, n: int) -> tuple:
         """The first n digits of the stream."""
         if n < 0:
             raise DomainError(f"digit count must be >= 0, got {n}")
-        out = list(self.preperiod[:n])
-        k = 0
-        while len(out) < n:
-            out.append(self.period[k % len(self.period)])
-            k += 1
-        return tuple(out)
+        pre, per = self.preperiod, self.period
+        # enough whole periods to pass n, none when the preperiod covers it
+        return (pre + per * -((len(pre) - n) // len(per)))[:n]
 
     def shifted(self, n: int = 1) -> "DigitSeq":
         """The stream with its first n digits dropped."""
@@ -326,20 +313,19 @@ _PLAIN_RUN = 64
 _FOLD_DIGITS = 64
 # decode_periodic walks in batches when x's denominator has more than
 # _WALK_BATCH_BITS bits, keeping each remainder's fingerprint modulo the
-# prime _PRINT_MOD. Timed in-process against the exact walk on
-# random periods (Python 3.11.7, 2-CPU x86-64 host), the batched walk wins
-# from about 1 100-1 250 bits under dyadic and 1 050-1 100 under
-# geometric:1/3 and custom:1/3,1/4;1/2; below _BATCH_BITS it would step
-# one `shift` per digit and lose by 1.6-2.9x. 1 280 serves all three.
-_WALK_BATCH_BITS = 1280
-# _PRINT_MOD is a safe prime p = 2q + 1 below 2^61, with q prime. The
-# lemma: ord_p(2) = 2q. It divides p - 1 = 2q and is not 1 or 2; and
-# p = 3 mod 8 makes 2 a non-residue, so 2^q = -1 mod p by Euler's
-# criterion. So p divides 2^s - 1 only when 2q divides s, and 2q is far
-# above series.MAX_DIGIT_SUM: the factor 2^s - 1 that a dyadic period of
-# digit sum s puts in its point's denominator never holds p, where the
-# Mersenne prime 2^61 - 1 divides it whenever 61 divides s
-_PRINT_MOD = 2305843009213691579
+# prime _PRINT_MOD. Timed in-process against the exact walk on random
+# periods (Python 3.11.7, 2-CPU x86-64 host), it wins from about 60-100
+# bits under dyadic, geometric:1/3 and custom:1/3,1/4;1/2 (0.6-0.7x at
+# 250-450 bits). Points up to 320 bits, such as 125-digit dyadic periods
+# (240-280 bits), keep the exact walk and its encode check, the only
+# `encode` call that bench/spans.py can require on exact_eval
+_WALK_BATCH_BITS = 320
+# _PRINT_MOD is a safe prime p = 2q + 1 below 2^30, with q prime, so a
+# fingerprint step stays on CPython's one-digit ints. ord_p(2) = 2q: it
+# divides p - 1 = 2q and is not 1 or 2, and p = 3 mod 8 makes 2^q = -1
+# mod p by Euler's criterion. 2q is above series.MAX_DIGIT_SUM, so p
+# divides no factor 2^s - 1 of a dyadic period's point
+_PRINT_MOD = 1073739179
 # decode's plain loop, its batches' short points and the geometric Monte
 # Carlo walk read up to _TABLE_DIGITS digits per lookup, from a table of the
 # words of up to that length whose cylinders have measure at least
@@ -453,27 +439,17 @@ def decode(dist: Distribution, x: Fraction, n: int) -> tuple:
     A remainder with a denominator of more than _BATCH_BITS bits gives its
     digits in certified batches (`_leading_digits`, and the module
     docstring), whose short point is read from the same word table. A
-    shorter one, and a long one after a batch that certifies
-    nothing, reads up to _TABLE_DIGITS digits at a time from dist's word
-    table (`_word_table`): a lookup names the longest word in the table
-    that the remainder's digits can start with, and the cylinder test
-    certifies it. Certified words step the unreduced pair (num, den), with
-    one gcd before each `shift` and one at the end of each run, so the
-    length check and `shift` see the reduced remainder. One `shift` takes
-    the next digit after a lookup that fails the test, for the last fewer
-    than _TABLE_DIGITS digits, and for each digit of a word that would take
-    the digit sum past the budget, so the error names the sum the plain
-    loop reaches. All give the digits and the remainder of one `shift` per
-    digit, bit for bit.
+    shorter one, and a long one after a batch that certifies nothing, is
+    read in runs of up to _PLAIN_RUN digits (one digit after such a batch)
+    by `_short_digits`, on the digit sum left in the budget, so the error
+    names the sum the plain loop reaches. All give the digits and the
+    remainder of one `shift` per digit, bit for bit.
     """
     _check_unit_interval(x)
     if n < 1:
         raise DomainError(f"digit count must be >= 1, got {n}")
     series.check_digit_sum(n)
     budget = series.MAX_DIGIT_SUM
-    # table lookups run while at least _TABLE_DIGITS digits are left
-    scale, lefts, rows = _word_table(dist) or (1, (), ())
-    last = n - _TABLE_DIGITS if rows else -1
     digits = []
     total = 0
     cur = x
@@ -489,27 +465,49 @@ def decode(dist: Distribution, x: Fraction, n: int) -> tuple:
                 continue
             # the next digit is past the short point's reach: one lookup or plain step
             run = 1
-        stop = min(n, len(digits) + run)
-        # the remainder num/den, left unreduced across table words; cur is None until reduced
-        num, den = cur.numerator, cur.denominator
-        while len(digits) < stop:
-            if len(digits) <= last:
-                a, b, d, word, word_sum, _ = rows[bisect_right(lefts, num * scale // den) - 1]
-                m, db = num * d - a * den, den * b
-                # a word past the budget is stepped digit by digit, to the digit that passes
-                if 0 <= m < db and total + word_sum <= budget:
-                    digits += word
-                    total += word_sum
-                    num, den, cur = m, db, None
-                    continue
-            c, cur = shift(dist, Fraction(num, den) if cur is None else cur)
-            num, den = cur.numerator, cur.denominator
-            digits.append(c)
-            total += c
-            if total > budget:
-                series.check_digit_sum(total)
-        cur = Fraction(num, den) if cur is None else cur
+        cur, room = _short_digits(dist, cur, digits, min(n, len(digits) + run), n, budget - total)
+        total = budget - room
+        if total > budget:
+            series.check_digit_sum(total)
     return digits, cur
+
+
+def _short_digits(dist: Distribution, x: Fraction, word: list, run: int, count: int, room: int):
+    """(y, room): appends x's digits to `word` until it holds `run`, or a few more up to `count`.
+
+    y is the remainder after them, and room what is left of `room` after
+    their digit sum. A lookup in dist's word table (`_word_table`) names
+    the longest word in the table that x's digits can start with, and the
+    cylinder test certifies it. Certified words step the unreduced pair
+    (num, den) while `word` has room for _TABLE_DIGITS more below `count`,
+    with one gcd before each `shift` and one at the end, so `shift` and the
+    caller see reduced remainders. One `shift` takes the next digit after a
+    failed test, for the last digits, and for a word whose digit sum would
+    pass `room`; the digits end after a shift whose digit takes their sum
+    past `room`. `decode` passes the budget left, and the periodicity walk
+    series.MAX_DIGIT_SUM, so that only `shift` refuses a digit there, as
+    in the exact walk.
+    """
+    scale, lefts, rows = _word_table(dist) or (1, (), ())
+    last = count - _TABLE_DIGITS if rows else -1
+    # the remainder num/den, left unreduced across table words; cur is None until reduced
+    num, den, cur = x.numerator, x.denominator, x
+    while len(word) < run:
+        if len(word) <= last:
+            a, b, d, step, step_sum, _ = rows[bisect_right(lefts, num * scale // den) - 1]
+            m, db = num * d - a * den, den * b
+            if 0 <= m < db and step_sum <= room:
+                word += step
+                room -= step_sum
+                num, den, cur = m, db, None
+                continue
+        c, cur = shift(dist, Fraction(num, den) if cur is None else cur)
+        num, den = cur.numerator, cur.denominator
+        word.append(c)
+        room -= c
+        if room < 0:
+            break
+    return Fraction(num, den) if cur is None else cur, room
 
 
 def _leading_digits(dist: Distribution, x: Fraction, count: int, room: int):
@@ -738,21 +736,12 @@ def decode_periodic(dist: Distribution, x: Fraction, max_steps: int = 4096):
     found when neither happens in max_steps.
 
     A point whose denominator has more than _WALK_BATCH_BITS bits is walked
-    in batches (`_batched_walk`), which keep each remainder only as its
-    residue modulo the prime _PRINT_MOD. The digits come from `decode`'s
-    certified batches, which read the short point up to _TABLE_DIGITS
-    digits per table lookup and never past the steps left, so the walk
-    stops at max_steps digits exactly. A true repeat is never missed:
-    while the prime divides neither x's denominator nor any Q, equal
-    remainders have equal residues. A false one is never returned: a
-    residue repeat (j, k) is returned only when the exact remainders after
-    j and k digits, rebuilt from the batches' kept remainders, are equal,
-    so the first repeat that passes is the first true one. The
-    aperiodicity witness is tested on each batch's end remainder, since
-    its primes never leave, and the one batch that brings it is walked
-    again for its step. So the result is the exact walk's; a failed
-    certification, or the prime dividing x's denominator or some Q, hands
-    the point to the exact walk.
+    on `decode`'s certified steps (`_batched_walk`), keeping each remainder
+    only as its residue modulo the prime _PRINT_MOD; a residue hit is
+    returned only when the exact remainders it pairs, rebuilt from kept
+    ones, are equal, and a refused hit walks on. So the result is the exact
+    walk's; the prime dividing x's denominator or some Q hands the point to
+    the exact walk.
 
     The exact walk, which takes shorter points from the start, makes one
     `dist._branch(n, d)` per step, which gives the digit c and its triple
@@ -825,21 +814,16 @@ def _batched_walk(dist: Distribution, x: Fraction, max_steps: int, w: int):
     """decode_periodic's result for x, walked in batches; None hands x to the exact walk.
 
     The digits come from `decode`'s certified batches (`_leading_digits`)
-    while the remainder is longer than _BATCH_BITS bits, and from `shift`
-    otherwise. Each remainder r_k is kept only as its fingerprint r_k mod
-    _PRINT_MOD, updated per digit as r <- (r*L - P) * Q^-1; each digit
-    value's constants are built once, before the batch that first holds
-    it is stepped. x's denominator and every Q are prime to the modulus,
-    else the walk returns None, so equal remainders have equal
-    fingerprints: the first fingerprint repeat (j, k) comes no later than
-    the first true one.
-
-    No false repeat is returned: each batch's first position and exact
-    remainder are kept, and the repeat is returned only when the exact
-    remainders r_j and r_k that `_walk_repeat` rebuilds from them are
-    equal. That is the exact walk's own repeat test, so a passing hit is
-    its first repeat (mu, mu + lambda), and the stream is already
-    canonical; a failed test returns None.
+    while the remainder is longer than _BATCH_BITS bits, and from its
+    table-word runs (`_short_digits`) otherwise. Each remainder r_k is kept
+    only as its fingerprint r_k mod _PRINT_MOD, updated per digit as
+    r <- (r*L - P) * Q^-1; x's denominator and every Q are prime to the
+    modulus, else the walk returns None, so equal remainders have equal
+    fingerprints. Each batch's first position and exact remainder are
+    kept, and a fingerprint hit at k is tested by `_walk_repeat` against
+    every earlier position with that fingerprint, oldest first; a refused
+    hit walks on. So the first certified repeat is the exact walk's first
+    repeat (see the module docstring).
 
     A prime of W never leaves a denominator, so the aperiodicity witness
     is tested on each batch's end remainder; when it is there, the batch
@@ -849,20 +833,29 @@ def _batched_walk(dist: Distribution, x: Fraction, max_steps: int, w: int):
     # digit c's triple (P, Q, L), and its step r -> (r*a - b) % mod with a = L/Q and b = P/Q
     branches, steps = {}, {}
     fp = x.numerator * pow(x.denominator, -1, mod) % mod
-    prints = {fp: 0}
+    # each fingerprint's first position; after a hit, every position with it and its remainder
+    prints, hits = {fp: 0}, {}
     # starts[i] is the position where batch i begins, and rests[i] x's remainder there
     starts, rests = [], []
     digits = []
     cur = x
+    limit = series.MAX_DIGIT_SUM
     while len(digits) < max_steps:
         count = max_steps - len(digits)
-        word = None
+        word, run = None, _PLAIN_RUN
         if cur.denominator.bit_length() > _BATCH_BITS:
             # no digit sum is held to a budget here, as in the exact walk
-            word, rest = _leading_digits(dist, cur, count, count * series.MAX_DIGIT_SUM)
+            word, rest = _leading_digits(dist, cur, count, count * limit)
+            run = 1
         if not word:
-            c, rest = shift(dist, cur)
-            word = (c,)
+            try:
+                word = []
+                rest, _ = _short_digits(dist, cur, word, min(run, count), count, limit)
+            except ResourceLimitError:
+                # up to a digit over the budget one step at a time, so that a
+                # witness before it ends the walk first, as in the exact walk
+                word = []
+                rest, _ = _short_digits(dist, cur, word, 1, count, limit)
         if math.gcd(rest.denominator, w) > 1:
             return _first_witness(dist, cur, word, digits, w)
         for c in dict.fromkeys(word):
@@ -881,30 +874,37 @@ def _batched_walk(dist: Distribution, x: Fraction, max_steps: int, w: int):
             k += 1
             j = prints.setdefault(fp, k)
             if j < k:
-                return _walk_repeat(branches, digits, starts, rests, j, k)
+                held = hits.setdefault(fp, [])
+                if not held:
+                    _walk_repeat(branches, digits, starts, rests, held, j)
+                seq = _walk_repeat(branches, digits, starts, rests, held, k)
+                if seq is not None:
+                    return seq
         cur = rest
     return NotDetected(tuple(digits))
 
 
-def _walk_repeat(branches, digits: list, starts: list, rests: list, j: int, k: int):
-    """The stream with preperiod digits[:j] and period digits[j:k] if r_j == r_k, else None.
+def _walk_repeat(branches, digits: list, starts: list, rests: list, held: list, k: int):
+    """The stream with period digits[i:k] for the first (i, r_i) in held with r_i == r_k.
 
-    r_i, x's remainder after digits[:i], is rebuilt from the last batch
-    start s <= i: `_remainder` of the remainder kept at s, under the map
-    of digits[s:i], at most one batch's digits. It returns a remainder
-    only when the one at s lies in those digits' cylinder, so it is r_i
-    exactly, whatever the fingerprints did.
+    r_k, x's remainder after digits[:k], is rebuilt from the last batch
+    start s <= k: `_remainder` of the remainder kept at s, under the map of
+    digits[s:k], at most one batch's digits, which are that remainder's own.
+    When no r_i equals it, (k, r_k) joins held and the result is None.
     """
-    found = []
-    for i in (j, k):
-        b = bisect_right(starts, i) - 1
-        y = rests[b]
-        found.append(_remainder(y.numerator, y.denominator,
-                                *_product(branches, digits[starts[b]:i])))
-    r_j, r_k = found
-    if r_j is None or r_j != r_k:
-        return None
-    return DigitSeq(tuple(digits[:j]), tuple(digits[j:k]))
+    b = bisect_right(starts, k) - 1
+    y = rests[b]
+    r_k = _remainder(y.numerator, y.denominator, *_product(branches, digits[starts[b]:k]))
+    for i, r_i in held:
+        if r_i == r_k:
+            # r_0, ..., r_(k-1) are distinct, so the stream is already canonical
+            pre, per = tuple(digits[:i]), tuple(digits[i:k])
+            # as the exact walk's encode check, which composes both words, refuses them
+            series.check_digit_sum(sum(pre))
+            series.check_digit_sum(sum(per))
+            return DigitSeq._canonical(pre, per)
+    held.append((k, r_k))
+    return None
 
 
 def _first_witness(dist: Distribution, x: Fraction, word, digits: list, w: int):

@@ -512,6 +512,16 @@ def ref_digit_seq(preperiod, period):
     return pre, per
 
 
+def ref_digits(seq, n):
+    """The first n digits of a DigitSeq, one digit appended per step."""
+    out = list(seq.preperiod[:n])
+    k = 0
+    while len(out) < n:
+        out.append(seq.period[k % len(seq.period)])
+        k += 1
+    return tuple(out)
+
+
 def ref_render_decimal(value, precision=30):
     """Round-half-even fixed point by Fraction sign and magnitude; `…` marks inexact."""
     sign = "-" if value < 0 else ""

@@ -1,10 +1,14 @@
+import ast
 import csv
+import inspect
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import textwrap
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +21,7 @@ from probmink import (
     alt_series_periodic_closed_form,
     cli,
     graph_points,
+    integral,
     integral_closed,
     parse_distribution,
 )
@@ -488,3 +493,101 @@ def test_broken_pipe_exits_quietly(argv):
     proc.stderr.close()
     assert code == cli.EXIT_BROKEN_PIPE == 141
     assert err == b""
+
+
+# outputs recorded before each command built only the format it prints: the
+# plain lines, and the JSON payloads, which the CLI prints as json.dumps(..., indent=2)
+RECORDED = {
+    ("decode", "--dist", "geometric:1/3", "--x", "5/7", "--depth", "12"): (
+        ["digits 4,1,1,9,1,4,3,1,4,1,5,1", "remainder 23814765/29360128"],
+        {"digits": [4, 1, 1, 9, 1, 4, 3, 1, 4, 1, 5, 1],
+         "remainder": {"rational": "23814765/29360128", "decimal": "0.811126061848…"}}),
+    ("integral", "--dist", "geometric:2/5", "--method", "quad", "--depth", "3", "--cap", "4"): (
+        ["lower 51453354407/187500000000", "upper 132384733373/187500000000",
+         "width_decimal 0.431634021152"],
+        {"lower": {"rational": "51453354407/187500000000", "decimal": "0.274417890171…"},
+         "upper": {"rational": "132384733373/187500000000", "decimal": "0.706051911323…"},
+         "width": {"rational": "13488563161/31250000000", "decimal": "0.431634021152"}}),
+    ("integral", "--dist", "custom:1/3,1/5;2/3", "--method", "closed"): (
+        ["closed_form_alpha 118/299", "closed_form_gamma 177/385"],
+        {"closed_form_alpha": {"rational": "118/299", "decimal": "0.394648829431…"},
+         "closed_form_gamma": {"rational": "177/385", "decimal": "0.459740259740…"}}),
+    ("integral", "--dist", "dyadic", "--depth", "2", "--cap", "3", "--samples", "40",
+     "--seed", "3"): (
+        ["alpha 1/3", "gamma 1/7", "closed_form_alpha 1/2", "closed_form_gamma 7/12",
+         "quadrature_lower 441/2048", "quadrature_upper 1803/2048",
+         "quadrature_width_decimal 0.665039062500", "mc_mean_decimal 0.481748138485…",
+         "mc_stderr 4.767e-02", "verdict both"],
+        {"distribution": "dyadic",
+         "alpha": {"rational": "1/3", "decimal": "0.333333333333…"},
+         "gamma": {"rational": "1/7", "decimal": "0.142857142857…"},
+         "closed_form_alpha": {"rational": "1/2", "decimal": "0.500000000000"},
+         "closed_form_gamma": {"rational": "7/12", "decimal": "0.583333333333…"},
+         "quadrature": {
+             "depth": 2, "cap": 3,
+             "lower": {"rational": "441/2048", "decimal": "0.215332031250"},
+             "upper": {"rational": "1803/2048", "decimal": "0.880371093750"},
+             "width": {"rational": "681/1024", "decimal": "0.665039062500"},
+             "corner_sum": {"rational": "441/1024", "decimal": "0.430664062500"},
+             "oscillation": {"rational": "441/2048", "decimal": "0.215332031250"},
+             "uncovered": {"rational": "15/64", "decimal": "0.234375000000"}},
+         "verdict": "both",
+         "monte_carlo": {"samples": 40, "seed": 3,
+                         "mean": {"rational": "533201077117660090829/1106804644422573096960",
+                                  "decimal": "0.481748138485…"},
+                         "stderr": "4.767e-02"}}),
+}
+# decimals each format renders: the plain lines print only some of them
+RENDERED = {"decode": (0, 1), "quad": (1, 3), "closed": (0, 2), "report": (2, 11)}
+
+
+@pytest.mark.parametrize("argv", list(RECORDED))
+def test_decode_and_integral_print_recorded_bytes(capsys, argv):
+    plain, payload = RECORDED[argv]
+    kind = argv[0] if argv[0] == "decode" else argv[4] if argv[3] == "--method" else "report"
+    for fmt, expected, renders in (("plain", "\n".join(plain), RENDERED[kind][0]),
+                                   ("json", json.dumps(payload, indent=2), RENDERED[kind][1])):
+        with mock.patch.object(cli, "render_decimal", wraps=render_decimal) as in_cli, \
+                mock.patch.object(integral, "render_decimal", wraps=render_decimal) as in_report:
+            code, out, err = run(capsys, *argv, "--format", fmt, "--precision", "12")
+        assert (code, out, err) == (0, expected + "\n", "")
+        # only the printed format is built
+        assert in_cli.call_count + in_report.call_count == renders, fmt
+
+
+def _documented_codes(text):
+    """The exit codes named by the first sentence after `Exit codes:` in text."""
+    sentence = text[text.index("Exit codes:") + len("Exit codes:"):]
+    # drop parentheticals, innermost first, then cut at the sentence's end
+    while True:
+        shorter = re.sub(r"\([^()]*\)", "", sentence)
+        if shorter == sentence:
+            break
+        sentence = shorter
+    sentence = sentence[: sentence.index(". ")]
+    return {int(n) for n in re.findall(r"(?:^|,)\s*(\d+)\s+[a-z]", sentence)}
+
+
+def _returned_codes(functions):
+    """The integer constants, literal or named at module level, that the functions return."""
+    codes = set()
+    for fn in functions:
+        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+            if isinstance(node, ast.Return) and node.value is not None:
+                for value in ast.walk(node.value):
+                    if isinstance(value, ast.Constant) and isinstance(value.value, int):
+                        codes.add(value.value)
+                    elif isinstance(value, ast.Name) and isinstance(getattr(cli, value.id, None),
+                                                                   int):
+                        codes.add(getattr(cli, value.id))
+    return codes
+
+
+def test_exit_codes_are_documented_in_one_place():
+    commands = [getattr(cli, name) for name in dir(cli) if name.startswith("cmd_")]
+    assert cli.cmd_selftest in commands
+    returned = _returned_codes([cli._run, cli.main, *commands])
+    assert returned == {0, 1, 2, 3, 4, 141}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert _documented_codes(readme) == returned
+    assert _documented_codes(cli.__doc__) == returned

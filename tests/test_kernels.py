@@ -51,6 +51,7 @@ from oracles import (
     ref_decode,
     ref_decode_periodic,
     ref_digit_of,
+    ref_digit_seq,
     ref_encode,
     ref_family_affine,
     ref_family_branch_primes,
@@ -658,39 +659,65 @@ def test_batched_walk_hands_hard_points_to_the_exact_walk():
     rng = random.Random(23)
     g = Geometric(F(1, 3))
     _, w = g.branch_primes()
-    seq = DigitSeq((2,), tuple(rng.randint(1, 3) for _ in range(1500)))
+    seq = DigitSeq(tuple(rng.randint(1, 3) for _ in range(30)),
+                   tuple(rng.randint(1, 3) for _ in range(1500)))
     x = encode(g, seq)
-    assert x.denominator.bit_length() > expansion._WALK_BATCH_BITS
-    # a false repeat: fingerprints modulo a tiny prime collide within a few
-    # digits, and its certification fails; Q(2) = 2 is a multiple of 2; and
-    # 3 divides the denominator of x / 3, so the batched stage never starts
-    tiny = [p for p in (5, 7, 11, 13) if x.denominator % p]
-    y = x / 3
-    cases = [(x, p, 1) for p in tiny] + [(x, 2, 1), (y, 3, 0)]
-    repeats = []
+    assert x.denominator.bit_length() > expansion._WALK_BATCH_BITS and len(seq.preperiod) > 20
+    # x's exact remainders r_0 .. r_(mu+lambda), one shift each, and their integer pairs
+    rems = [x]
+    for _ in range(len(seq.preperiod + seq.period)):
+        rems.append(shift(g, rems[-1])[1])
+    keys = [(r.numerator, r.denominator) for r in rems]
+    exact = _exact_walk(g, x)
     walk_repeat = expansion._walk_repeat
+    hits = []
 
-    def spy(branches, digits, starts, rests, j, k):
-        result = walk_repeat(branches, digits, starts, rests, j, k)
-        repeats.append((j, k, result))
+    def spy(branches, digits, starts, rests, held, k):
+        before = list(held)
+        result = walk_repeat(branches, digits, starts, rests, held, k)
+        hits.append((k, before, result, list(held)))
         return result
 
-    for point, modulus, calls in cases:
-        repeats.clear()
+    # fingerprints modulo a tiny prime collide every few digits: each hit is
+    # tested against every earlier remainder with its fingerprint, oldest
+    # first, each false one is refused, and the batched walk itself goes on
+    # to the true repeat; Q = 2^(c-1) is prime to each of these moduli
+    tiny = [p for p in (5, 7, 11, 13) if x.denominator % p]
+    assert len(tiny) >= 3
+    for modulus in tiny:
+        hits.clear()
         with mock.patch.object(expansion, "_PRINT_MOD", modulus), \
                 mock.patch.object(expansion, "_walk_repeat", spy), \
+                mock.patch.object(expansion, "_batched_walk",
+                                  wraps=expansion._batched_walk) as batched:
+            assert decode_periodic(g, x) == seq
+            assert batched.call_count == 1
+        assert len(hits) > 1000 // modulus
+        *refused, (last, tried, found, _) = hits
+        for k, before, result, after in refused:
+            # every remainder in held was checked when it joined
+            assert result is None and k < len(rems) - 1 and after[-1] == (k, rems[k])
+            positions = [i for i, _ in before]
+            assert positions == sorted(positions)
+            assert all(keys[i] != keys[k] for i in positions)
+        # the last hit is the exact walk's first repeat, at mu + lambda
+        assert last == len(rems) - 1 and found == seq
+        assert (found.preperiod, found.period) == ref_digit_seq(found.preperiod, found.period)
+        assert any(i == len(seq.preperiod) for i, _ in tried)
+        with mock.patch.object(expansion, "_PRINT_MOD", modulus):
+            assert expansion._batched_walk(g, x, 4096, w) == seq == exact
+    # a modulus that divides some Q, or x's denominator, still hands the point
+    # to the exact walk: Q(2) = 2 is a multiple of 2, and 3 divides the
+    # denominator of x / 3, so the batched stage never starts
+    y = x / 3
+    for point, modulus, calls in ((x, 2, 1), (y, 3, 0)):
+        with mock.patch.object(expansion, "_PRINT_MOD", modulus), \
                 mock.patch.object(expansion, "_batched_walk",
                                   wraps=expansion._batched_walk) as batched:
             assert decode_periodic(g, point) == _exact_walk(g, point)
             assert batched.call_count == calls
             if calls:
                 assert expansion._batched_walk(g, point, 4096, w) is None
-        # every fingerprint repeat under a tiny prime is false, and the
-        # exact-remainder test refuses it
-        assert bool(repeats) == (modulus in tiny)
-        for j, k, result in repeats:
-            r_j = ref_decode(g, point, j)[1] if j else point
-            assert result is None and r_j != ref_decode(g, point, k)[1]
     assert decode_periodic(g, x) == seq
 
 
@@ -718,11 +745,13 @@ def _is_prime(n):
 
 
 def test_fingerprint_prime_divides_no_dyadic_period_factor():
-    # p = 2q + 1 with p and q prime; ord_p(2) divides 2q, and 2^2 and 2^q are
-    # not 1, so it is 2q: p divides 2^s - 1 only when 2q divides s
+    # p = 2q + 1 with p and q prime and p = 3 mod 8; ord_p(2) divides 2q, and
+    # 2^2 and 2^q = -1 are not 1, so it is 2q: p divides 2^s - 1 only when 2q
+    # divides s, and 2q is past the digit budget. p < 2^30, so a fingerprint
+    # is one CPython digit
     p = expansion._PRINT_MOD
     q = (p - 1) // 2
-    assert p < 1 << 61 and _is_prime(p) and _is_prime(q)
+    assert p < 1 << 30 and p % 8 == 3 and _is_prime(p) and _is_prime(q)
     assert pow(2, q, p) == p - 1 and pow(2, 2, p) != 1
     assert 2 * q > series.MAX_DIGIT_SUM
     # the test itself: a Mersenne prime, and a strong pseudoprime to bases 2, 3, 5 and 7
@@ -784,6 +813,44 @@ def test_batched_walk_in_the_band_below_2560_bits():
                     assert w > 1 and isinstance(result, Aperiodic)
 
 
+def test_batched_walk_in_the_band_below_1280_bits():
+    # on points of _WALK_BATCH_BITS to 1 280 bits the batched walk reads
+    # table words on its short remainders and gives the exact walk's
+    # DigitSeq, Aperiodic and NotDetected, also when max_steps stops it just
+    # before, at or just after mu + lambda, or inside a table word
+    rng = random.Random(320)
+    band = range(expansion._WALK_BATCH_BITS + 1, 1281)
+    # period lengths of about 360, 800 and 1 200 bits under each family
+    lengths = {"dyadic": (185, 400, 590), "geometric:1/3": (115, 255, 380),
+               "custom:1/3,1/4;1/2": (135, 300, 445)}
+    for spec, spans in lengths.items():
+        dist = parse_distribution(spec)
+        _, w = dist.branch_primes()
+        points = []
+        for length in spans:
+            seq = DigitSeq((2, 1), tuple(rng.randint(1, 3) for _ in range(length)))
+            steps = len(seq.preperiod + seq.period)
+            points.append((encode(dist, seq), seq, (steps - 1, steps, steps + 1, 200, 4096)))
+        for bits in (340, 800, 1270):
+            d = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+            points.append((F(rng.randrange(d), d), None, (200, 301, 4096)))
+        for x, seq, budgets in points:
+            assert x.denominator.bit_length() in band, (dist, x.denominator.bit_length())
+            for max_steps in budgets:
+                with mock.patch.object(expansion, "_batched_walk",
+                                       wraps=expansion._batched_walk) as batched:
+                    result = decode_periodic(dist, x, max_steps)
+                assert batched.call_count == 1
+                assert result == _exact_walk(dist, x, max_steps)
+                if seq is not None and max_steps >= len(seq.preperiod + seq.period):
+                    assert result == seq
+                elif isinstance(result, NotDetected):
+                    assert len(result.prefix) == max_steps
+                    assert seq is None or result.prefix == seq.digits(max_steps)
+                else:
+                    assert w > 1 and isinstance(result, Aperiodic)
+
+
 def test_batched_walk_witness_inside_a_batch():
     # a random word's map applied to a long point with no period: the witness
     # 2 arrives after the word, and the remainders stay long enough for
@@ -811,9 +878,29 @@ def test_batched_walk_witness_inside_a_batch():
     assert 1 <= offset < length and bits > expansion._BATCH_BITS
 
 
+def test_batched_walk_finds_a_witness_before_a_digit_over_the_budget(monkeypatch):
+    # digit 18 brings the witness 99 = gcd(Q(c), c >= 2) into the remainder
+    # y >= 1/2, whose first digit is past a budget of 30: the run that would
+    # reach that digit is walked a step at a time, so the walk ends at the
+    # witness, as the exact walk does, before the digit raises
+    g = Geometric(F(1, 100))
+    rng = random.Random(18)
+    d = rng.getrandbits(600) | 1 | (1 << 599)
+    y = F(rng.randrange(d // 2, d), d)
+    p, q, l = g.affine(18)
+    x = (p + q * y) / l
+    assert x.denominator.bit_length() > expansion._WALK_BATCH_BITS
+    monkeypatch.setattr(series, "MAX_DIGIT_SUM", 30)
+    with pytest.raises(ResourceLimitError):
+        shift(g, y)
+    result = decode_periodic(g, x)
+    assert result == _exact_walk(g, x)
+    assert isinstance(result, Aperiodic) and result.prefix == (18,) and result.step == 1
+
+
 def test_decode_periodic_memory_is_linear():
     # the exact walk kept every remainder, 18-28 MB at an 8 000-digit period;
-    # the batched stage keeps one 61-bit fingerprint per remainder
+    # the batched stage keeps one 30-bit fingerprint per remainder
     rng = random.Random(8000)
     for dist in (Dyadic(), Geometric(F(1, 3)), FAMILIES[7]):
         seq = DigitSeq((2, 3), tuple(rng.randint(1, 3) for _ in range(8000)))

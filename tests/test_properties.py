@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from probmink import Aperiodic, CustomPrefixTail, DigitSeq, Dyadic, Geometric, NotDetected
 from probmink import (
+    DomainError,
     IncrementReport,
     ProbminkError,
     ResourceLimitError,
@@ -48,6 +49,8 @@ from oracles import (
     ref_decode,
     ref_decode_periodic,
     ref_digit_of,
+    ref_digit_seq,
+    ref_digits,
     ref_graph_points,
     ref_int_finite_sum,
     ref_mc_sample_int,
@@ -555,10 +558,10 @@ def test_batched_walk_budget_message(dist, x, budget, small):
 @given(st.sampled_from(FAMILIES), st.data(), st.sampled_from((2, 3, 5, 7)),
        st.sampled_from((None, 30)))
 def test_batched_walk_with_a_tiny_modulus(dist, data, modulus, budget):
-    # modulo a tiny prime false repeats are common, and so are moduli that
-    # divide some Q or the point's denominator: each hands the point to the
-    # exact walk, so the result is still the exact walk's; on a small digit
-    # budget, so is a false repeat whose period is over the budget
+    # modulo a tiny prime false repeats are common, and each is refused; so
+    # are moduli that divide some Q or the point's denominator, which hand
+    # the point to the exact walk: the result is still the exact walk's, also
+    # on a small digit budget that a period's digit sum can pass
     seed = data.draw(st.integers(min_value=0, max_value=1 << 32))
     kind = data.draw(st.sampled_from(("period", "tail", "random")))
     if kind == "period":
@@ -570,6 +573,79 @@ def test_batched_walk_with_a_tiny_modulus(dist, data, modulus, budget):
         x = data.draw(large_rationals(8, 1200))
     with mock.patch.object(series, "MAX_DIGIT_SUM", budget or series.MAX_DIGIT_SUM):
         _check_walk(dist, x, 600, _PRINT_MOD=modulus, **SMALL_BATCHES)
+
+
+def _batched(dist, x, max_steps, **patches):
+    """_batched_walk's own result on x, or its ResourceLimitError message, under patches."""
+    w = dist.branch_primes()[1]
+    with mock.patch.multiple(expansion, **patches):
+        try:
+            return expansion._batched_walk(dist, x, max_steps, w)
+        except ResourceLimitError as exc:
+            return str(exc)
+
+
+@settings(DETERMINISTIC, max_examples=80)
+@given(st.sampled_from(FAMILIES), st.data(), st.sampled_from((5, 7, 11, 13)),
+       st.sampled_from((None, 30)), st.booleans())
+def test_batched_walk_refuses_every_collision_under_a_tiny_modulus(dist, data, modulus,
+                                                                    budget, small):
+    # modulo a prime below 16 most fingerprint hits are false: each is
+    # refused and the walk goes on, so unless the modulus divides x's
+    # denominator or some Q, the batched walk itself returns the exact walk's
+    # result or error, never None, and that is ref_decode_periodic's; max_steps
+    # stops a period's walk just before, at or just after mu + lambda
+    seed = data.draw(st.integers(min_value=0, max_value=1 << 32))
+    kind = data.draw(st.sampled_from(("period", "runs", "tail", "random")))
+    if kind in ("period", "runs"):
+        if kind == "period":
+            per = _seeded_digits(seed, data.draw(st.integers(1, 300)), 3)
+        else:
+            # a long run of one digit
+            per = (1,) * data.draw(st.integers(0, 150)) + (data.draw(st.integers(1, 3)),)
+        seq = DigitSeq(_seeded_digits(seed + 1, data.draw(st.integers(0, 40)), 3), per)
+        x = encode(dist, seq)
+        steps = len(seq.preperiod + seq.period)
+        max_steps = data.draw(st.sampled_from((max(1, steps - 1), steps, steps + 1, 600)))
+    else:
+        x = data.draw(aperiodic_tails(dist) if kind == "tail" else large_rationals(8, 1200))
+        max_steps = data.draw(st.sampled_from((301, 600)))
+    # decode_periodic starts the batched walk only when neither the modulus nor
+    # a prime of W divides x's denominator
+    started = x.denominator % modulus and math.gcd(x.denominator, dist.branch_primes()[1]) == 1
+    clean = started and all(dist.affine(c)[1] % modulus for c in range(1, 65))
+    patches = dict(_PRINT_MOD=modulus, **(SMALL_BATCHES if small else {}))
+    with mock.patch.object(series, "MAX_DIGIT_SUM", budget or series.MAX_DIGIT_SUM):
+        exact = _walk(dist, x, max_steps, EXACT_STAGE)
+        found = _batched(dist, x, max_steps, **patches) if started else None
+        assert _walk(dist, x, max_steps, 0, **patches) == exact
+        try:
+            ref = ref_decode_periodic(dist, x, max_steps)
+        except ResourceLimitError as exc:
+            ref = str(exc)
+    assert found == exact if clean else found in (None, exact)
+    if isinstance(found, DigitSeq):
+        assert (found.preperiod, found.period) == ref_digit_seq(found.preperiod, found.period)
+    if isinstance(exact, Aperiodic):
+        # the certificate can end the walk before a digit over budget
+        assert isinstance(ref, str) or ref.prefix[: exact.step] == exact.prefix
+    else:
+        assert exact == ref
+
+
+@settings(DETERMINISTIC, max_examples=150)
+@given(st.integers(min_value=0, max_value=1 << 32), st.integers(min_value=0, max_value=6000),
+       st.integers(min_value=1, max_value=50), st.sampled_from((3, 300)),
+       st.integers(min_value=0, max_value=5000))
+def test_digits_match_the_per_digit_loop(seed, pre, per, top, n):
+    seq = DigitSeq(_seeded_digits(seed + 1, pre, top), _seeded_digits(seed, per, top))
+    assert seq.digits(n) == ref_digits(seq, n)
+    try:
+        seq.digits(-1 - n)
+    except DomainError as exc:
+        assert str(exc) == f"digit count must be >= 0, got {-1 - n}"
+    else:
+        raise AssertionError("a negative digit count was accepted")
 
 
 @DETERMINISTIC
