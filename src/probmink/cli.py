@@ -41,6 +41,7 @@ from .fmt import (
     _ratio_text,
     parse_ints,
     parse_rational,
+    rational_payload,
     rational_text,
     render_decimal,
 )
@@ -94,13 +95,9 @@ def _emit(args, payload, plain_lines) -> None:
             print(line)
 
 
-def _rational_payload(value: Fraction, precision: int) -> dict:
-    return {"rational": rational_text(value), "decimal": render_decimal(value, precision)}
-
-
 def _emit_value(args, value: Fraction, precision: int) -> None:
     """Print one value, rendering its rational and decimal texts once for either format."""
-    texts = _rational_payload(value, precision)
+    texts = rational_payload(value, precision)
     _emit(args, lambda: {"value": texts}, lambda: [texts["rational"], texts["decimal"]])
 
 
@@ -115,8 +112,8 @@ def cmd_eval(args) -> int:
     if args.enclose is not None:
         enclosure = eval_minkowski_enclosure(dist, x, args.enclose)
         # each bound's texts are rendered once: past 2^17 digits rendering is the largest stage
-        lower = _rational_payload(enclosure.lower, precision)
-        upper = _rational_payload(enclosure.upper, precision)
+        lower = rational_payload(enclosure.lower, precision)
+        upper = rational_payload(enclosure.upper, precision)
         _emit(args, lambda: {"lower": lower, "upper": upper, "exact": enclosure.exact}, lambda: [
             f"lower {lower['rational']}",
             f"upper {upper['rational']}",
@@ -154,7 +151,7 @@ def cmd_decode(args) -> int:
     digits, remainder = decode(dist, x, args.depth)
     _emit(args, lambda: {
         "digits": list(digits),
-        "remainder": _rational_payload(remainder, precision),
+        "remainder": rational_payload(remainder, precision),
     }, lambda: [
         "digits " + ",".join(str(d) for d in digits),
         f"remainder {rational_text(remainder)}",
@@ -175,8 +172,8 @@ def cmd_integral(args) -> int:
     if args.method == "closed":
         forms = integral_closed(dist)
         _emit(args, lambda: {
-            "closed_form_alpha": _rational_payload(forms.alpha_form, precision),
-            "closed_form_gamma": _rational_payload(forms.gamma_form, precision),
+            "closed_form_alpha": rational_payload(forms.alpha_form, precision),
+            "closed_form_gamma": rational_payload(forms.gamma_form, precision),
         }, lambda: [
             f"closed_form_alpha {rational_text(forms.alpha_form)}",
             f"closed_form_gamma {rational_text(forms.gamma_form)}",
@@ -185,9 +182,9 @@ def cmd_integral(args) -> int:
     if args.method == "quad":
         quad = integral_quadrature(dist, args.depth, args.cap)
         _emit(args, lambda: {
-            "lower": _rational_payload(quad.lower, precision),
-            "upper": _rational_payload(quad.upper, precision),
-            "width": _rational_payload(quad.width, precision),
+            "lower": rational_payload(quad.lower, precision),
+            "upper": rational_payload(quad.upper, precision),
+            "width": rational_payload(quad.width, precision),
         }, lambda: [
             f"lower {rational_text(quad.lower)}",
             f"upper {rational_text(quad.upper)}",
@@ -196,7 +193,7 @@ def cmd_integral(args) -> int:
         return 0
     if args.method == "mc":
         mc = integral_mc(dist, args.samples, args.seed)
-        mean = _rational_payload(mc.mean, precision)
+        mean = rational_payload(mc.mean, precision)
         _emit(args, lambda: {"mean": mean, "stderr": f"{mc.stderr:.3e}", "samples": mc.samples,
                              "seed": mc.seed}, lambda: [
             f"mean {mean['rational']}",
@@ -300,34 +297,35 @@ def cmd_diagnose(args) -> int:
         b = rep.quotient.denominator * prev.quotient.numerator
         g = math.gcd(a, b)
         ratios.append((a // g, b // g))
-    # only the format that is printed is built
-    if args.format == "json":
+
+    def payload():
         entries = []
         for rep, ratio in zip(reports, ratios):
             entry = {
                 "digits": list(rep.digits),
                 "digit_sum": rep.digit_sum,
-                "delta": _rational_payload(rep.delta, precision),
-                "measure": _rational_payload(rep.measure, precision),
-                "quotient": _rational_payload(rep.quotient, precision),
+                "delta": rational_payload(rep.delta, precision),
+                "measure": rational_payload(rep.measure, precision),
+                "quotient": rational_payload(rep.quotient, precision),
             }
             if ratio:
                 entry["quotient_step"] = {"rational": _ratio_text(*ratio),
                                           "decimal": _ratio_decimal(*ratio, precision)}
                 entry["quotient_step_matches_formula"] = ratio == steps[rep.digits[-1]]
             entries.append(entry)
-        print(_json_text({"prefixes": entries}))
-        return 0
-    lines = []
-    for n, (rep, ratio) in enumerate(zip(reports, ratios), start=1):
-        lines.append(f"depth {n} digits {','.join(map(str, rep.digits))} "
-                     f"delta {rational_text(rep.delta)} measure {rational_text(rep.measure)} "
-                     f"quotient {rational_text(rep.quotient)}")
-        if ratio:
-            step = steps[rep.digits[-1]]
-            lines.append(f"  quotient step {_ratio_text(*ratio)} formula {_ratio_text(*step)} "
-                         f"match {ratio == step}")
-    print("\n".join(lines))
+        return {"prefixes": entries}
+
+    def plain_lines():
+        for n, (rep, ratio) in enumerate(zip(reports, ratios), start=1):
+            yield (f"depth {n} digits {','.join(map(str, rep.digits))} "
+                   f"delta {rational_text(rep.delta)} measure {rational_text(rep.measure)} "
+                   f"quotient {rational_text(rep.quotient)}")
+            if ratio:
+                step = steps[rep.digits[-1]]
+                yield (f"  quotient step {_ratio_text(*ratio)} formula {_ratio_text(*step)} "
+                       f"match {ratio == step}")
+
+    _emit(args, payload, plain_lines)
     return 0
 
 

@@ -2,125 +2,92 @@
 
 A point corresponds to a digit stream (i_1, i_2, ...) through the affine
 recursion x = prefix(i_1) + pmf(i_1) * x', where x' carries the remaining
-digits. Eventually periodic streams encode to exact rationals by solving
-the period's affine fixed point; decoding inverts one digit at a time with
-exact arithmetic. Cylinders are the half-open intervals of points sharing
-a fixed digit prefix.
+digits; a cylinder is the half-open interval of points whose digits start
+with a fixed word. Digit d's branch is y -> (P + Q*y) / L, with the
+integers (P, Q, L) = dist.affine(d). A word's branches compose into one
+unreduced map y -> (A + B*y) / D: it is the product of the digits' integer
+matrices [[B, A], [0, D]], the same integers by the left fold
+(A, B, D) <- (A*L + B*P, B*Q, D*L) or by balanced halves (Haible and
+Papanikolaou's binary splitting), which multiply operands of equal size
+and so take near-linear time where the fold is quadratic. An eventually
+periodic stream encodes to the period map's fixed point, solved exactly.
 
-The codec runs on the distribution's integer triples: digit d's branch is
-y -> (P + Q*y) / L with (P, Q, L) = dist.affine(d). Encoding composes a
-word's branches into one unreduced map y -> (A + B*y) / D, with no gcd;
-only the result is reduced. The map is the integer matrix [[B, A], [0, D]],
-so a word's map is the product of its digits' matrices: the left fold
-(A, B, D) <- (A*L + B*P, B*Q, D*L) and the product taken by balanced halves
-(Haible and Papanikolaou's binary splitting) give the same integers, and
-the halves multiply operands of equal size, which is near-linear where the
-fold is quadratic in the word's length.
+One reduction serves every step. x = n/d lies in the word's cylinder
+[A/D, (A+B)/D) exactly when 0 <= n*D - A*d < d*B, and its remainder after
+the word is then (n*D - A*d) / (d*B). `_remainder` makes that test and
+reduces by gcd(D, d) and then by the gcd of the new numerator with B, with
+D and B short: n is coprime to d, so what is left is in lowest terms, with
+no gcd of two long integers and no Fraction constructor. `shift` is this
+for the one digit that `dist.digit_of` finds, and batches, walk repeats
+and witnesses use it too, so every remainder is the plain loop's bit for
+bit. The decoders rest on four certificates, each stated here once.
 
-Decoding is one integer step per digit: `shift` takes x = n/d to
-y = (n*L - P*d) / (d*Q). It reduces twice, first by gcd(L, d) and then by
-the gcd of the new numerator with Q, so every reduction is a gcd against
-the small integer L or Q, never between two large ones. The result is
-then in lowest terms by construction and becomes one Fraction with no
-further gcd.
+Table lookup. `_word_table` holds the words of up to _TABLE_DIGITS digits
+whose cylinders have measure at least 2^-_TABLE_MEASURE_BITS, as disjoint
+intervals sorted by their left ends over one denominator, so one bisect
+names the longest word in the table that x's digits can start with, as
+table-driven decoders of prefix codes read several symbols at once (Moffat
+and Turpin 1997). The row is only a candidate, since x's first digit may
+have no row, until the cylinder test certifies it; a failed test costs one
+`shift`. So a lookup never yields a wrong digit. A certified word steps
+the unreduced pair (n*D - A*d, d*B), reduced once before a `shift` and at
+the end of a run. The trailing-ones rule: digit 1 fixes 0 and maps a
+nonzero remainder to a nonzero one, so when the remainder after a word is
+0, every later digit is 1, and the stream's first zero remainder came
+after the word without its trailing 1s; the geometric Monte Carlo walk
+closes its samples by it (see `integral`).
 
-`decode` applies Lehmer's idea for Euclid on long integers: run the steps
-on a short leading part, then apply their product to the long operand
-once. While the remainder x = n/d has a denominator of more than
-_BATCH_BITS bits, a point y0 <= x of _LEAD_BITS bits is cut from x's
-leading bits and decoded until its word's measure B/D falls below
-2^-_WORD_BITS. y0 is read up to _TABLE_DIGITS digits per lookup in the
-word table described below, each table word certified on y0 by the
-unreduced test 0 <= yn*D - A*yd < yd*B, and one integer search
-`dist._branch` per digit where a lookup misses. Every update is left
-unreduced, as (yn*D - A*yd) / (yd*B) or (yn*L - P*yd) / (yd*Q): only
-y0's digits are used, and its gcds would cost more than the few bits
-they save. The word's cylinder [A/D, (A+B)/D) holds exactly the points
-whose digits start with the word, so the integer test
-A*d <= n*D < (A+B)*d certifies that the word is x's own, and x's
-remainder after it is (n*D - A*d) / (d*B), the same rational the plain
-loop reaches. It is reduced as `shift` reduces, by gcd(D, d) and then by
-the gcd of the new numerator with B, with D and B short, so it is the
-plain loop's remainder bit for bit. x and y0 differ by less than
-2^-_LEAD_BITS relative to x, so only a cylinder end between them fails
-the test; then a bisection over the prefixes that end at a table word's
-or a searched digit's boundary finds the longest certified one. A
-shorter certified prefix is still x's own digits, and the next batch
-picks up the rest. A batch touches the long remainder a fixed number of
-times, where the plain loop runs one full-size step per digit.
+Batch cylinder test, Lehmer's idea for Euclid on long integers. While x's
+denominator has more than _BATCH_BITS bits, a point y0 <= x of _LEAD_BITS
+bits, cut from x's leading bits, is decoded on unreduced integers, by
+table words and `dist._branch`, until its word's measure falls below
+2^-_WORD_BITS. x and y0 differ by less than 2^-_LEAD_BITS relative to x,
+so only a cylinder end between them fails the test on x; a bisection over
+the word's boundaries then keeps the longest prefix that passes, which is
+still x's own, and the next batch reads the rest. A batch touches the long
+remainder a fixed number of times, where the plain loop makes one
+full-size step per digit.
 
-A remainder of at most _BATCH_BITS bits is decoded up to _TABLE_DIGITS
-digits per lookup, as table-driven decoders of prefix codes read several
-symbols at once (Moffat and Turpin 1997): the expansion is an
-arithmetic-code decoder for the distribution. The distribution's word
-table (`_word_table`) holds the words of up to _TABLE_DIGITS digits whose
-cylinders have measure at least 2^-_TABLE_MEASURE_BITS, as disjoint
-intervals sorted by their left ends over a common denominator T: each
-word of _TABLE_DIGITS digits is one interval, and a shorter word holds
-the parts of its cylinder that no longer word of the table covers. A
-lookup is one bisect_right(lefts, n*T // d), and it finds the longest
-word in the table that x's digits start with. A lookup cannot return a
-wrong digit: the row it finds is only a candidate, since x's first digit
-may have no row, until the test 0 <= n*D - A*d < d*B, which holds exactly
-when x lies in the word's cylinder, certifies it. x then steps to the
-unreduced pair (n*D - A*d, d*B); one gcd reduces it before a `shift`
-(after a failed test, which costs one plain step) and at the end of each
-run of _PLAIN_RUN digits. The trailing-ones rule: digit 1 fixes 0 and
-maps a nonzero remainder to a nonzero one, so when the remainder after a
-word is 0 the stream's first zero remainder came after the word with its
-trailing 1s removed, and every later digit is 1. `decode` needs no such
-rule, since its remainder after the word is the same either way; the
-geometric Monte Carlo walk, which closes a sample at the first zero, uses
-it (see `integral`).
+`_next_digits` is the step that `decode` and the periodicity walk share: a
+batch above _BATCH_BITS, and otherwise a run of up to _PLAIN_RUN digits,
+or one digit after a batch that certifies nothing. A run ends just before
+a digit over series.MAX_DIGIT_SUM, which `shift` refuses, unless that
+digit starts it; the call that starts at the digit raises the plain loop's
+error, so a caller acts on the digits before it first.
 
-`decode_periodic` runs the same step on a remainder n/d held as d = e*f,
-as plain integers. Each step is one call of the distribution's integer
-digit search, `dist._branch(n, d) -> (c, P, Q, L)`, which returns the
-digit and its triple together, then the update of n, e and f below; no
-Fraction is built. The distribution's `branch_primes()` gives (S, W):
-every branch denominator L is S-smooth, and W is the part of gcd(Q(c)
-for c >= 2) that is coprime to S. f collects the primes of S in d and e the rest, so
-gcd(L, d) = gcd(L, f) runs on small integers. The division by Q is one
-divmod, and its usual zero remainder needs no gcd. A prime p outside S
-divides no L and, once in d, not the new numerator, so v_p(d) grows by
-v_p(Q(c)) at each digit c and never falls: e only ever gains primes.
+W witness. The exact walk holds each remainder n/d as plain integers with
+d = e*f. `dist.branch_primes()` gives (S, W): every branch denominator L
+is S-smooth, and W is the part of gcd(Q(c) for c >= 2) prime to S. f
+collects the primes of S in d, so gcd(L, d) = gcd(L, f) is a small gcd. A
+prime p outside S divides no L and, once in d, not the new numerator, so
+v_p(d) grows by v_p(Q(c)) at each digit c and never falls: e only gains
+primes. The lemma: if a prime p of W divides some remainder's denominator,
+the stream is not eventually periodic, since a cycle would keep v_p fixed,
+so it could use only digit 1, whose cycle is the remainder 0. The
+converse, for a law with no head (`Dyadic`, `Geometric`), where every
+prime of Q(c) outside S lies in W: if no prime of W arrives, e stays fixed
+and f only loses primes, so every denominator divides the first, and a
+period closes within that many steps. Under a custom head W may be 1, and
+the walk may run out of steps.
 
-The lemma: if a prime p of W divides some remainder's denominator, the
-stream is not eventually periodic. A cycle would leave v_p fixed, so it
-could use only digits with p not dividing Q(c), which is digit 1 alone;
-but the cycle of digit 1 is the remainder 0, whose denominator p does not
-divide. The converse, for a law with no head, where every prime of Q(c)
-outside S lies in W: if no prime of W ever arrives, e stays fixed and f
-only loses primes, so every remainder's denominator divides the first
-one, and a period closes within that many steps. For such a law (`Dyadic`
-and `Geometric`) the walk therefore decides periodicity, given the steps.
-Under a custom head some Q(c) can hold primes outside S and W, and W may
-be 1, so the walk certifies some of its points and may run out of steps
-on others.
-
-The exact walk keeps every remainder since the last clear, and each of its
-steps costs as much as the remainder, so a long period costs time
-quadratic in its length. A point whose denominator has more than
-_WALK_BATCH_BITS bits is walked on `decode`'s certified steps instead, its
-batches and its table-word runs, keeping x's exact remainder at the start
-of each and every remainder r_k only as its residue modulo the prime
-p = _PRINT_MOD (Karp and Rabin's fingerprints), updated per digit as
-r <- (r*L - P) * Q^-1 mod p. When p divides neither x's denominator nor
-any Q, it divides no remainder's denominator, so equal remainders have
-equal residues. A residue hit at k rebuilds r_k from the last kept
-remainder, exactly, since `_remainder`'s cylinder test passes only on x's
-own remainder, and compares it with each earlier remainder of that
-residue, oldest first; a refused hit walks on. Let (mu, mu + lambda) be
-the exact walk's first repeat: r_0, ..., r_(mu+lambda-1) are distinct, so
-no hit passes before k = mu + lambda, and there only r_mu does. The
-stream is the exact walk's, and canonical as it stands: a shorter period
-or an absorbable preperiod digit would repeat a remainder sooner. A prime
-of W never leaves a denominator, so the witness is tested on each batch's
-end remainder and the batch that brings it is walked again exactly. A
-digit over the budget reaches x's own `shift`, a preperiod or period over
-it raises as the exact walk's encode check does, and the walk stops at
-max_steps digits, so every result and error is the exact walk's; p
-dividing x's denominator or some Q hands the point to the exact walk.
+First fingerprint repeat. The exact walk keeps every remainder, at a cost
+quadratic in a long period. A point of more than _WALK_BATCH_BITS bits is
+walked on `_next_digits`, keeping x's exact remainder at each batch's start
+and every remainder r_k only as its residue modulo the prime
+p = _PRINT_MOD (Karp and Rabin's fingerprints), r <- (r*L - P) * Q^-1 mod
+p. When p divides neither x's denominator nor any Q, equal remainders have
+equal residues. A hit at k rebuilds r_k exactly from the last kept
+remainder and compares it with each earlier remainder of that residue,
+oldest first; a refused hit walks on. If (mu, mu + lambda) is the exact
+walk's first repeat, r_0, ..., r_(mu+lambda-1) are distinct, so no hit
+passes before k = mu + lambda, and there only r_mu does; the stream is
+canonical as it stands, since a shorter period or an absorbable preperiod
+digit would repeat a remainder sooner. The witness is tested on each
+step's end remainder, and the digits that bring it are walked one at a
+time. A digit over the budget raises where the exact walk's does, a word
+over it where its encode check does, and p dividing x's denominator or
+some Q hands the point to the exact walk, so every result and error is
+the exact walk's.
 """
 
 import functools
@@ -138,11 +105,9 @@ from .fmt import parse_ints, rational_text
 def _int_tuple(values) -> tuple:
     """tuple(map(int, values)), built at its exact size.
 
-    tuple() of an iterator with no length hint allocates ten slots and then
-    resizes, so every call leaves one more tuple on CPython's free list of
-    the final size, and only a full garbage collection empties those lists.
-    Run 200 times in one process, the graph_sweep benchmark's ops peaked at
-    22.5 MB with tuple(map(...)) here and 18.9 MB with this (Python 3.11.7).
+    tuple() of an iterator with no length hint leaves a tuple on CPython's
+    free lists per call: 200 graph_sweep passes peaked at 22.5 MB with it
+    and 18.9 MB with this (Python 3.11.7).
     """
     return tuple([*map(int, values)])
 
@@ -243,14 +208,11 @@ class NotDetected(NamedTuple):
 class Aperiodic(NamedTuple):
     """Proof that a point's digit stream is not eventually periodic.
 
-    `prefix` holds the first `step` digits. `witness` > 1 divides W of the
-    distribution's `branch_primes()`, so each of its primes p divides no
-    branch denominator L and every Q(c) with c >= 2. It divides the
-    denominator of the remainder after `prefix` and of every later one,
-    because v_p of the denominator grows by v_p(Q(c)) at each digit c and
-    never falls. A period would have to use only digit 1, whose cycle is
-    the remainder 0, so none exists. The series then has no eventually
-    periodic run lengths, and M at the point is irrational.
+    `prefix` holds the first `step` digits, and `witness` > 1, a divisor of
+    the distribution's W, divides the denominator of the remainder after it
+    and of every later one (the W witness in the module docstring). The
+    series then has no eventually periodic run lengths, and M at the point
+    is irrational.
     """
 
     prefix: tuple
@@ -338,7 +300,7 @@ _TABLE_CACHE = 16
 
 
 def _check_unit_interval(x: Fraction) -> None:
-    if not 0 <= x < 1:
+    if not 0 <= x.numerator < x.denominator:
         raise DomainError(f"point must lie in [0,1), got {rational_text(x)}")
 
 
@@ -347,8 +309,7 @@ def _compose(dist: Distribution, word) -> tuple:
 
     Raises ResourceLimitError, before any power is built, when the word's
     digit sum exceeds series.MAX_DIGIT_SUM. Each distinct digit's triple is
-    built once. Long words compose by balanced halves (see `_product`), so
-    the triple is the left fold's, built in near-linear time.
+    built once.
     """
     series.check_digit_sum(sum(word))
     branches = {d: dist.affine(d) for d in dict.fromkeys(word)}
@@ -358,14 +319,9 @@ def _compose(dist: Distribution, word) -> tuple:
 def _product(branches, word) -> tuple:
     """The map (A, B, D) of a word, with digit d's triple in branches[d].
 
-    A map y -> (A + B*y) / D is the integer matrix [[B, A], [0, D]] acting
-    on (y, 1), and composing two maps multiplies their matrices:
-    (A1, B1, D1) after (A2, B2, D2) is (A1*D2 + B1*A2, B1*B2, D1*D2). The
-    product is associative and nothing is reduced, so every bracketing
-    gives the same integers as the left fold (A, B, D) <- (A*L + B*P, B*Q,
-    D*L). Splitting at the middle multiplies operands of equal size, where
-    the fold multiplies one growing integer by one small one per digit;
-    up to _FOLD_DIGITS digits the fold is no slower and is used as it is.
+    (A1, B1, D1) after (A2, B2, D2) is (A1*D2 + B1*A2, B1*B2, D1*D2), so
+    a long word composes by halves; up to _FOLD_DIGITS digits the left fold
+    is no slower and is used as it is.
     """
     if len(word) > _FOLD_DIGITS:
         mid = len(word) // 2
@@ -406,93 +362,76 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
 def shift(dist: Distribution, x: Fraction) -> tuple:
     """One decoding step: the first digit of x and the shifted point.
 
-    Returns (digit, y) with x == prefix(digit) + pmf(digit)*y exactly. With
-    x = n/d and (P, Q, L) = dist.affine(digit), the step cancels g1 =
-    gcd(L, d), forms m = n*(L/g1) - P*(d/g1), and cancels g2 = gcd(m, Q).
-    What is left is coprime: n is coprime to d and L/g1 to d/g1, so m is
-    coprime to d/g1. A point x == prefix(digit) gives m == 0 and d/g1 == 1,
-    so y comes out as 0/1.
+    Returns (digit, y) with x == prefix(digit) + pmf(digit)*y exactly, y in
+    lowest terms by `_remainder`'s reduction; a point x == prefix(digit)
+    gives y == 0/1.
     """
     n, d = x.numerator, x.denominator
     if not 0 <= n < d:
         raise DomainError(f"point must lie in [0,1), got {rational_text(x)}")
     c = dist.digit_of(x)
+    # unpacked: a call with *args costs about 0.2 us more here
     p, q, l = dist.affine(c)
-    # skip divisions by 1: even those copy the big operand
-    g1 = math.gcd(l, d)
-    if g1 > 1:
-        l, d = l // g1, d // g1
-    m = n * l - p * d
-    g2 = math.gcd(m, q)
-    if g2 > 1:
-        m, q = m // g2, q // g2
-    return c, _coprime_fraction(m, d * q)
+    return c, _remainder(n, d, p, q, l)
 
 
 def decode(dist: Distribution, x: Fraction, n: int) -> tuple:
     """The first n digits of x plus the remaining shifted point.
 
-    Every digit is at least 1, so n digits sum to at least n: n above
-    series.MAX_DIGIT_SUM raises ResourceLimitError before the first shift,
-    and so does the running digit sum as soon as it passes the budget.
-
-    A remainder with a denominator of more than _BATCH_BITS bits gives its
-    digits in certified batches (`_leading_digits`, and the module
-    docstring), whose short point is read from the same word table. A
-    shorter one, and a long one after a batch that certifies nothing, is
-    read in runs of up to _PLAIN_RUN digits (one digit after such a batch)
-    by `_short_digits`, on the digit sum left in the budget, so the error
-    names the sum the plain loop reaches. All give the digits and the
-    remainder of one `shift` per digit, bit for bit.
+    Every digit is at least 1, so n above series.MAX_DIGIT_SUM raises
+    ResourceLimitError before the first digit, and so does the running
+    digit sum as soon as it passes the budget, naming the sum the plain
+    loop reaches. The digits and the remainder are those of one `shift`
+    per digit, bit for bit, read by `_next_digits`.
     """
     _check_unit_interval(x)
     if n < 1:
         raise DomainError(f"digit count must be >= 1, got {n}")
     series.check_digit_sum(n)
-    budget = series.MAX_DIGIT_SUM
     digits = []
-    total = 0
-    cur = x
+    cur, room = x, series.MAX_DIGIT_SUM
     while len(digits) < n:
-        # a short remainder grows by a few bits per digit: check its length once a run
-        run = _PLAIN_RUN
-        if cur.denominator.bit_length() > _BATCH_BITS:
-            word, rest = _leading_digits(dist, cur, n - len(digits), budget - total)
-            if word:
-                digits += word
-                total += sum(word)
-                cur = rest
-                continue
-            # the next digit is past the short point's reach: one lookup or plain step
-            run = 1
-        cur, room = _short_digits(dist, cur, digits, min(n, len(digits) + run), n, budget - total)
-        total = budget - room
-        if total > budget:
-            series.check_digit_sum(total)
+        cur, room = _next_digits(dist, cur, digits, n - len(digits), room)
+        if room < 0:
+            series.check_digit_sum(series.MAX_DIGIT_SUM - room)
     return digits, cur
 
 
-def _short_digits(dist: Distribution, x: Fraction, word: list, run: int, count: int, room: int):
-    """(y, room): appends x's digits to `word` until it holds `run`, or a few more up to `count`.
+def _next_digits(dist: Distribution, x: Fraction, word: list, count: int, room: int):
+    """(y, room): appends x's next certified digits, at most `count`, to `word`.
 
-    y is the remainder after them, and room what is left of `room` after
-    their digit sum. A lookup in dist's word table (`_word_table`) names
-    the longest word in the table that x's digits can start with, and the
-    cylinder test certifies it. Certified words step the unreduced pair
-    (num, den) while `word` has room for _TABLE_DIGITS more below `count`,
-    with one gcd before each `shift` and one at the end, so `shift` and the
-    caller see reduced remainders. One `shift` takes the next digit after a
-    failed test, for the last digits, and for a word whose digit sum would
-    pass `room`; the digits end after a shift whose digit takes their sum
-    past `room`. `decode` passes the budget left, and the periodicity walk
-    series.MAX_DIGIT_SUM, so that only `shift` refuses a digit there, as
-    in the exact walk.
+    y is x's remainder after them and room what is left of `room` after
+    their digit sum: a batch (`_leading_digits`) above _BATCH_BITS bits,
+    otherwise a run (`_short_digits`) of up to _PLAIN_RUN digits, or of one
+    after a batch that certifies nothing (see the module docstring).
+    """
+    run = _PLAIN_RUN
+    if x.denominator.bit_length() > _BATCH_BITS:
+        batch, rest = _leading_digits(dist, x, count, room)
+        if batch:
+            word += batch
+            return rest, room - sum(batch)
+        # the next digit is past the short point's reach: one lookup or plain step
+        run = 1
+    return _short_digits(dist, x, word, min(run, count), count, room)
+
+
+def _short_digits(dist: Distribution, x: Fraction, word: list, run: int, count: int, room: int):
+    """(y, room): appends x's next `run` digits to `word`, or a few more up to `count`.
+
+    y is x's remainder after them and room what is left of `room` after
+    their digit sum. Certified table words step the unreduced remainder
+    while `count` leaves room for _TABLE_DIGITS more digits and their digit
+    sum fits `room`; `shift` takes every other digit. The digits end after
+    one that takes their sum past `room`, and just before one that `shift`
+    refuses, unless it is the first, which raises.
     """
     scale, lefts, rows = _word_table(dist) or (1, (), ())
-    last = count - _TABLE_DIGITS if rows else -1
+    first = len(word)
+    end, last = first + run, first + count - _TABLE_DIGITS if rows else -1
     # the remainder num/den, left unreduced across table words; cur is None until reduced
     num, den, cur = x.numerator, x.denominator, x
-    while len(word) < run:
+    while len(word) < end:
         if len(word) <= last:
             a, b, d, step, step_sum, _ = rows[bisect_right(lefts, num * scale // den) - 1]
             m, db = num * d - a * den, den * b
@@ -501,7 +440,14 @@ def _short_digits(dist: Distribution, x: Fraction, word: list, run: int, count: 
                 room -= step_sum
                 num, den, cur = m, db, None
                 continue
-        c, cur = shift(dist, Fraction(num, den) if cur is None else cur)
+        if cur is None:
+            cur = Fraction(num, den)
+        try:
+            c, cur = shift(dist, cur)
+        except ResourceLimitError:
+            if len(word) == first:
+                raise
+            break
         num, den = cur.numerator, cur.denominator
         word.append(c)
         room -= c
@@ -511,32 +457,16 @@ def _short_digits(dist: Distribution, x: Fraction, word: list, run: int, count: 
 
 
 def _leading_digits(dist: Distribution, x: Fraction, count: int, room: int):
-    """(word, y): leading digits of x found from a short point, and the remainder.
+    """(word, y): x's leading digits, certified in one batch, and the remainder.
 
-    1. Cut y0 = (n >> k) / ((d >> k) + 1) <= x from the leading bits of
-       x = n/d, with k chosen so that y0's denominator has _LEAD_BITS bits
-       (so _BATCH_BITS must be at least _LEAD_BITS).
-    2. Decode y0 = yn/yd on plain integers, with every update left
-       unreduced. While at least _TABLE_DIGITS digits are left, a lookup
-       in dist's word table (`_word_table`) proposes a word with map
-       (A, B, D), and 0 <= yn*D - A*yd < yd*B certifies it as y0's; y0
-       moves on to (yn*D - A*yd) / (yd*B). A miss, a word past the last
-       _TABLE_DIGITS - 1 digits, and a word whose digit sum passes `room`
-       or the digit budget take one `dist._branch` step instead, with
-       `shift`'s update. Each word's or digit's map composes into the
-       prefix's map (a, b, den), kept at these boundaries only. Stop
-       after `count` digits, once the measure b/den falls below
-       2^-_WORD_BITS, or before a digit that takes the digit sum past
-       `room` or the digit budget, so that x's own `shift` raises with
-       the plain loop's message. A word of one digit is dropped: testing
-       it costs as much as one plain shift of x.
-    3. y0 lies in every prefix's cylinder and x >= y0, so the prefixes
-       whose cylinders hold x are the shortest ones. Test the whole word
-       (`_remainder`); if x lies past its cylinder, bisect over the kept
-       boundaries for the longest prefix that passes. That prefix is
-       still x's own digits; the next batch reads the rest.
-
-    The word is empty when no prefix passes; y is then None.
+    The short point y0 = (n >> k) / ((d >> k) + 1) <= x of x = n/d has
+    _LEAD_BITS bits (so _BATCH_BITS must be at least _LEAD_BITS), and its
+    word is certified on x (the batch cylinder test in the module
+    docstring). The word stops after `count` digits, once its measure falls
+    below 2^-_WORD_BITS, or before a digit that takes its digit sum past
+    `room` or is itself over the digit budget, so that x's own `shift`
+    meets that digit. It is empty, and y None, when no prefix of two or
+    more digits passes: a one-digit word costs as much as a plain shift.
     """
     n, d = x.numerator, x.denominator
     k = d.bit_length() - _LEAD_BITS
@@ -595,13 +525,8 @@ def _leading_digits(dist: Distribution, x: Fraction, count: int, room: int):
 def _remainder(n: int, d: int, a: int, b: int, den: int):
     """x = n/d's remainder after a word with map y -> (a + b*y) / den, or None.
 
-    The remainder is (n*den - a*d) / (d*b), and it lies in [0,1) exactly
-    when a*d <= n*den < (a+b)*d, that is when x lies in the word's
-    cylinder; otherwise the result is None. It is reduced as `shift`
-    reduces: cancel g1 = gcd(den, d), then g2 = gcd(m, b) of the new
-    numerator m, with den and b short. n is coprime to d and den/g1 to
-    d/g1, so m is coprime to d/g1, and m/g2 over (d/g1)*(b/g2) is in
-    lowest terms with no gcd of two long integers.
+    None when x lies outside the word's cylinder; otherwise the remainder in
+    lowest terms, by the one reduction of the module docstring.
     """
     g = math.gcd(den, d)
     if g > 1:
@@ -637,30 +562,18 @@ class _WordTable(NamedTuple):
 def _word_table(dist: Distribution):
     """dist's _WordTable, or None when it has no rows or too long a scale.
 
-    The table's words are those of 1 to _TABLE_DIGITS digits whose
-    cylinders have measure at least 2^-_TABLE_MEASURE_BITS, built from
-    `dist.affine`. Each word of _TABLE_DIGITS digits is one row, and every
-    shorter word gets a row for each gap that its children in the table
-    leave in its cylinder. So a point whose first digit is in the table
-    lies in the row of the longest word in the table that its digits start
-    with. Cylinders of one length are disjoint, so there are at most
-    2^_TABLE_MEASURE_BITS words of each length, and at most twice as many
-    rows as words. The rows come out in the lexicographic order of their
-    words, which is the order of their left ends, by one depth-first walk.
-    Each digit of the head is tried, since head masses need not decrease;
-    in the tail the masses do, so the first tail digit whose mass is too
-    small ends the digits tried after a word. No table is built when the
-    common denominator of the left ends has more than _TABLE_SCALE_BITS
-    bits, and the build stops as soon as a digit's L or a word's D does,
-    since each divides that denominator; this bounds the build's integers
-    and a lookup's multiplication.
-
-    A lookup is one bisection: the row i with lefts[i] <= floor(x*scale)
-    is the only row that can hold x, as the rows are disjoint and sorted.
-    It is only a candidate, since x's first digit may have no rows: the
-    caller certifies that x lies in its word's cylinder, with the integer
-    test that `_remainder` makes, and steps one digit when it does not.
-    So a lookup never yields a wrong digit.
+    Each word of _TABLE_DIGITS digits is one row, and every shorter word
+    gets a row for each gap that its children in the table leave in its
+    cylinder, so a point lies in the row of the longest word in the table
+    that its digits start with: the row i with lefts[i] <= floor(x*scale),
+    a candidate that the caller certifies (the table lookup in the module
+    docstring). There are at most 2^_TABLE_MEASURE_BITS words of each
+    length, and one depth-first walk emits the rows in the order of their
+    left ends. Every head digit is tried, since head masses need not
+    decrease; the first tail digit whose mass is too small ends a word's
+    children. No table is built when the common denominator of the left
+    ends has more than _TABLE_SCALE_BITS bits, and the build stops as soon
+    as a digit's L or a word's D does, since each divides it.
     """
     bits, cap, size = _TABLE_MEASURE_BITS, _TABLE_SCALE_BITS, _TABLE_DIGITS
     head = len(dist.head_tail()[0])
@@ -728,28 +641,16 @@ def _word_table(dist: Distribution):
 def decode_periodic(dist: Distribution, x: Fraction, max_steps: int = 4096):
     """Recover the full eventually periodic digit stream of x, or disprove one.
 
-    Walks x one digit at a time, recording remainders; a repeat closes the
-    period. Returns x's DigitSeq, which the exact walk checks against
-    encode and the batched walk proves by an exact repeat; Aperiodic when
-    a prime of W (dist.branch_primes()) enters a remainder's denominator,
-    which proves that no period exists; or NotDetected with the digit prefix
-    found when neither happens in max_steps.
-
-    A point whose denominator has more than _WALK_BATCH_BITS bits is walked
-    on `decode`'s certified steps (`_batched_walk`), keeping each remainder
-    only as its residue modulo the prime _PRINT_MOD; a residue hit is
-    returned only when the exact remainders it pairs, rebuilt from kept
-    ones, are equal, and a refused hit walks on. So the result is the exact
-    walk's; the prime dividing x's denominator or some Q hands the point to
-    the exact walk.
-
-    The exact walk, which takes shorter points from the start, makes one
-    `dist._branch(n, d)` per step, which gives the digit c and its triple
-    (P, Q, L) from a single integer search, then `shift`'s update on the
-    integers n, d = e*f of the remainder, with f the S-part of d (see the
-    module docstring), so that gcd(L, d) is the small gcd(L, f) and the
-    division by Q is one divmod, or a shift and a mask when Q is a power
-    of two. No Fraction is built per step.
+    Returns x's canonical DigitSeq at the first repeated remainder; an
+    Aperiodic certificate at the first remainder whose denominator a prime
+    of W (dist.branch_primes()) divides; or NotDetected with the digits
+    found when neither happens in max_steps. Both stages give the same
+    result and error (the W witness and first fingerprint repeat in the
+    module docstring). The exact walk takes points of up to
+    _WALK_BATCH_BITS bits: one `dist._branch(n, d)` per step, which gives
+    the digit and its triple from one integer search, then `shift`'s
+    update on the integers n, e and f, with no Fraction; it checks the
+    stream it finds against `encode`. Longer points take `_batched_walk`.
     """
     _check_unit_interval(x)
     if max_steps < 1:
@@ -784,13 +685,10 @@ def decode_periodic(dist: Distribution, x: Fraction, max_steps: int = 4096):
         if g > 1:
             l, f, d = l // g, f // g, d // g
         m = n * l - p * d
-        if q == 1:
-            n = m
-            continue
         if q & (q - 1):
             n, r = divmod(m, q)
         else:
-            # a power of two: bit operations cost a fraction of a divmod
+            # a power of two, 1 included: bit operations cost a fraction of a divmod
             n, r = m >> (q.bit_length() - 1), m & (q - 1)
         if not r:
             continue
@@ -811,23 +709,14 @@ def decode_periodic(dist: Distribution, x: Fraction, max_steps: int = 4096):
 
 
 def _batched_walk(dist: Distribution, x: Fraction, max_steps: int, w: int):
-    """decode_periodic's result for x, walked in batches; None hands x to the exact walk.
+    """decode_periodic's result for x, walked on `_next_digits`; None hands x to the exact walk.
 
-    The digits come from `decode`'s certified batches (`_leading_digits`)
-    while the remainder is longer than _BATCH_BITS bits, and from its
-    table-word runs (`_short_digits`) otherwise. Each remainder r_k is kept
-    only as its fingerprint r_k mod _PRINT_MOD, updated per digit as
-    r <- (r*L - P) * Q^-1; x's denominator and every Q are prime to the
-    modulus, else the walk returns None, so equal remainders have equal
-    fingerprints. Each batch's first position and exact remainder are
-    kept, and a fingerprint hit at k is tested by `_walk_repeat` against
-    every earlier position with that fingerprint, oldest first; a refused
-    hit walks on. So the first certified repeat is the exact walk's first
-    repeat (see the module docstring).
-
-    A prime of W never leaves a denominator, so the aperiodicity witness
-    is tested on each batch's end remainder; when it is there, the batch
-    is walked again with exact steps for the first remainder that holds it.
+    Each remainder r_k is kept as r_k mod _PRINT_MOD, and each step's first
+    position with x's exact remainder there; a fingerprint hit at k is
+    tested by `_walk_repeat` against every earlier position with that
+    fingerprint, oldest first, and a step whose end remainder holds a prime
+    of W goes to `_first_witness`. The result is None when some Q is a
+    multiple of the modulus.
     """
     mod = _PRINT_MOD
     # digit c's triple (P, Q, L), and its step r -> (r*a - b) % mod with a = L/Q and b = P/Q
@@ -835,27 +724,15 @@ def _batched_walk(dist: Distribution, x: Fraction, max_steps: int, w: int):
     fp = x.numerator * pow(x.denominator, -1, mod) % mod
     # each fingerprint's first position; after a hit, every position with it and its remainder
     prints, hits = {fp: 0}, {}
-    # starts[i] is the position where batch i begins, and rests[i] x's remainder there
+    # starts[i] is the position where step i begins, and rests[i] x's remainder there
     starts, rests = [], []
     digits = []
     cur = x
+    # no digit sum is held to a budget here, only each digit, as in the exact walk
     limit = series.MAX_DIGIT_SUM
     while len(digits) < max_steps:
-        count = max_steps - len(digits)
-        word, run = None, _PLAIN_RUN
-        if cur.denominator.bit_length() > _BATCH_BITS:
-            # no digit sum is held to a budget here, as in the exact walk
-            word, rest = _leading_digits(dist, cur, count, count * limit)
-            run = 1
-        if not word:
-            try:
-                word = []
-                rest, _ = _short_digits(dist, cur, word, min(run, count), count, limit)
-            except ResourceLimitError:
-                # up to a digit over the budget one step at a time, so that a
-                # witness before it ends the walk first, as in the exact walk
-                word = []
-                rest, _ = _short_digits(dist, cur, word, 1, count, limit)
+        word = []
+        rest, _ = _next_digits(dist, cur, word, max_steps - len(digits), limit)
         if math.gcd(rest.denominator, w) > 1:
             return _first_witness(dist, cur, word, digits, w)
         for c in dict.fromkeys(word):
@@ -887,9 +764,9 @@ def _batched_walk(dist: Distribution, x: Fraction, max_steps: int, w: int):
 def _walk_repeat(branches, digits: list, starts: list, rests: list, held: list, k: int):
     """The stream with period digits[i:k] for the first (i, r_i) in held with r_i == r_k.
 
-    r_k, x's remainder after digits[:k], is rebuilt from the last batch
+    r_k, x's remainder after digits[:k], is rebuilt from the last step
     start s <= k: `_remainder` of the remainder kept at s, under the map of
-    digits[s:k], at most one batch's digits, which are that remainder's own.
+    digits[s:k], at most one step's digits, which are that remainder's own.
     When no r_i equals it, (k, r_k) joins held and the result is None.
     """
     b = bisect_right(starts, k) - 1

@@ -176,3 +176,8 @@ def render_decimal(value: Fraction, precision: int = 30) -> str:
     ellipsis character marks any output that is not exactly the value.
     """
     return _ratio_decimal(value.numerator, value.denominator, precision)
+
+
+def rational_payload(value: Fraction, precision: int) -> dict:
+    """A value's JSON entry: {"rational": its exact text, "decimal": its rendering}."""
+    return {"rational": rational_text(value), "decimal": render_decimal(value, precision)}

@@ -32,7 +32,7 @@ from . import series
 from .distribution import Distribution, Geometric, _check_digit_bound
 from .errors import DomainError
 from .expansion import _TABLE_CACHE, _TABLE_DIGITS, _word_table
-from .fmt import rational_text, render_decimal
+from .fmt import rational_payload
 from .minkowski import eval_minkowski_enclosure
 
 
@@ -347,9 +347,7 @@ class IntegralReport(NamedTuple):
     verdict: str
 
     def to_json_dict(self, precision: int = 30) -> dict:
-        def rational(v: Fraction) -> dict:
-            return {"rational": rational_text(v), "decimal": render_decimal(v, precision)}
-
+        rational = functools.partial(rational_payload, precision=precision)
         out = {
             "distribution": self.distribution,
             "alpha": rational(self.alpha),
@@ -393,14 +391,8 @@ def integral_report(
     quad = integral_quadrature(dist, depth, cap)
     in_alpha = quad.contains(forms.alpha_form)
     in_gamma = quad.contains(forms.gamma_form)
-    if in_alpha and not in_gamma:
-        verdict = "alpha_form"
-    elif in_gamma and not in_alpha:
-        verdict = "gamma_form"
-    elif in_alpha and in_gamma:
-        verdict = "both"
-    else:
-        verdict = "neither"
+    verdict = {(True, False): "alpha_form", (False, True): "gamma_form",
+               (True, True): "both", (False, False): "neither"}[in_alpha, in_gamma]
     mc = integral_mc(dist, samples, seed) if with_mc else None
     return IntegralReport(
         distribution=dist.spec_string(),

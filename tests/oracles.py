@@ -54,8 +54,8 @@ from probmink import (
     shift,
     singularity_ratio_step,
 )
-from probmink.cli import _check_precision, _parse_digit_word, _rational_payload
-from probmink.fmt import _ratio_decimal, _ratio_text, rational_text
+from probmink.cli import _check_precision, _parse_digit_word
+from probmink.fmt import _ratio_decimal, _ratio_text, rational_payload, rational_text
 from probmink.integral import alpha
 
 
@@ -173,9 +173,9 @@ def ref_cmd_diagnose(args):
         entry = {
             "digits": list(rep.digits),
             "digit_sum": rep.digit_sum,
-            "delta": _rational_payload(rep.delta, precision),
-            "measure": _rational_payload(rep.measure, precision),
-            "quotient": _rational_payload(rep.quotient, precision),
+            "delta": rational_payload(rep.delta, precision),
+            "measure": rational_payload(rep.measure, precision),
+            "quotient": rational_payload(rep.quotient, precision),
         }
         plain.append(
             f"depth {n} digits {','.join(str(d) for d in rep.digits)} "
@@ -185,7 +185,7 @@ def ref_cmd_diagnose(args):
         if n > 1:
             step = singularity_ratio_step(dist, rep.digits[-1])
             ratio = rep.quotient / reports[n - 2].quotient
-            entry["quotient_step"] = _rational_payload(ratio, precision)
+            entry["quotient_step"] = rational_payload(ratio, precision)
             entry["quotient_step_matches_formula"] = ratio == step
             plain.append(f"  quotient step {rational_text(ratio)} "
                          f"formula {rational_text(step)} match {ratio == step}")

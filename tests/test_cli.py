@@ -21,10 +21,10 @@ from probmink import (
     alt_series_periodic_closed_form,
     cli,
     graph_points,
-    integral,
     integral_closed,
     parse_distribution,
 )
+from probmink import fmt as fmt_module
 from probmink.cli import main
 from probmink.fmt import rational_text, render_decimal
 from probmink.series import MAX_DIGIT_SUM
@@ -547,12 +547,13 @@ def test_decode_and_integral_print_recorded_bytes(capsys, argv):
     kind = argv[0] if argv[0] == "decode" else argv[4] if argv[3] == "--method" else "report"
     for fmt, expected, renders in (("plain", "\n".join(plain), RENDERED[kind][0]),
                                    ("json", json.dumps(payload, indent=2), RENDERED[kind][1])):
+        # cli renders plain lines itself, and every JSON entry through fmt.rational_payload
         with mock.patch.object(cli, "render_decimal", wraps=render_decimal) as in_cli, \
-                mock.patch.object(integral, "render_decimal", wraps=render_decimal) as in_report:
+                mock.patch.object(fmt_module, "render_decimal", wraps=render_decimal) as in_fmt:
             code, out, err = run(capsys, *argv, "--format", fmt, "--precision", "12")
         assert (code, out, err) == (0, expected + "\n", "")
         # only the printed format is built
-        assert in_cli.call_count + in_report.call_count == renders, fmt
+        assert in_cli.call_count + in_fmt.call_count == renders, fmt
 
 
 def _documented_codes(text):
@@ -591,3 +592,118 @@ def test_exit_codes_are_documented_in_one_place():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     assert _documented_codes(readme) == returned
     assert _documented_codes(cli.__doc__) == returned
+
+
+# specs, points and digit streams for the argv fuzzer: valid ones first, then
+# malformed or out-of-range ones that must end in a typed error
+FUZZ_SPECS = ("dyadic", "geometric:1/3", "geometric:2/5", "geometric:3/4",
+              "custom:1/3,1/4;1/2", "custom:1/10;1/2", "custom:2/5,1/10;3/5")
+FUZZ_BAD_SPECS = ("geometric:0", "geometric:1", "geometric:3/2", "geometric:x", "custom:;1/2",
+                  "custom:1/2,1/2;1/2", "custom:1/3;0", "custom:1/3", "cauchy", "")
+FUZZ_BAD_POINTS = ("1", "3/2", "-1/3", "1/0", "0.5", "abc", "1//2", "", "7/7")
+FUZZ_BAD_DIGITS = ("0,1", "(", "a", "1,,2", "(0)", "", "2,(", "1.5")
+
+
+def _fuzz_stream(rng):
+    """(pre, per, text): a short digit stream and its `--digits` spelling."""
+    pre = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 4)))
+    per = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
+    return pre, per, ",".join(map(str, pre)) + "(" + ",".join(map(str, per)) + ")"
+
+
+def _fuzz_argv(rng, tmp_path):
+    """(argv, check): one random call, and the reference for its exit-0 value or None."""
+
+    def pick(good, bad, p=0.15):
+        return rng.choice(bad) if rng.random() < p else rng.choice(good)
+
+    def count(low, high, huge=None):
+        """A count in range, one at most 0, or `huge`, which its budget refuses at once."""
+        if huge and rng.random() < 0.05:
+            return huge
+        return str(rng.randint(low, high) if rng.random() > 0.1 else rng.randint(-3, 0))
+
+    spec = pick(FUZZ_SPECS, FUZZ_BAD_SPECS)
+    den = rng.randint(1, 60)
+    point = pick((f"{rng.randrange(den)}/{den}",), FUZZ_BAD_POINTS)
+    pre, per, digits = _fuzz_stream(rng)
+    digits = pick((digits,), FUZZ_BAD_DIGITS + ("(100000000000)", "3,99999999999"), 0.1)
+    command = rng.choice(("eval", "eval", "encode", "decode", "decode", "qmark", "integral",
+                          "graph", "diagnose"))
+    argv, check = [command], None
+    if command == "eval":
+        if rng.random() < 0.4:
+            argv += ["--dist", spec, "--digits", digits]
+            check = lambda ref: ref.series_periodic(pre, per)
+        else:
+            argv += ["--dist", spec, "--x", point]
+            if rng.random() < 0.4:
+                argv += ["--enclose", count(1, 24, "20000000")]
+            argv += ["--max-steps", count(1, 200)]
+    elif command == "encode":
+        argv += ["--dist", spec, "--digits", digits]
+        check = lambda ref: ref.encode(ref.Family(spec), pre, per)
+    elif command == "decode":
+        argv += ["--dist", spec, "--x", point]
+        if rng.random() < 0.5:
+            argv += ["--periodic", "--max-steps", count(1, 200)]
+        else:
+            argv += ["--depth", count(1, 40, "100000000")]
+    elif command == "qmark":
+        qmark_point = pick((point, f"{den}/{den}", "1", "0"), FUZZ_BAD_POINTS[2:])
+        argv += ["--x", qmark_point]
+        check = lambda ref: ref.question_mark(Fraction(qmark_point))
+    elif command == "integral":
+        method = rng.choice(("all", "closed", "quad", "mc"))
+        argv += ["--dist", spec, "--method", method, "--depth", count(1, 3), "--cap", count(1, 4),
+                 "--samples", count(1, 40), "--seed", str(rng.randint(0, 99))]
+    elif command == "graph":
+        sizes = ["9", "40"] if rng.random() < 0.05 else [count(1, 3), count(1, 4)]
+        argv += ["--dist", spec, "--depth", sizes[0], "--cap", sizes[1]]
+        if rng.random() < 0.3:
+            name = rng.choice((str(tmp_path / "g.csv"), str(tmp_path / "missing" / "g.csv")))
+            argv += ["--out", name]
+    else:
+        word = ",".join(str(rng.randint(1, 5)) for _ in range(rng.randint(1, 6)))
+        argv += ["--dist", spec, "--digits", pick((word,), FUZZ_BAD_DIGITS, 0.1)]
+    argv += ["--format", rng.choice(("plain", "json"))]
+    if rng.random() < 0.5:
+        argv += ["--precision", count(1, 40)]
+    # a stray or a missing word: the value checks no longer apply
+    if rng.random() < 0.05:
+        argv.insert(rng.randint(1, len(argv)), rng.choice(("--bogus", "--x", "-q", "7")))
+        check = None
+    if rng.random() < 0.05:
+        del argv[rng.randrange(1, len(argv))]
+        check = None
+    return argv, check
+
+
+def test_argv_fuzz(tmp_path, monkeypatch):
+    # 800 seeded calls over every subcommand but selftest and every
+    # flag: each ends in 0 or a documented error code with an error line, and
+    # never a traceback; JSON parses, and eval --digits, encode and qmark give
+    # the values of the independent references in bench/reference.py
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import reference as ref
+
+    rng = random.Random(14)
+    codes = set()
+    for _ in range(800):
+        argv, check = _fuzz_argv(rng, tmp_path)
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "stdout", out), mock.patch.object(sys, "stderr", err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        codes.add(code)
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err, argv
+        if code:
+            assert any("error: " in line for line in err.splitlines()), (argv, err)
+            continue
+        # graph prints CSV in either format
+        payload = json.loads(out) if "json" in argv and argv[0] != "graph" else None
+        if check is not None:
+            got = payload["value"]["rational"] if payload else out.splitlines()[0]
+            assert Fraction(got) == check(ref), argv
+    assert codes == {0, 2, 3, 4}

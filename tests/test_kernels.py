@@ -353,6 +353,46 @@ def test_codec_budget_on_digit_sum(monkeypatch):
                 call()
 
 
+# the digits before a digit of 40, over a budget of REFUSED_BUDGET: none, one,
+# and two table words' worth, so that the digit sits at k = 1, 2 and 7
+REFUSED_BUDGET = 30
+REFUSED_PREFIXES = ((), (2,), (1, 2, 1, 3, 1, 2))
+
+
+def _refused_digit_points():
+    """(dist, x, k) with x's k-th digit over REFUSED_BUDGET; tables built on the full budget."""
+    points = []
+    for dist in (Dyadic(), Geometric(F(1, 3)), FAMILIES[7], FAMILIES[-1]):
+        rows = _word_table(dist).rows
+        for prefix in REFUSED_PREFIXES:
+            # the longest prefix is read as two table words before the digit
+            assert len(prefix) < 3 or any(row[3] == prefix[:3] for row in rows)
+            points.append((dist, encode(dist, DigitSeq(prefix + (40,), (1,))), len(prefix) + 1))
+    return points
+
+
+def test_short_digits_end_before_a_refused_digit(monkeypatch):
+    # a run ends just before a digit that shift refuses, with the exact remainder
+    # there; the run that starts at the digit raises the per-digit loop's error
+    points = _refused_digit_points()
+    monkeypatch.setattr(series, "MAX_DIGIT_SUM", REFUSED_BUDGET)
+    for dist, x, k in points:
+        want = _budget_outcome(ref_decode, dist, x, k)
+        assert isinstance(want, str)
+        y = x
+        if k > 1:
+            word = []
+            y, room = expansion._short_digits(dist, x, word, 64, 64, REFUSED_BUDGET)
+            digits, rest = ref_decode(dist, x, k - 1)
+            assert word == digits, (dist, k)
+            assert (y.numerator, y.denominator) == (rest.numerator, rest.denominator)
+            assert room == REFUSED_BUDGET - sum(digits)
+        word = []
+        with pytest.raises(ResourceLimitError) as err:
+            expansion._short_digits(dist, y, word, 64, 64, REFUSED_BUDGET)
+        assert str(err.value) == want and word == []
+
+
 def test_decode_budget_on_running_digit_sum(monkeypatch):
     # the digits of 1/3 under the dyadic law are 1, 2, 2, ...: 51 of them sum to 101
     rng = random.Random(31)
@@ -362,6 +402,7 @@ def test_decode_budget_on_running_digit_sum(monkeypatch):
     ]
     big_digit_points = [(dist, encode(dist, DigitSeq((1, 3) * 10 + (150,), (1,))))
                         for dist in (Dyadic(), Geometric(F(1, 3)), FAMILIES[-1])]
+    refused_points = _refused_digit_points()
     monkeypatch.setattr(series, "MAX_DIGIT_SUM", 100)
     assert decode(Dyadic(), F(1, 3), 50) == ref_decode(Dyadic(), F(1, 3), 50)
     with pytest.raises(ResourceLimitError) as err:
@@ -389,6 +430,14 @@ def test_decode_budget_on_running_digit_sum(monkeypatch):
             with mock.patch.multiple(expansion, _BATCH_BITS=sizes[0], _LEAD_BITS=sizes[1],
                                      _WORD_BITS=sizes[2]):
                 assert _budget_outcome(decode, dist, x, 30) == want
+    # a digit over the budget at k = 1, 2 and after two table words: the digits
+    # before it, then the per-digit loop's message
+    monkeypatch.setattr(series, "MAX_DIGIT_SUM", REFUSED_BUDGET)
+    for dist, x, k in refused_points:
+        for n in range(max(k - 1, 1), k + 3):
+            want = _budget_outcome(ref_decode, dist, x, n)
+            assert isinstance(want, str) == (n >= k)
+            assert _budget_outcome(decode, dist, x, n) == want, (dist, k, n)
 
 
 def test_short_decode_with_zero_remainder_inside_a_word():
@@ -890,12 +939,21 @@ def test_batched_walk_finds_a_witness_before_a_digit_over_the_budget(monkeypatch
     p, q, l = g.affine(18)
     x = (p + q * y) / l
     assert x.denominator.bit_length() > expansion._WALK_BATCH_BITS
+    refused_points = _refused_digit_points()
     monkeypatch.setattr(series, "MAX_DIGIT_SUM", 30)
     with pytest.raises(ResourceLimitError):
         shift(g, y)
     result = decode_periodic(g, x)
     assert result == _exact_walk(g, x)
     assert isinstance(result, Aperiodic) and result.prefix == (18,) and result.step == 1
+    # with no witness, the walk forced onto short points raises at the digit
+    # over the budget, at k = 1, 2 and after two table words, as the exact walk does
+    monkeypatch.setattr(series, "MAX_DIGIT_SUM", REFUSED_BUDGET)
+    for dist, x, k in refused_points:
+        want = _budget_outcome(_exact_walk, dist, x)
+        assert isinstance(want, str)
+        with mock.patch.object(expansion, "_WALK_BATCH_BITS", 0):
+            assert _budget_outcome(decode_periodic, dist, x) == want, (dist, k)
 
 
 def test_decode_periodic_memory_is_linear():

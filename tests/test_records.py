@@ -1,5 +1,8 @@
 """The value classes: equality, hashing, repr and immutability, and a cold import.
 
+It also pins the seeded Monte Carlo outputs of `integral --method mc`, byte
+for byte.
+
 Distributions and `DigitSeq` are slotted classes that normalise their
 fields; every result record is a `typing.NamedTuple`. The expected values
 below are the behaviour the package has always had, pinned exactly.
@@ -34,6 +37,7 @@ from probmink import (
     graph_points,
     parse_distribution,
 )
+from probmink.cli import main
 from probmink.selftest import CheckResult
 
 from oracles import brute_graph_points
@@ -184,3 +188,33 @@ def test_digit_seqs_of_one_stream_are_equal():
     assert DigitSeq((3, 1, 2), (1, 2, 1, 2)) == DigitSeq((3,), (1, 2))
     assert hash(DigitSeq((1, 2, 1), (2, 1))) == hash(DigitSeq((1,), (2, 1)))
     assert DigitSeq((1,), (2,)) != DigitSeq((2,), (1,))
+
+
+# Monte Carlo outputs recorded from the one-digit-per-step kernels: the dyadic
+# bit-mask kernel, the geometric table walk and two custom heads, whose samples
+# decode through table-word runs and `shift`, stepping the unreduced remainder
+# across words and summing midpoints as integers
+MC_RECORDED = (
+    (("integral", "--dist", "dyadic", "--method", "mc", "--samples", "2000"),
+        "mean 27943969079557856030573/55340232221128654848000\n"
+        "mean_decimal 0.504948533065406486665050728400…\n"
+        "stderr 6.532e-03\n"),
+    (("integral", "--dist", "geometric:1/3", "--method", "mc", "--samples", "2000"),
+        "mean 385844803467185112577801829764118644577796804836615147995202259032004284413177066834797/971334446112864535459730953411759453321203419526069760625906204869452142602604249088000\n"
+        "mean_decimal 0.397231669288861752930793286510…\n"
+        "stderr 7.269e-03\n"),
+    (("integral", "--dist", "custom:1/3,1/5;2/3", "--method", "mc", "--samples", "200"),
+        "mean 70907066896303723697781906839570773041337025599044709020906301604878371238529613/185267342779705912677713576013900652565231975465024902463132134412661007423897600\n"
+        "mean_decimal 0.382728363414897784811536764717…\n"
+        "stderr 2.244e-02\n"),
+    (("integral", "--dist", "custom:2/5,1/10;3/5", "--method", "mc", "--samples", "200", "--seed", "5"),
+        "mean 988495147266341023650335821745201446169497308621658065139636971505912001/2208558830972980411979121875928648144784354871094523697652007751615774720\n"
+        "mean_decimal 0.447574741231076723247564080208…\n"
+        "stderr 2.567e-02\n"),
+)
+
+
+@pytest.mark.parametrize("argv, text", MC_RECORDED, ids=[argv[2] for argv, _ in MC_RECORDED])
+def test_monte_carlo_prints_recorded_bytes(capsys, argv, text):
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out == text
