@@ -55,39 +55,34 @@ a digit over series.MAX_DIGIT_SUM, which `shift` refuses, unless that
 digit starts it; the call that starts at the digit raises the plain loop's
 error, so a caller acts on the digits before it first.
 
-W witness. The exact walk holds each remainder n/d as plain integers with
-d = e*f. `dist.branch_primes()` gives (S, W): every branch denominator L
-is S-smooth, and W is the part of gcd(Q(c) for c >= 2) prime to S. f
-collects the primes of S in d, so gcd(L, d) = gcd(L, f) is a small gcd. A
-prime p outside S divides no L and, once in d, not the new numerator, so
-v_p(d) grows by v_p(Q(c)) at each digit c and never falls: e only gains
-primes. The lemma: if a prime p of W divides some remainder's denominator,
-the stream is not eventually periodic, since a cycle would keep v_p fixed,
-so it could use only digit 1, whose cycle is the remainder 0. The
-converse, for a law with no head (`Dyadic`, `Geometric`), where every
-prime of Q(c) outside S lies in W: if no prime of W arrives, e stays fixed
-and f only loses primes, so every denominator divides the first, and a
-period closes within that many steps. Under a custom head W may be 1, and
-the walk may run out of steps.
+W witness. `dist.branch_primes()` gives (S, W): every branch denominator L
+is S-smooth, and W is the part of gcd(Q(c) for c >= 2) prime to S. A
+prime p outside S divides no L and, once in a remainder's denominator,
+not the next numerator, so its exponent there grows by v_p(Q(c)) at each
+digit c and never falls. The lemma: if a prime p of W divides some
+remainder's denominator, the stream is not eventually periodic, since a
+cycle would keep v_p fixed, so it could use only digit 1, whose cycle is
+the remainder 0. So the walk ends at the first such remainder, x itself
+included. The converse, for a law with no head (`Dyadic`, `Geometric`),
+where every prime of Q(c) outside S lies in W and no Q has a prime of S:
+while no prime of W arrives, the part of the denominator prime to S stays
+fixed and the rest only loses primes, so every denominator divides the
+first, and the walk meets a repeat within that many steps. Under a custom
+head W may be 1, and the walk may run out of steps.
 
-First fingerprint repeat. The exact walk keeps every remainder, at a cost
-quadratic in a long period. A point of more than _WALK_BATCH_BITS bits is
-walked on `_next_digits`, keeping x's exact remainder at each batch's start
-and every remainder r_k only as its residue modulo the prime
-p = _PRINT_MOD (Karp and Rabin's fingerprints), r <- (r*L - P) * Q^-1 mod
-p. When p divides neither x's denominator nor any Q, equal remainders have
-equal residues. A hit at k rebuilds r_k exactly from the last kept
-remainder and compares it with each earlier remainder of that residue,
-oldest first; a refused hit walks on. If (mu, mu + lambda) is the exact
-walk's first repeat, r_0, ..., r_(mu+lambda-1) are distinct, so no hit
-passes before k = mu + lambda, and there only r_mu does; the stream is
-canonical as it stands, since a shorter period or an absorbable preperiod
-digit would repeat a remainder sooner. The witness is tested on each
-step's end remainder, and the digits that bring it are walked one at a
-time. A digit over the budget raises where the exact walk's does, a word
-over it where its encode check does, and p dividing x's denominator or
-some Q hands the point to the exact walk, so every result and error is
-the exact walk's.
+First fingerprint repeat. Keeping every exact remainder costs memory
+quadratic in a long period, so the walk steps on `_next_digits`, keeping
+x's exact remainder at each step's start and every remainder r_k only as
+its residue modulo the prime p = _PRINT_MOD (Karp and Rabin's
+fingerprints), r <- (r*L - P) * Q^-1 mod p; when p divides neither x's
+denominator nor any Q, equal remainders have equal residues. A hit at k
+rebuilds r_k exactly from the last kept remainder and compares it with
+each earlier remainder of that residue, oldest first; a refused hit walks
+on. If (mu, mu + lambda) is the first repeat, r_0, ..., r_(mu+lambda-1)
+are distinct, so no hit passes before k = mu + lambda, and there only r_mu
+does; the stream is canonical as it stands, since a shorter period or an
+absorbable preperiod digit would repeat a remainder sooner. A point that p
+cannot fingerprint takes one `shift` per digit, keeping every remainder.
 """
 
 import functools
@@ -97,7 +92,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
-from .distribution import Distribution, _Frozen, _smooth_part
+from .distribution import Distribution, _Frozen
 from .errors import AperiodicError, DomainError, ParseError, ProbminkError, ResourceLimitError
 from .fmt import parse_ints, rational_text
 
@@ -273,15 +268,10 @@ _WORD_BITS = 256
 _PLAIN_RUN = 64
 # words of up to this many digits compose by the plain left fold
 _FOLD_DIGITS = 64
-# decode_periodic walks in batches when x's denominator has more than
-# _WALK_BATCH_BITS bits, keeping each remainder's fingerprint modulo the
-# prime _PRINT_MOD. Timed in-process against the exact walk on random
-# periods (Python 3.11.7, 2-CPU x86-64 host), it wins from about 60-100
-# bits under dyadic, geometric:1/3 and custom:1/3,1/4;1/2 (0.6-0.7x at
-# 250-450 bits). Points up to 320 bits, such as 125-digit dyadic periods
-# (240-280 bits), keep the exact walk and its encode check, the only
-# `encode` call that bench/spans.py can require on exact_eval
-_WALK_BATCH_BITS = 320
+# decode_periodic checks a stream it finds for a point of up to
+# _ENCODE_CHECK_BITS bits against encode, which on exact_eval's ladder of
+# short periods is the one `encode` call that bench/spans.py can require
+_ENCODE_CHECK_BITS = 320
 # _PRINT_MOD is a safe prime p = 2q + 1 below 2^30, with q prime, so a
 # fingerprint step stays on CPython's one-digit ints. ord_p(2) = 2q: it
 # divides p - 1 = 2q and is not 1 or 2, and p = 3 mod 8 makes 2^q = -1
@@ -397,15 +387,15 @@ def decode(dist: Distribution, x: Fraction, n: int) -> tuple:
     return digits, cur
 
 
-def _next_digits(dist: Distribution, x: Fraction, word: list, count: int, room: int):
+def _next_digits(dist: Distribution, x: Fraction, word: list, count: int, room: int,
+                 run: int = _PLAIN_RUN):
     """(y, room): appends x's next certified digits, at most `count`, to `word`.
 
     y is x's remainder after them and room what is left of `room` after
     their digit sum: a batch (`_leading_digits`) above _BATCH_BITS bits,
-    otherwise a run (`_short_digits`) of up to _PLAIN_RUN digits, or of one
+    otherwise a run (`_short_digits`) of up to `run` digits, or of one
     after a batch that certifies nothing (see the module docstring).
     """
-    run = _PLAIN_RUN
     if x.denominator.bit_length() > _BATCH_BITS:
         batch, rest = _leading_digits(dist, x, count, room)
         if batch:
@@ -642,81 +632,65 @@ def decode_periodic(dist: Distribution, x: Fraction, max_steps: int = 4096):
     """Recover the full eventually periodic digit stream of x, or disprove one.
 
     Returns x's canonical DigitSeq at the first repeated remainder; an
-    Aperiodic certificate at the first remainder whose denominator a prime
-    of W (dist.branch_primes()) divides; or NotDetected with the digits
-    found when neither happens in max_steps. Both stages give the same
-    result and error (the W witness and first fingerprint repeat in the
-    module docstring). The exact walk takes points of up to
-    _WALK_BATCH_BITS bits: one `dist._branch(n, d)` per step, which gives
-    the digit and its triple from one integer search, then `shift`'s
-    update on the integers n, e and f, with no Fraction; it checks the
-    stream it finds against `encode`. Longer points take `_batched_walk`.
+    Aperiodic certificate at the first remainder, x included, whose
+    denominator a prime of W (dist.branch_primes()) divides; or NotDetected
+    with the digits found when neither happens in max_steps (the W witness
+    and first fingerprint repeat in the module docstring). A digit over the
+    budget raises where `shift` does, and a stream over it where `encode`
+    would, in `_batched_walk` and in `_plain_walk` alike.
     """
     _check_unit_interval(x)
     if max_steps < 1:
         raise DomainError(f"max_steps must be >= 1, got {max_steps}")
-    primes, w = dist.branch_primes()
-    branch = dist._branch
-    n, d = x.numerator, x.denominator
-    f = _smooth_part(d, primes)
-    witness = math.gcd(d // f, w)
+    _, w = dist.branch_primes()
+    d = x.denominator
+    witness = math.gcd(d, w)
     if witness > 1:
         return Aperiodic((), witness, 0)
-    if d.bit_length() > _WALK_BATCH_BITS and d % _PRINT_MOD:
-        found = _batched_walk(dist, x, max_steps, w)
-        if found is not None:
-            return found
-    # the non-S part e = d/f is fixed between clears, so (n, f) keys the remainder
+    found = _batched_walk(dist, x, max_steps, w) if d % _PRINT_MOD else None
+    if found is None:
+        found = _plain_walk(dist, x, max_steps, w)
+    if (isinstance(found, DigitSeq) and d.bit_length() <= _ENCODE_CHECK_BITS
+            and encode(dist, found) != x):
+        raise ProbminkError("period detection produced an inconsistent stream for "
+                            f"{rational_text(x)}")
+    return found
+
+
+def _plain_walk(dist: Distribution, x: Fraction, max_steps: int, w: int):
+    """decode_periodic's result for x by one `shift` per digit, keeping every remainder."""
     seen = {}
     digits = []
     while True:
-        j = seen.setdefault((n, f), len(digits))
+        j = seen.setdefault((x.numerator, x.denominator), len(digits))
         if j < len(digits):
-            seq = DigitSeq(tuple(digits[:j]), tuple(digits[j:]))
-            if encode(dist, seq) != x:
-                raise ProbminkError("period detection produced an inconsistent stream for "
-                                    f"{rational_text(x)}")
-            return seq
+            return _stream(digits, j, len(digits))
         if j == max_steps:
             return NotDetected(tuple(digits))
-        c, p, q, l = branch(n, d)
+        c, x = shift(dist, x)
         digits.append(c)
-        g = math.gcd(l, f)
-        if g > 1:
-            l, f, d = l // g, f // g, d // g
-        m = n * l - p * d
-        if q & (q - 1):
-            n, r = divmod(m, q)
-        else:
-            # a power of two, 1 included: bit operations cost a fraction of a divmod
-            n, r = m >> (q.bit_length() - 1), m & (q - 1)
-        if not r:
-            continue
-        # q stays in the denominator after cancelling gcd(m, q) = gcd(q, r)
-        g = math.gcd(q, r)
-        if g > 1:
-            m, q = m // g, q // g
-        n = m
-        smooth = _smooth_part(q, primes)
-        f, d = f * smooth, d * q
-        if q > smooth:
-            # e gains the primes of q // smooth, which no later step removes,
-            # so no earlier remainder comes back
-            witness = math.gcd(q // smooth, w)
-            if witness > 1:
-                return Aperiodic(tuple(digits), witness, len(digits))
-            seen.clear()
+        witness = math.gcd(x.denominator, w)
+        if witness > 1:
+            return Aperiodic(tuple(digits), witness, len(digits))
+
+
+def _stream(digits: list, i: int, k: int) -> DigitSeq:
+    """The canonical stream of a first repeat r_i == r_k, held to the budget as by `encode`."""
+    pre, per = tuple(digits[:i]), tuple(digits[i:k])
+    series.check_digit_sum(sum(pre))
+    series.check_digit_sum(sum(per))
+    return DigitSeq._canonical(pre, per)
 
 
 def _batched_walk(dist: Distribution, x: Fraction, max_steps: int, w: int):
-    """decode_periodic's result for x, walked on `_next_digits`; None hands x to the exact walk.
+    """decode_periodic's result for x, walked on `_next_digits`; None when p divides some Q.
 
-    Each remainder r_k is kept as r_k mod _PRINT_MOD, and each step's first
-    position with x's exact remainder there; a fingerprint hit at k is
-    tested by `_walk_repeat` against every earlier position with that
-    fingerprint, oldest first, and a step whose end remainder holds a prime
-    of W goes to `_first_witness`. The result is None when some Q is a
-    multiple of the modulus.
+    A fingerprint hit at k goes to `_walk_repeat`, and a step whose end
+    remainder holds a prime of W to `_first_witness`. The first run has
+    about a quarter of x's denominator bits in digits, from 4 up to
+    _PLAIN_RUN, with a digit sum of at most four times that, and each
+    later one twice the last: a short point stops near its period, and a
+    law of large digits reads few of them.
     """
     mod = _PRINT_MOD
     # digit c's triple (P, Q, L), and its step r -> (r*a - b) % mod with a = L/Q and b = P/Q
@@ -728,11 +702,15 @@ def _batched_walk(dist: Distribution, x: Fraction, max_steps: int, w: int):
     starts, rests = [], []
     digits = []
     cur = x
-    # no digit sum is held to a budget here, only each digit, as in the exact walk
+    # no digit sum is held to a budget here, only each digit, as in `shift`:
+    # a step's room only ends it, kept within the budget that table words meet
     limit = series.MAX_DIGIT_SUM
+    run = max(x.denominator.bit_length() >> 2, 4)
     while len(digits) < max_steps:
         word = []
-        rest, _ = _next_digits(dist, cur, word, max_steps - len(digits), limit)
+        rest, _ = _next_digits(dist, cur, word, max_steps - len(digits), min(4 * run, limit),
+                               min(run, _PLAIN_RUN))
+        run = min(2 * run, limit)
         if math.gcd(rest.denominator, w) > 1:
             return _first_witness(dist, cur, word, digits, w)
         for c in dict.fromkeys(word):
@@ -774,12 +752,7 @@ def _walk_repeat(branches, digits: list, starts: list, rests: list, held: list, 
     r_k = _remainder(y.numerator, y.denominator, *_product(branches, digits[starts[b]:k]))
     for i, r_i in held:
         if r_i == r_k:
-            # r_0, ..., r_(k-1) are distinct, so the stream is already canonical
-            pre, per = tuple(digits[:i]), tuple(digits[i:k])
-            # as the exact walk's encode check, which composes both words, refuses them
-            series.check_digit_sum(sum(pre))
-            series.check_digit_sum(sum(per))
-            return DigitSeq._canonical(pre, per)
+            return _stream(digits, i, k)
     held.append((k, r_k))
     return None
 
@@ -790,7 +763,7 @@ def _first_witness(dist: Distribution, x: Fraction, word, digits: list, w: int):
     `digits` leads to x, and x's remainder after the whole word holds a
     prime of W, so some digit of the word brings it; `digits` is extended
     up to that digit. Should none do, the result is None, which hands the
-    point to the exact walk.
+    point to `_plain_walk`.
     """
     for c in word:
         x = _remainder(x.numerator, x.denominator, *dist.affine(c))

@@ -29,9 +29,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import series
-from .distribution import Distribution, Geometric, _check_digit_bound
+from .distribution import Distribution, _check_digit_bound
 from .errors import DomainError
-from .expansion import _TABLE_CACHE, _TABLE_DIGITS, _word_table
+from .expansion import _TABLE_DIGITS, _word_table
 from .fmt import rational_payload
 from .minkowski import eval_minkowski_enclosure
 
@@ -171,23 +171,18 @@ def _mc_sample_dyadic(a: int) -> tuple:
     return 12 * odd - 6 * zeros + sign, n_bits
 
 
-@functools.lru_cache(maxsize=_TABLE_CACHE)
-def _geometric_table(s: int, t: int):
-    """The word table of the geometric law with q = s/t, keyed on plain ints."""
-    return _word_table(Geometric(Fraction(s, t)))
-
-
-def _mc_sample_geometric(s: int, t: int, a: int) -> tuple:
+def _mc_sample_geometric(s: int, t: int, table, a: int) -> tuple:
     """The sample at x = a / 2^64 under the geometric law with q = s/t.
 
     Walks x = n/d as an unreduced integer pair, from n = a and d = 2^64.
-    While _TABLE_DIGITS or more digits are left, a lookup in the law's word
-    table (`expansion._word_table`) proposes the longest word of the table
-    that x's digits can start with, and the integer test
-    0 <= n*D - A*d < d*B certifies it. Then n, d <- n*D - A*d, d*B, and the
-    series accumulator takes the word in one step,
-    m <- (m << S_w) + sign * M_w, with S_w the word's digit sum and M_w its
-    accumulator from m = 0; the sign flips when the word's length is odd.
+    While _TABLE_DIGITS or more digits are left, a lookup in `table`, the
+    law's word table (`expansion._word_table`) or None, proposes the
+    longest word of the table that x's digits can start with, and the
+    integer test 0 <= n*D - A*d < d*B certifies it. Then
+    n, d <- n*D - A*d, d*B, and the series accumulator takes the word in
+    one step, m <- (m << S_w) + sign * M_w, with S_w the word's digit sum
+    and M_w its accumulator from m = 0; the sign flips when the word's
+    length is odd.
     A lookup cannot give a wrong digit: the test holds exactly when x lies
     in the word's cylinder, and a failed one costs a plain step. When the
     remainder after a word is 0, the walk's first zero is after the word
@@ -212,7 +207,8 @@ def _mc_sample_geometric(s: int, t: int, a: int) -> tuple:
     u = t - s
     k = t.bit_length() - 1
     bounded = t * k > s * series.MAX_DIGIT_SUM
-    table = None if bounded else _geometric_table(s, t)
+    if bounded:
+        table = None
     if table is not None:
         scale, lefts, rows = table
     d = 1 << _MC_DEPTH
@@ -318,7 +314,7 @@ def integral_mc(dist: Distribution, samples: int, seed: int) -> MCEstimate:
     else:
         # a tail alone is the geometric law with q = 1 - r
         sample = functools.partial(_mc_sample_geometric, ratio.denominator - ratio.numerator,
-                                   ratio.denominator)
+                                   ratio.denominator, _word_table(dist))
     total, sq_total = _mc_sums(sample, samples, random.Random(seed))
     mean = total / samples
     if samples > 1:

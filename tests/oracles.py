@@ -19,7 +19,9 @@ for the laws with no head. `ref_digit_seq` is
 `DigitSeq`'s canonical form absorbing one preperiod digit per step.
 `ref_graph_points` is the graph enumeration that recomposes every word from
 its first digit. `ref_decode_periodic` is period detection with no
-aperiodicity certificate, keyed on every reduced remainder. `ref_decode` is
+aperiodicity certificate, keyed on every reduced remainder, and
+`ref_exact_walk` the integer walk with the certificate, on the split of
+each denominator into its S-smooth part and the rest. `ref_decode` is
 the decoder that runs one full-size `shift` per digit, and `ref_compose`
 the left fold of a word's branch triples. `ref_write_graph_csv` writes
 every graph row through the general `fmt` formatters, and
@@ -33,10 +35,12 @@ kernel and property tests share.
 
 import itertools
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 
 from probmink import (
+    Aperiodic,
     CustomPrefixTail,
     DigitSeq,
     DomainError,
@@ -55,6 +59,7 @@ from probmink import (
     singularity_ratio_step,
 )
 from probmink.cli import _check_precision, _parse_digit_word
+from probmink.distribution import _smooth_part
 from probmink.fmt import _ratio_decimal, _ratio_text, rational_payload, rational_text
 from probmink.integral import alpha
 
@@ -490,6 +495,61 @@ def ref_decode_periodic(dist, x, max_steps=4096):
         c, cur = shift(dist, cur)
         digits.append(c)
     return NotDetected(tuple(digits[:max_steps]))
+
+
+def ref_exact_walk(dist, x, max_steps=4096):
+    """`decode_periodic` as one integer loop per digit, with W tested on each new prime.
+
+    The remainder n/d is held as plain integers with d = e*f, where f
+    collects the primes of S (`dist.branch_primes()`), so gcd(L, d) is the
+    small gcd(L, f). e only gains primes, and (n, f) keys a remainder until
+    it does; then no earlier remainder can come back, and the dict is
+    cleared. Each new prime of e is tested against W. A power-of-two Q
+    divides by shifts. The stream found is checked against `encode`, whose
+    digit sums are held to the budget.
+    """
+    primes, w = dist.branch_primes()
+    n, d = x.numerator, x.denominator
+    f = _smooth_part(d, primes)
+    witness = math.gcd(d // f, w)
+    if witness > 1:
+        return Aperiodic((), witness, 0)
+    seen = {}
+    digits = []
+    while True:
+        j = seen.setdefault((n, f), len(digits))
+        if j < len(digits):
+            seq = DigitSeq(tuple(digits[:j]), tuple(digits[j:]))
+            if encode(dist, seq) != x:
+                raise ProbminkError("period detection produced an inconsistent stream for "
+                                    f"{rational_text(x)}")
+            return seq
+        if j == max_steps:
+            return NotDetected(tuple(digits))
+        c, p, q, l = dist._branch(n, d)
+        digits.append(c)
+        g = math.gcd(l, f)
+        if g > 1:
+            l, f, d = l // g, f // g, d // g
+        m = n * l - p * d
+        if q & (q - 1):
+            n, r = divmod(m, q)
+        else:
+            n, r = m >> (q.bit_length() - 1), m & (q - 1)
+        if not r:
+            continue
+        # q stays in the denominator after cancelling gcd(m, q) = gcd(q, r)
+        g = math.gcd(q, r)
+        if g > 1:
+            m, q = m // g, q // g
+        n = m
+        smooth = _smooth_part(q, primes)
+        f, d = f * smooth, d * q
+        if q > smooth:
+            witness = math.gcd(q // smooth, w)
+            if witness > 1:
+                return Aperiodic(tuple(digits), witness, len(digits))
+            seen.clear()
 
 
 def ref_digit_seq(preperiod, period):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -611,8 +612,169 @@ def _fuzz_stream(rng):
     return pre, per, ",".join(map(str, pre)) + "(" + ",".join(map(str, per)) + ")"
 
 
+def _fuzz_precision(argv):
+    """The --precision of a call's argv, 30 when it has none."""
+    return int(argv[argv.index("--precision") + 1]) if "--precision" in argv else 30
+
+
+def _rational_texts(ref, texts, value, precision, what):
+    """Require a {"rational", "decimal"} payload, or a bare rational text, to show value."""
+    if isinstance(texts, dict):
+        ref.expect_equal(texts["decimal"], ref.decimal(value, precision), what)
+        texts = texts["rational"]
+    ref.expect_rational(texts, value, what)
+
+
+def _check_decode_periodic(spec, point):
+    """The printed stream re-encodes to the point by the reference codec."""
+
+    def verify(ref, out, payload, argv):
+        text = payload["digits"] if payload else out.splitlines()[0]
+        pre, per = text[:-1].split("(")
+        pre = tuple(int(d) for d in pre.split(",")) if pre else ()
+        per = tuple(int(d) for d in per.split(","))
+        ref.expect_equal(ref.encode(ref.Family(spec), pre, per), Fraction(point), "stream")
+
+    return verify
+
+
+def _check_decode_depth(spec, point, depth):
+    """The digits and remainder of one reference prefix and pmf step per digit."""
+
+    def verify(ref, out, payload, argv):
+        fam, x, digits = ref.Family(spec), Fraction(point), []
+        for _ in range(int(depth)):
+            c = fam.digit(x.numerator, x.denominator)
+            x = (x - fam.prefix(c)) / fam.pmf(c)
+            digits.append(c)
+        if payload:
+            got, remainder = payload["digits"], payload["remainder"]
+        else:
+            lines = out.splitlines()
+            got = [int(d) for d in lines[0].removeprefix("digits ").split(",")]
+            remainder = lines[1].removeprefix("remainder ")
+        ref.expect_equal(got, digits, "digits")
+        _rational_texts(ref, remainder, x, _fuzz_precision(argv), "remainder")
+
+    return verify
+
+
+def _check_graph(spec, depth, cap, name):
+    """The reference CSV; under --out, its row count and uncovered mass too."""
+
+    def verify(ref, out, payload, argv):
+        fam, depth_, cap_ = ref.Family(spec), int(depth), int(cap)
+        csv_text = ref.graph_csv(fam, depth_, cap_, _fuzz_precision(argv))
+        if name is None:
+            ref.expect_equal(out, csv_text, "graph")
+            return
+        lines = out.splitlines()
+        ref.expect_equal(lines[0], f"points {cap_ ** depth_}", "row count")
+        ref.expect_rational(lines[1].removeprefix("uncovered_mass "),
+                            1 - fam.prefix(cap_ + 1) ** depth_, "uncovered mass")
+        with open(name, newline="") as handle:
+            ref.expect_equal(handle.read(), csv_text, "graph file")
+
+    return verify
+
+
+def _check_diagnose(spec, word):
+    """Each prefix's digit sum, increment, measure and quotient, and each quotient step."""
+
+    def verify(ref, out, payload, argv):
+        rows = ref.increments(ref.Family(spec), tuple(int(d) for d in word.split(",")))
+        steps = [None] + [b[4] / a[4] for a, b in zip(rows, rows[1:])]
+        precision = _fuzz_precision(argv)
+        if payload:
+            entries = payload["prefixes"]
+            ref.expect_equal(len(entries), len(rows), "prefixes")
+            for entry, (digits, total, delta, measure, quotient), step in zip(entries, rows,
+                                                                              steps):
+                ref.expect_equal((tuple(entry["digits"]), entry["digit_sum"]), (digits, total),
+                                 "digits")
+                for key, value in (("delta", delta), ("measure", measure),
+                                   ("quotient", quotient), ("quotient_step", step)):
+                    if value is not None:
+                        _rational_texts(ref, entry[key], value, precision, key)
+            return
+        want = []
+        for n, ((digits, _, delta, measure, quotient), step) in enumerate(zip(rows, steps), 1):
+            want.append(f"depth {n} digits {','.join(map(str, digits))} delta {ref.rat(delta)} "
+                        f"measure {ref.rat(measure)} quotient {ref.rat(quotient)}")
+            if step is not None:
+                want.append(f"  quotient step {ref.rat(step)}")
+        got = [line.split(" formula ")[0] for line in out.splitlines()]
+        ref.expect_equal(got, want, "diagnose")
+
+    return verify
+
+
+def _check_integral(spec, method, depth, cap, samples, seed):
+    """alpha, gamma, both closed forms, the quadrature enclosure and the Monte Carlo estimate."""
+
+    def verify(ref, out, payload, argv):
+        fam, precision = ref.Family(spec), _fuzz_precision(argv)
+        a, g = fam.alpha(), fam.gamma()
+        forms = {"closed_form_alpha": 2 * a / (1 + a), "closed_form_gamma": 2 * a / (1 + g)}
+        if method in ("quad", "all"):
+            lower, upper = ref.quadrature(fam, int(depth), int(cap))
+        if method in ("mc", "all"):
+            mean, stderr = ref.monte_carlo(fam, int(samples), int(seed))
+        if method == "closed":
+            values = forms
+        elif method == "quad":
+            values = {"lower": lower, "upper": upper}
+            # plain text prints the width as a decimal alone
+            if payload:
+                values["width"] = upper - lower
+        elif method == "mc":
+            values = {"mean": mean}
+        else:
+            contains = [lower <= forms[k] <= upper for k in forms]
+            verdict = {(True, False): "alpha_form", (False, True): "gamma_form",
+                       (True, True): "both", (False, False): "neither"}[tuple(contains)]
+            values = {"alpha": a, "gamma": g, **forms, "quadrature_lower": lower,
+                      "quadrature_upper": upper}
+        lines = dict(line.split(" ", 1) for line in out.splitlines()) if not payload else None
+        for key, value in values.items():
+            if payload:
+                texts = (payload["quadrature"][key.removeprefix("quadrature_")]
+                         if key.startswith("quadrature_") else payload[key])
+                _rational_texts(ref, texts, value, precision, key)
+            else:
+                ref.expect_rational(lines[key], value, key)
+        if method == "quad" and not payload:
+            ref.expect_equal(lines["width_decimal"], ref.decimal(upper - lower, precision),
+                             "width")
+        if method == "mc":
+            if payload:
+                ref.expect_equal((payload["stderr"], payload["samples"], payload["seed"]),
+                                 (stderr, int(samples), int(seed)), "mc")
+            else:
+                ref.expect_equal((lines["mean_decimal"], lines["stderr"]),
+                                 (ref.decimal(mean, precision), stderr), "mc")
+        if method == "all":
+            if payload:
+                mc = payload["monte_carlo"]
+                _rational_texts(ref, mc["mean"], mean, precision, "mc mean")
+                ref.expect_equal((payload["verdict"], mc["stderr"]), (verdict, stderr), "report")
+            else:
+                ref.expect_equal(
+                    (lines["quadrature_width_decimal"], lines["mc_mean_decimal"],
+                     lines["mc_stderr"], lines["verdict"]),
+                    (ref.decimal(upper - lower, precision), ref.decimal(mean, precision),
+                     stderr, verdict), "report")
+
+    return verify
+
+
 def _fuzz_argv(rng, tmp_path):
-    """(argv, check): one random call, and the reference for its exit-0 value or None."""
+    """(argv, check, verify): one random call, and the references for its exit-0 output.
+
+    check gives the value that eval --digits, encode and qmark print, and
+    verify(ref, out, payload, argv) checks the output of every other command;
+    either is None where it does not apply.
+    """
 
     def pick(good, bad, p=0.15):
         return rng.choice(bad) if rng.random() < p else rng.choice(good)
@@ -630,7 +792,7 @@ def _fuzz_argv(rng, tmp_path):
     digits = pick((digits,), FUZZ_BAD_DIGITS + ("(100000000000)", "3,99999999999"), 0.1)
     command = rng.choice(("eval", "eval", "encode", "decode", "decode", "qmark", "integral",
                           "graph", "diagnose"))
-    argv, check = [command], None
+    argv, check, verify = [command], None, None
     if command == "eval":
         if rng.random() < 0.4:
             argv += ["--dist", spec, "--digits", digits]
@@ -647,8 +809,10 @@ def _fuzz_argv(rng, tmp_path):
         argv += ["--dist", spec, "--x", point]
         if rng.random() < 0.5:
             argv += ["--periodic", "--max-steps", count(1, 200)]
+            verify = _check_decode_periodic(spec, point)
         else:
             argv += ["--depth", count(1, 40, "100000000")]
+            verify = _check_decode_depth(spec, point, argv[-1])
     elif command == "qmark":
         qmark_point = pick((point, f"{den}/{den}", "1", "0"), FUZZ_BAD_POINTS[2:])
         argv += ["--x", qmark_point]
@@ -657,40 +821,47 @@ def _fuzz_argv(rng, tmp_path):
         method = rng.choice(("all", "closed", "quad", "mc"))
         argv += ["--dist", spec, "--method", method, "--depth", count(1, 3), "--cap", count(1, 4),
                  "--samples", count(1, 40), "--seed", str(rng.randint(0, 99))]
+        verify = _check_integral(spec, method, *argv[6:13:2])
     elif command == "graph":
         sizes = ["9", "40"] if rng.random() < 0.05 else [count(1, 3), count(1, 4)]
         argv += ["--dist", spec, "--depth", sizes[0], "--cap", sizes[1]]
+        name = None
         if rng.random() < 0.3:
             name = rng.choice((str(tmp_path / "g.csv"), str(tmp_path / "missing" / "g.csv")))
             argv += ["--out", name]
+        verify = _check_graph(spec, *sizes, name)
     else:
         word = ",".join(str(rng.randint(1, 5)) for _ in range(rng.randint(1, 6)))
         argv += ["--dist", spec, "--digits", pick((word,), FUZZ_BAD_DIGITS, 0.1)]
+        verify = _check_diagnose(spec, argv[-1])
     argv += ["--format", rng.choice(("plain", "json"))]
     if rng.random() < 0.5:
         argv += ["--precision", count(1, 40)]
     # a stray or a missing word: the value checks no longer apply
     if rng.random() < 0.05:
         argv.insert(rng.randint(1, len(argv)), rng.choice(("--bogus", "--x", "-q", "7")))
-        check = None
+        check = verify = None
     if rng.random() < 0.05:
         del argv[rng.randrange(1, len(argv))]
-        check = None
-    return argv, check
+        check = verify = None
+    return argv, check, verify
 
 
 def test_argv_fuzz(tmp_path, monkeypatch):
     # 800 seeded calls over every subcommand but selftest and every
     # flag: each ends in 0 or a documented error code with an error line, and
-    # never a traceback; JSON parses, and eval --digits, encode and qmark give
-    # the values of the independent references in bench/reference.py
+    # never a traceback; JSON parses, and every exit-0 output is checked
+    # against the independent references in bench/reference.py: the values of
+    # eval --digits, encode and qmark, decode's stream or digits and
+    # remainder, graph's CSV, diagnose's increments and integral's four methods
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import reference as ref
 
     rng = random.Random(14)
     codes = set()
+    verified = Counter()
     for _ in range(800):
-        argv, check = _fuzz_argv(rng, tmp_path)
+        argv, check, verify = _fuzz_argv(rng, tmp_path)
         out, err = io.StringIO(), io.StringIO()
         with mock.patch.object(sys, "stdout", out), mock.patch.object(sys, "stderr", err):
             code = main(argv)
@@ -706,4 +877,8 @@ def test_argv_fuzz(tmp_path, monkeypatch):
         if check is not None:
             got = payload["value"]["rational"] if payload else out.splitlines()[0]
             assert Fraction(got) == check(ref), argv
+        if verify is not None:
+            verify(ref, out, payload, argv)
+            verified[verify.__qualname__.split(".")[0]] += 1
     assert codes == {0, 2, 3, 4}
+    assert min(verified.values()) >= 10 and len(verified) == 5, verified

@@ -53,6 +53,7 @@ from oracles import (
     ref_digit_of,
     ref_digit_seq,
     ref_encode,
+    ref_exact_walk,
     ref_family_affine,
     ref_family_branch_primes,
     ref_finite_sum,
@@ -492,24 +493,29 @@ def _mc_points(seed, count):
     return sorted(edges) + short + [rng.getrandbits(64) for _ in range(count)]
 
 
+def _table_sample(s, t, a):
+    """The geometric Monte Carlo kernel's sample at a, on the law's own word table."""
+    return _mc_sample_geometric(s, t, _word_table(Geometric(F(s, t))), a)
+
+
 def test_mc_sample_kernels_match_reference():
     for a in _mc_points(164, 1000):
         assert _mc_sample_dyadic(a) == ref_mc_sample_int(1, 2, a), a
     for q in MC_QS:
         s, t = q.numerator, q.denominator
         for a in _mc_points(t, 150):
-            assert _mc_sample_geometric(s, t, a) == ref_mc_sample_int(s, t, a), (q, a)
+            assert _table_sample(s, t, a) == ref_mc_sample_int(s, t, a), (q, a)
     # digits near 100 per step: each reference sample walks about 6 400 candidates
     for a in (0, (1 << 64) - 1, random.Random(100).getrandbits(64)):
-        assert _mc_sample_geometric(1, 100, a) == ref_mc_sample_int(1, 100, a), a
+        assert _table_sample(1, 100, a) == ref_mc_sample_int(1, 100, a), a
 
 
 def test_table_walk_zero_inside_a_word():
     # under q = 1/4 the left end of the cylinder of (2,) is 1/4, whose remainder is 0
     # after its first digit: the walk certifies the word (2, 1, 1) and stops at (2,)
     for a in (1 << 62, (1 << 62) - 1, (1 << 62) + 1, 0):
-        assert _mc_sample_geometric(1, 4, a) == ref_mc_sample_int(1, 4, a), a
-    assert _mc_sample_geometric(1, 4, 1 << 62) == (6 * 1 - 2, 2)
+        assert _table_sample(1, 4, a) == ref_mc_sample_int(1, 4, a), a
+    assert _table_sample(1, 4, 1 << 62) == (6 * 1 - 2, 2)
 
 
 def _bench_specs(monkeypatch):
@@ -699,11 +705,6 @@ def test_aperiodic_certificate_by_hand():
     assert fired > 150
 
 
-def _exact_walk(dist, x, max_steps=4096):
-    with mock.patch.object(expansion, "_WALK_BATCH_BITS", 1 << 62):
-        return decode_periodic(dist, x, max_steps)
-
-
 def test_batched_walk_hands_hard_points_to_the_exact_walk():
     rng = random.Random(23)
     g = Geometric(F(1, 3))
@@ -711,13 +712,13 @@ def test_batched_walk_hands_hard_points_to_the_exact_walk():
     seq = DigitSeq(tuple(rng.randint(1, 3) for _ in range(30)),
                    tuple(rng.randint(1, 3) for _ in range(1500)))
     x = encode(g, seq)
-    assert x.denominator.bit_length() > expansion._WALK_BATCH_BITS and len(seq.preperiod) > 20
+    assert x.denominator.bit_length() > expansion._ENCODE_CHECK_BITS and len(seq.preperiod) > 20
     # x's exact remainders r_0 .. r_(mu+lambda), one shift each, and their integer pairs
     rems = [x]
     for _ in range(len(seq.preperiod + seq.period)):
         rems.append(shift(g, rems[-1])[1])
     keys = [(r.numerator, r.denominator) for r in rems]
-    exact = _exact_walk(g, x)
+    exact = ref_exact_walk(g, x)
     walk_repeat = expansion._walk_repeat
     hits = []
 
@@ -755,16 +756,19 @@ def test_batched_walk_hands_hard_points_to_the_exact_walk():
         assert any(i == len(seq.preperiod) for i, _ in tried)
         with mock.patch.object(expansion, "_PRINT_MOD", modulus):
             assert expansion._batched_walk(g, x, 4096, w) == seq == exact
-    # a modulus that divides some Q, or x's denominator, still hands the point
-    # to the exact walk: Q(2) = 2 is a multiple of 2, and 3 divides the
-    # denominator of x / 3, so the batched stage never starts
+    # a modulus that divides some Q, or x's denominator, hands the point to
+    # the plain walk, which gives the exact walk's result: Q(2) = 2 is a
+    # multiple of 2, and 3 divides the denominator of x / 3, so the batched
+    # walk never starts
     y = x / 3
     for point, modulus, calls in ((x, 2, 1), (y, 3, 0)):
         with mock.patch.object(expansion, "_PRINT_MOD", modulus), \
                 mock.patch.object(expansion, "_batched_walk",
-                                  wraps=expansion._batched_walk) as batched:
-            assert decode_periodic(g, point) == _exact_walk(g, point)
-            assert batched.call_count == calls
+                                  wraps=expansion._batched_walk) as batched, \
+                mock.patch.object(expansion, "_plain_walk",
+                                  wraps=expansion._plain_walk) as plain:
+            assert decode_periodic(g, point) == ref_exact_walk(g, point)
+            assert batched.call_count == calls and plain.call_count == 1
             if calls:
                 assert expansion._batched_walk(g, point, 4096, w) is None
     assert decode_periodic(g, x) == seq
@@ -807,6 +811,48 @@ def test_fingerprint_prime_divides_no_dyadic_period_factor():
     assert _is_prime((1 << 61) - 1) and not _is_prime(3215031751)
 
 
+def test_plain_walk_at_the_fingerprint_prime():
+    # the fingerprint prime p divides the denominators of x = k / (p*m), so
+    # they take the plain walk, under dyadic, geometric:1/3 and a custom head;
+    # so do the points of a custom law whose first digit has Q(1) = 5p, once
+    # the batched walk meets that digit. Each result is the exact walk's, and
+    # so is each message under a small digit budget
+    p = expansion._PRINT_MOD
+    rng = random.Random(1073739179)
+    points = []
+    for spec in ("dyadic", "geometric:1/3", "custom:1/3,1/4;1/2"):
+        dist = parse_distribution(spec)
+        for _ in range(12):
+            d = p * rng.randint(1, 10**6)
+            points.append((dist, F(rng.randrange(d), d), True))
+    law = CustomPrefixTail((F(p, 1 << 31), F(1, 5)), F(1, 2))
+    assert law.affine(1)[1] == 5 * p
+    for length in (1, 5, 40, 300):
+        for _ in range(3):
+            seq = DigitSeq(tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 4))),
+                           (1,) + tuple(rng.randint(1, 3) for _ in range(length - 1)))
+            points.append((law, encode(law, seq), False))
+    for bits in (20, 200, 600):
+        for _ in range(3):
+            d = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+            points.append((law, F(rng.randrange(d), d), False))
+    kinds, plain_walks = set(), 0
+    for budget in (None, 12):
+        for dist, x, divides in points:
+            with mock.patch.object(series, "MAX_DIGIT_SUM", budget or series.MAX_DIGIT_SUM):
+                want = _budget_outcome(ref_exact_walk, dist, x, 600)
+                with mock.patch.object(expansion, "_plain_walk",
+                                       wraps=expansion._plain_walk) as plain:
+                    assert _budget_outcome(decode_periodic, dist, x, 600) == want, (dist, x)
+            kinds.add(type(want).__name__)
+            plain_walks += plain.call_count
+            # only W on x itself ends such a point before the plain walk
+            if divides:
+                assert plain.call_count == 1 or want.step == 0, (dist, x)
+    assert kinds == {"DigitSeq", "Aperiodic", "NotDetected", "str"}
+    assert plain_walks > len(points)
+
+
 def test_dyadic_period_with_digit_sum_a_multiple_of_61_takes_the_batched_walk():
     # 2^61 - 1 divides 2^s - 1, and so the point's denominator, whenever 61
     # divides the period's digit sum s; the fingerprint prime never does
@@ -819,20 +865,20 @@ def test_dyadic_period_with_digit_sum_a_multiple_of_61_takes_the_batched_walk():
         seq = DigitSeq((3,), tuple(per))
         x = encode(dyadic, seq)
         assert sum(seq.period) % 61 == 0 and x.denominator % ((1 << 61) - 1) == 0
-        assert x.denominator.bit_length() > expansion._WALK_BATCH_BITS
+        assert x.denominator.bit_length() > expansion._ENCODE_CHECK_BITS
         with mock.patch.object(expansion, "_batched_walk",
                                wraps=expansion._batched_walk) as batched:
             assert decode_periodic(dyadic, x) == seq
         assert batched.call_count == 1
-        assert expansion._batched_walk(dyadic, x, 4096, w) == seq == _exact_walk(dyadic, x)
+        assert expansion._batched_walk(dyadic, x, 4096, w) == seq == ref_exact_walk(dyadic, x)
 
 
 def test_batched_walk_in_the_band_below_2560_bits():
-    # on points of _WALK_BATCH_BITS to 2 560 bits the batched walk gives the
+    # on points of _ENCODE_CHECK_BITS to 2 560 bits the batched walk gives the
     # exact walk's DigitSeq, Aperiodic and NotDetected; a step budget that is
     # no multiple of 3 stops it where a table word would run past it
     rng = random.Random(1280)
-    band = range(expansion._WALK_BATCH_BITS + 1, 2561)
+    band = range(expansion._ENCODE_CHECK_BITS + 1, 2561)
     # period lengths of about 1 350, 1 800 and 2 400 bits under each family
     lengths = {"dyadic": (680, 900, 1180), "geometric:1/3": (430, 570, 760),
                "custom:1/3,1/4;1/2": (500, 660, 880)}
@@ -853,7 +899,7 @@ def test_batched_walk_in_the_band_below_2560_bits():
                                        wraps=expansion._batched_walk) as batched:
                     result = decode_periodic(dist, x, max_steps)
                 assert batched.call_count == 1
-                assert result == _exact_walk(dist, x, max_steps)
+                assert result == ref_exact_walk(dist, x, max_steps)
                 if seq is not None and max_steps > len(seq.preperiod + seq.period):
                     assert result == seq
                 elif isinstance(result, NotDetected):
@@ -863,12 +909,12 @@ def test_batched_walk_in_the_band_below_2560_bits():
 
 
 def test_batched_walk_in_the_band_below_1280_bits():
-    # on points of _WALK_BATCH_BITS to 1 280 bits the batched walk reads
+    # on points of _ENCODE_CHECK_BITS to 1 280 bits the batched walk reads
     # table words on its short remainders and gives the exact walk's
     # DigitSeq, Aperiodic and NotDetected, also when max_steps stops it just
     # before, at or just after mu + lambda, or inside a table word
     rng = random.Random(320)
-    band = range(expansion._WALK_BATCH_BITS + 1, 1281)
+    band = range(expansion._ENCODE_CHECK_BITS + 1, 1281)
     # period lengths of about 360, 800 and 1 200 bits under each family
     lengths = {"dyadic": (185, 400, 590), "geometric:1/3": (115, 255, 380),
                "custom:1/3,1/4;1/2": (135, 300, 445)}
@@ -890,7 +936,7 @@ def test_batched_walk_in_the_band_below_1280_bits():
                                        wraps=expansion._batched_walk) as batched:
                     result = decode_periodic(dist, x, max_steps)
                 assert batched.call_count == 1
-                assert result == _exact_walk(dist, x, max_steps)
+                assert result == ref_exact_walk(dist, x, max_steps)
                 if seq is not None and max_steps >= len(seq.preperiod + seq.period):
                     assert result == seq
                 elif isinstance(result, NotDetected):
@@ -922,7 +968,7 @@ def test_batched_walk_witness_inside_a_batch():
     with mock.patch.object(expansion, "_first_witness", spy):
         result = decode_periodic(g, x)
     assert isinstance(result, Aperiodic) and result.step > len(word)
-    assert result == _exact_walk(g, x)
+    assert result == ref_exact_walk(g, x)
     (length, offset, bits), = found
     assert 1 <= offset < length and bits > expansion._BATCH_BITS
 
@@ -938,27 +984,26 @@ def test_batched_walk_finds_a_witness_before_a_digit_over_the_budget(monkeypatch
     y = F(rng.randrange(d // 2, d), d)
     p, q, l = g.affine(18)
     x = (p + q * y) / l
-    assert x.denominator.bit_length() > expansion._WALK_BATCH_BITS
+    assert x.denominator.bit_length() > expansion._ENCODE_CHECK_BITS
     refused_points = _refused_digit_points()
     monkeypatch.setattr(series, "MAX_DIGIT_SUM", 30)
     with pytest.raises(ResourceLimitError):
         shift(g, y)
     result = decode_periodic(g, x)
-    assert result == _exact_walk(g, x)
+    assert result == ref_exact_walk(g, x)
     assert isinstance(result, Aperiodic) and result.prefix == (18,) and result.step == 1
-    # with no witness, the walk forced onto short points raises at the digit
-    # over the budget, at k = 1, 2 and after two table words, as the exact walk does
+    # with no witness, the walk on short points raises at the digit over the
+    # budget, at k = 1, 2 and after two table words, as the exact walk does
     monkeypatch.setattr(series, "MAX_DIGIT_SUM", REFUSED_BUDGET)
     for dist, x, k in refused_points:
-        want = _budget_outcome(_exact_walk, dist, x)
+        want = _budget_outcome(ref_exact_walk, dist, x)
         assert isinstance(want, str)
-        with mock.patch.object(expansion, "_WALK_BATCH_BITS", 0):
-            assert _budget_outcome(decode_periodic, dist, x) == want, (dist, k)
+        assert _budget_outcome(decode_periodic, dist, x) == want, (dist, k)
 
 
 def test_decode_periodic_memory_is_linear():
     # the exact walk kept every remainder, 18-28 MB at an 8 000-digit period;
-    # the batched stage keeps one 30-bit fingerprint per remainder
+    # the fingerprint walk keeps one 30-bit fingerprint per remainder
     rng = random.Random(8000)
     for dist in (Dyadic(), Geometric(F(1, 3)), FAMILIES[7]):
         seq = DigitSeq((2, 3), tuple(rng.randint(1, 3) for _ in range(8000)))
@@ -983,7 +1028,7 @@ def test_digit_search_budget(monkeypatch):
             dist.digit_of(x)
     # the Monte Carlo search, held in the bits of t^c; and n digits sum to at least n
     with pytest.raises(ResourceLimitError):
-        _mc_sample_geometric(1, 10**8, 1 << 63)
+        _table_sample(1, 10**8, 1 << 63)
     with pytest.raises(ResourceLimitError):
         decode(Dyadic(), F(1, 3), series.MAX_DIGIT_SUM + 1)
     # on a small budget the bound never refuses a digit within it

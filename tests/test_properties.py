@@ -36,7 +36,7 @@ from probmink import (
     shift,
     singularity_ratio_step,
 )
-from probmink.expansion import _compose
+from probmink.expansion import _compose, _word_table
 from probmink.fmt import rational_text
 from probmink.integral import _mc_sample_dyadic, _mc_sample_geometric
 
@@ -51,6 +51,7 @@ from oracles import (
     ref_digit_of,
     ref_digit_seq,
     ref_digits,
+    ref_exact_walk,
     ref_graph_points,
     ref_int_finite_sum,
     ref_mc_sample_int,
@@ -69,6 +70,11 @@ def test_dyadic_sample_kernel_matches_reference(a):
     assert _mc_sample_dyadic(a) == ref_mc_sample_int(1, 2, a)
 
 
+def _table_sample(s, t, a):
+    """The geometric Monte Carlo kernel's sample at a, on the law's own word table."""
+    return _mc_sample_geometric(s, t, _word_table(Geometric(Fraction(s, t))), a)
+
+
 @st.composite
 def geometric_parameters(draw):
     t = draw(st.integers(min_value=2, max_value=12))
@@ -79,7 +85,7 @@ def geometric_parameters(draw):
 @given(geometric_parameters(), DRAWS)
 def test_geometric_sample_kernel_matches_reference(params, a):
     s, t = params
-    assert _mc_sample_geometric(s, t, a) == ref_mc_sample_int(s, t, a)
+    assert _table_sample(s, t, a) == ref_mc_sample_int(s, t, a)
 
 
 # the laws of the word-table walk: q = 1/100 has no table, as its digits of
@@ -93,7 +99,7 @@ TABLE_QS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(1, 4), Frac
 @given(st.sampled_from(TABLE_QS), DRAWS)
 def test_geometric_table_walk_matches_reference(q, a):
     s, t = q.numerator, q.denominator
-    assert _mc_sample_geometric(s, t, a) == ref_mc_sample_int(s, t, a)
+    assert _table_sample(s, t, a) == ref_mc_sample_int(s, t, a)
 
 
 @st.composite
@@ -123,7 +129,7 @@ def sample_cylinder_ends(draw):
 @given(sample_cylinder_ends())
 def test_geometric_table_walk_at_cylinder_ends(params):
     s, t, a = params
-    assert _mc_sample_geometric(s, t, a) == ref_mc_sample_int(s, t, a)
+    assert _table_sample(s, t, a) == ref_mc_sample_int(s, t, a)
 
 
 @DETERMINISTIC
@@ -413,8 +419,6 @@ def test_decode_table_words_budget_message(dist, data, budget):
     expansion._word_table.cache_clear()
 
 
-# a stage threshold that no point reaches: decode_periodic walks exactly
-EXACT_STAGE = 1 << 62
 # batch sizes small enough that batches run down to remainders of a few bits
 SMALL_BATCHES = {"_BATCH_BITS": 24, "_LEAD_BITS": 16, "_WORD_BITS": 8}
 # the benchmark's three families, and a law with no word table
@@ -449,19 +453,27 @@ def test_leading_digits_are_the_points_own(dist, data, small, budget):
     assert (rest.numerator, rest.denominator) == (ref_rest.numerator, ref_rest.denominator)
 
 
-def _walk(dist, x, max_steps, stage_bits, **sizes):
-    """decode_periodic's result, or its ResourceLimitError message, at a patched stage threshold."""
-    with mock.patch.multiple(expansion, _WALK_BATCH_BITS=stage_bits, **sizes):
+def _walk(dist, x, max_steps, **sizes):
+    """decode_periodic's result, or its ResourceLimitError message, under patched sizes."""
+    with mock.patch.multiple(expansion, **sizes) if sizes else contextlib.nullcontext():
         try:
             return decode_periodic(dist, x, max_steps)
         except ResourceLimitError as exc:
             return str(exc)
 
 
+def _exact(dist, x, max_steps):
+    """The exact walk's result, or its ResourceLimitError message."""
+    try:
+        return ref_exact_walk(dist, x, max_steps)
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
 def _check_walk(dist, x, max_steps, **sizes):
-    """The batched stage, forced on x, gives the exact walk's result; returns it."""
-    exact = _walk(dist, x, max_steps, EXACT_STAGE)
-    assert _walk(dist, x, max_steps, 0, **sizes) == exact
+    """decode_periodic, under patched sizes, gives the exact walk's result; returns it."""
+    exact = _exact(dist, x, max_steps)
+    assert _walk(dist, x, max_steps, **sizes) == exact
     return exact
 
 
@@ -489,7 +501,7 @@ def test_batched_walk_certifies_true_repeats(seed, length, pre):
         x = encode(dist, seq)
         _, w = dist.branch_primes()
         found = expansion._batched_walk(dist, x, 4100, w)
-        assert found == _walk(dist, x, 4100, EXACT_STAGE) == seq, dist
+        assert found == ref_exact_walk(dist, x, 4100) == seq, dist
 
 
 @st.composite
@@ -530,7 +542,7 @@ def test_batched_walk_finds_the_exact_witness(dist, data, small):
                         isinstance(d, CustomPrefixTail)]),
        large_rationals(1100, 4000), st.integers(min_value=1, max_value=400), st.booleans())
 def test_batched_walk_not_detected_prefix(dist, x, max_steps, small):
-    # with W = 1 nothing certifies these points, so both stages walk the whole budget
+    # with W = 1 nothing certifies these points, so both walks take the whole budget
     result = _check_walk(dist, x, max_steps, **(SMALL_BATCHES if small else {}))
     assert isinstance(result, NotDetected) and len(result.prefix) == max_steps
     assert result == ref_decode_periodic(dist, x, max_steps)
@@ -540,7 +552,7 @@ def test_batched_walk_not_detected_prefix(dist, x, max_steps, small):
 @given(st.sampled_from((Geometric(Fraction(1, 10)), Geometric(Fraction(1, 100)), FAMILIES[-1])),
        large_rationals(1100, 4000), st.integers(min_value=12, max_value=60), st.booleans())
 def test_batched_walk_budget_message(dist, x, budget, small):
-    # a digit over the budget raises in both stages, with the same message
+    # a digit over the budget raises in both walks, with the same message
     with mock.patch.object(series, "MAX_DIGIT_SUM", budget):
         result = _check_walk(dist, x, 4096, **(SMALL_BATCHES if small else {}))
         try:
@@ -560,7 +572,7 @@ def test_batched_walk_budget_message(dist, x, budget, small):
 def test_batched_walk_with_a_tiny_modulus(dist, data, modulus, budget):
     # modulo a tiny prime false repeats are common, and each is refused; so
     # are moduli that divide some Q or the point's denominator, which hand
-    # the point to the exact walk: the result is still the exact walk's, also
+    # the point to the plain walk: the result is still the exact walk's, also
     # on a small digit budget that a period's digit sum can pass
     seed = data.draw(st.integers(min_value=0, max_value=1 << 32))
     kind = data.draw(st.sampled_from(("period", "tail", "random")))
@@ -616,9 +628,9 @@ def test_batched_walk_refuses_every_collision_under_a_tiny_modulus(dist, data, m
     clean = started and all(dist.affine(c)[1] % modulus for c in range(1, 65))
     patches = dict(_PRINT_MOD=modulus, **(SMALL_BATCHES if small else {}))
     with mock.patch.object(series, "MAX_DIGIT_SUM", budget or series.MAX_DIGIT_SUM):
-        exact = _walk(dist, x, max_steps, EXACT_STAGE)
+        exact = _exact(dist, x, max_steps)
         found = _batched(dist, x, max_steps, **patches) if started else None
-        assert _walk(dist, x, max_steps, 0, **patches) == exact
+        assert _walk(dist, x, max_steps, **patches) == exact
         try:
             ref = ref_decode_periodic(dist, x, max_steps)
         except ResourceLimitError as exc:

@@ -1,7 +1,8 @@
 """The value classes: equality, hashing, repr and immutability, and a cold import.
 
-It also pins the seeded Monte Carlo outputs of `integral --method mc`, byte
-for byte.
+It also pins, byte for byte, the seeded Monte Carlo outputs of
+`integral --method mc`, and the graph CSV and `diagnose` texts that the
+console command writes to stdout.
 
 Distributions and `DigitSeq` are slotted classes that normalise their
 fields; every result record is a `typing.NamedTuple`. The expected values
@@ -9,6 +10,7 @@ below are the behaviour the package has always had, pinned exactly.
 """
 
 import copy
+import os
 import pickle
 import subprocess
 import sys
@@ -218,3 +220,141 @@ MC_RECORDED = (
 def test_monte_carlo_prints_recorded_bytes(capsys, argv, text):
     assert main(list(argv)) == 0
     assert capsys.readouterr().out == text
+
+
+GRAPH_CSV = """\
+x_rational,y_rational,x_decimal,y_decimal
+0,2/3,0.000000000000,0.666666666667…
+1/9,5/6,0.111111111111…,0.833333333333…
+1/3,1/3,0.333333333333…,0.333333333333…
+2/5,5/12,0.400000000000,0.416666666667…
+"""
+DIAGNOSE_PLAIN = """\
+depth 1 digits 3 delta -1/12 measure 18/125 quotient 125/216
+depth 2 digits 3,1 delta 1/24 measure 36/625 quotient 625/864
+  quotient step 5/4 formula 5/4 match True
+depth 3 digits 3,1,2 delta -1/96 measure 216/15625 quotient 15625/20736
+  quotient step 25/24 formula 25/24 match True
+depth 4 digits 3,1,2,4 delta 1/1536 measure 11664/9765625 quotient 9765625/17915904
+  quotient step 625/864 formula 625/864 match True
+"""
+DIAGNOSE_JSON = r"""{
+  "prefixes": [
+    {
+      "digits": [
+        3
+      ],
+      "digit_sum": 3,
+      "delta": {
+        "rational": "-1/12",
+        "decimal": "-0.083333333333333333333333333333\u2026"
+      },
+      "measure": {
+        "rational": "18/125",
+        "decimal": "0.144000000000000000000000000000"
+      },
+      "quotient": {
+        "rational": "125/216",
+        "decimal": "0.578703703703703703703703703704\u2026"
+      }
+    },
+    {
+      "digits": [
+        3,
+        1
+      ],
+      "digit_sum": 4,
+      "delta": {
+        "rational": "1/24",
+        "decimal": "0.041666666666666666666666666667\u2026"
+      },
+      "measure": {
+        "rational": "36/625",
+        "decimal": "0.057600000000000000000000000000"
+      },
+      "quotient": {
+        "rational": "625/864",
+        "decimal": "0.723379629629629629629629629630\u2026"
+      },
+      "quotient_step": {
+        "rational": "5/4",
+        "decimal": "1.250000000000000000000000000000"
+      },
+      "quotient_step_matches_formula": true
+    },
+    {
+      "digits": [
+        3,
+        1,
+        2
+      ],
+      "digit_sum": 6,
+      "delta": {
+        "rational": "-1/96",
+        "decimal": "-0.010416666666666666666666666667\u2026"
+      },
+      "measure": {
+        "rational": "216/15625",
+        "decimal": "0.013824000000000000000000000000"
+      },
+      "quotient": {
+        "rational": "15625/20736",
+        "decimal": "0.753520447530864197530864197531\u2026"
+      },
+      "quotient_step": {
+        "rational": "25/24",
+        "decimal": "1.041666666666666666666666666667\u2026"
+      },
+      "quotient_step_matches_formula": true
+    },
+    {
+      "digits": [
+        3,
+        1,
+        2,
+        4
+      ],
+      "digit_sum": 10,
+      "delta": {
+        "rational": "1/1536",
+        "decimal": "0.000651041666666666666666666667\u2026"
+      },
+      "measure": {
+        "rational": "11664/9765625",
+        "decimal": "0.001194393600000000000000000000"
+      },
+      "quotient": {
+        "rational": "9765625/17915904",
+        "decimal": "0.545081342253229309556470050297\u2026"
+      },
+      "quotient_step": {
+        "rational": "625/864",
+        "decimal": "0.723379629629629629629629629630\u2026"
+      },
+      "quotient_step_matches_formula": true
+    }
+  ]
+}
+"""
+
+# bytes the console command printed on every interpreter before its graph
+# points and its cylinder measures and quotients were built from integers:
+# graph rows end in "\r\n", and JSON escapes the ellipsis
+DIAGNOSE_ARGV = ("diagnose", "--dist", "geometric:2/5", "--digits", "3,1,2,4")
+STDOUT_RECORDED = (
+    (("graph", "--dist", "custom:1/3,1/5;2/3", "--depth", "2", "--cap", "2", "--precision", "12"),
+        GRAPH_CSV.replace("\n", "\r\n")),
+    (DIAGNOSE_ARGV, DIAGNOSE_PLAIN),
+    (DIAGNOSE_ARGV + ("--format", "json"), DIAGNOSE_JSON),
+)
+
+
+@pytest.mark.parametrize("argv, text", STDOUT_RECORDED, ids=("graph", "diagnose", "diagnose-json"))
+def test_console_prints_recorded_bytes(argv, text):
+    # run as a program, so that the bytes checked are those written to the real stdout
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "probmink.cli", *argv], capture_output=True,
+                          env=env, check=True)
+    assert (proc.stdout, proc.stderr) == (text.encode(), b"")
+    if argv[0] == "graph":
+        assert proc.stdout.count(b"\r\n") == 5
