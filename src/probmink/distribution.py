@@ -18,13 +18,13 @@ strictly below digit i) and pmf(i) = Q/L from closed forms; `prefix` and
 `pmf` are built from it, and the codec composes the unreduced triples
 directly. Without a head they are the families' own closed forms as
 integers: (2^i - 2, 1, 2^i) for `Dyadic`, (t^i - t u^(i-1), s u^(i-1), t^i)
-for `Geometric(s/t)` with u = t - s. `_branch(n, d) -> (c, P, Q, L)` is the
-exact digit search on plain integers: the digit c of n/d and affine(c),
-built from the powers rd^j and rn^(j-1) that the search already holds for
-tail digit k + j. `digit_of` and the decoder's periodicity walk both run
-it. `branch_primes() -> (S, W)` gives the primes that the walk tracks (see
-`expansion`). `Dyadic._branch` is the one override, a search by bit
-lengths: the shared search makes about c multiplications for digit c.
+for `Geometric(s/t)` with u = t - s. `affine` is the one builder of a
+branch triple. `_digit(n, d) -> c` is the exact digit search on plain
+integers, the digit c of n/d; `digit_of` returns it, and the decoders take
+affine(c) for each digit it finds. `branch_primes() -> (S, W)` gives the
+primes that the walk tracks (see `expansion`). `Dyadic._digit` is the one
+override, a search by bit lengths: the shared search makes about c
+multiplications for digit c.
 
 Instances are immutable and hashable; all operations are pure. Equality,
 hashing and repr come from one definition in the `_Frozen` base, keyed on
@@ -81,10 +81,10 @@ class _Frozen:
 class Distribution(_Frozen):
     """A finite head of digit masses followed by a geometric tail, as plain ints.
 
-    `affine`, `_branch`, `branch_primes`, `max_p` and `head_tail` are
+    `affine`, `_digit`, `branch_primes`, `max_p` and `head_tail` are
     implemented once, here; the families supply their constructors, public
     fields and spec strings (see the module docstring). `Dyadic` alone
-    overrides `_branch`, because the shared search makes about c
+    overrides `_digit`, because the shared search makes about c
     multiplications for digit c and its own reads c from two bit lengths.
     """
 
@@ -129,7 +129,10 @@ class Distribution(_Frozen):
         expansion is the affine map y -> (P + Q*y) / L.
         """
         if not 0 < i <= series.MAX_DIGIT_SUM:
-            self._digit_error(i)
+            if i < 1:
+                raise DomainError(f"digit index must be >= 1, got {i}")
+            # the triple holds powers with exponent i: a one-digit word over budget
+            series.check_digit_sum(i)
         head = self._head_affine
         if i <= len(head):
             return head[i - 1]
@@ -159,49 +162,42 @@ class Distribution(_Frozen):
     def digit_of(self, x: Fraction) -> int:
         """The unique digit c with prefix(c) <= x < prefix(c+1).
 
-        Callers guarantee 0 <= x < 1. This is `_branch`'s search, so it
+        Callers guarantee 0 <= x < 1. This is `_digit`'s search, so it
         raises ResourceLimitError where affine(c) would.
         """
-        return self._branch(x.numerator, x.denominator)[0]
+        return self._digit(x.numerator, x.denominator)
 
-    def _branch(self, n: int, d: int) -> tuple:
-        """(c, P, Q, L) for the point n/d with 0 <= n < d: its digit c and affine(c).
+    def _digit(self, n: int, d: int) -> int:
+        """The digit c of the point n/d with 0 <= n < d.
 
         The search compares integer powers exactly, with no logarithms or
-        floats, and the triple reuses its last powers (see the module
-        docstring). It raises ResourceLimitError when a lower bound on c
-        passes series.MAX_DIGIT_SUM, before any power is built, and when c
-        itself does, as affine(c) would.
+        floats. It raises ResourceLimitError when a lower bound on c passes
+        series.MAX_DIGIT_SUM, before any power is built, and when c itself
+        does, as affine(c) would.
         """
         h, rest, rn, rd, rest_rn, h_rd, drn = self._tail
-        head = self._head_affine
-        if head:
+        k = len(self._head_affine)
+        if k:
             cum = self._cum
             nh = n * h
-            for i, triple in enumerate(head, start=1):
+            for i in range(1, k + 1):
                 if nh < cum[i] * d:
-                    return (i, *triple)
+                    return i
         # tail: smallest j >= 1 with (1-s) r^j < 1 - x for x = n/d, digit k + j;
         # 1 - s = rest/H, compared by cross-multiplication
-        k = len(head)
         if rn > (series.MAX_DIGIT_SUM - k) * drn:
             # the geometric bound with (1-x)/(1-s) for 1-x, j > (x-s)/(1-s) * r/(1-r),
             # can pass the budget only when k + r/(1-r) does; x - s = (n*H - cum_k*d)/(d*H)
             _check_digit_bound(k + (n * h - self._cum[-1] * d) * rn // (d * rest * drn) + 1)
-        # lo = rest rn^j d and hi = H rd^j (d - n) grow by one small factor per digit,
-        # and so do affine(k+j)'s factors tail = rest rn^(j-1) and l = H rd^j
-        j, tail, l = 1, rest, h_rd
-        lo, hi = rest_rn * d, h_rd * (d - n)
+        # lo = rest rn^j d and hi = H rd^j (d - n) grow by one small factor per digit
+        c, lo, hi = k + 1, rest_rn * d, h_rd * (d - n)
         while lo >= hi:
-            tail *= rn
-            l *= rd
             lo *= rn
             hi *= rd
-            j += 1
-        c = k + j
+            c += 1
         if c > series.MAX_DIGIT_SUM:
             series.check_digit_sum(c)
-        return c, l - tail * rd, tail * drn, l
+        return c
 
     def branch_primes(self) -> tuple:
         """Integers (S, W) naming the primes of the branch denominators.
@@ -246,14 +242,6 @@ class Distribution(_Frozen):
         """The textual form accepted by parse_distribution."""
         raise NotImplementedError
 
-    @staticmethod
-    def _digit_error(i: int) -> None:
-        """Raise for a digit index outside 1..series.MAX_DIGIT_SUM."""
-        if i < 1:
-            raise DomainError(f"digit index must be >= 1, got {i}")
-        # the triple holds powers with exponent i: a one-digit word over budget
-        series.check_digit_sum(i)
-
 
 def _smooth_part(n: int, primes: int) -> int:
     """The largest divisor of n > 0 whose primes all divide `primes`."""
@@ -288,7 +276,7 @@ class Dyadic(Distribution):
     def __init__(self) -> None:
         self._set_law((), Fraction(1, 2))
 
-    def _branch(self, n: int, d: int) -> tuple:
+    def _digit(self, n: int, d: int) -> int:
         """The shared search's result, read from two bit lengths.
 
         The shared tail search multiplies its powers once per digit, so
@@ -304,8 +292,7 @@ class Dyadic(Distribution):
             c += 1
         if c > series.MAX_DIGIT_SUM:
             series.check_digit_sum(c)
-        l = 1 << c
-        return c, l - 2, 1, l
+        return c
 
     def spec_string(self) -> str:
         return "dyadic"

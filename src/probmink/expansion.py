@@ -40,13 +40,13 @@ closes its samples by it (see `integral`).
 Batch cylinder test, Lehmer's idea for Euclid on long integers. While x's
 denominator has more than _BATCH_BITS bits, a point y0 <= x of _LEAD_BITS
 bits, cut from x's leading bits, is decoded on unreduced integers, by
-table words and `dist._branch`, until its word's measure falls below
-2^-_WORD_BITS. x and y0 differ by less than 2^-_LEAD_BITS relative to x,
-so only a cylinder end between them fails the test on x; a bisection over
-the word's boundaries then keeps the longest prefix that passes, which is
-still x's own, and the next batch reads the rest. A batch touches the long
-remainder a fixed number of times, where the plain loop makes one
-full-size step per digit.
+table words and digits (`dist._digit` and `dist.affine`), until its
+word's measure falls below 2^-_WORD_BITS. x and y0 differ by less than
+2^-_LEAD_BITS relative to x, so only a cylinder end between them fails
+the test on x; a bisection over the word's boundaries then keeps the
+longest prefix that passes, which is still x's own, and the next batch
+reads the rest. A batch touches the long remainder a fixed number of
+times, where the plain loop makes one full-size step per digit.
 
 `_next_digits` is the step that `decode` and the periodicity walk share: a
 batch above _BATCH_BITS, and otherwise a run of up to _PLAIN_RUN digits,
@@ -461,7 +461,7 @@ def _leading_digits(dist: Distribution, x: Fraction, count: int, room: int):
     n, d = x.numerator, x.denominator
     k = d.bit_length() - _LEAD_BITS
     yn, yd = n >> k, (d >> k) + 1
-    branch = dist._branch
+    digit, affine = dist._digit, dist.affine
     scale, lefts, rows = _word_table(dist) or (1, (), ())
     limit = series.MAX_DIGIT_SUM
     # maps[i] is the map of word[:ends[i]]
@@ -479,12 +479,13 @@ def _leading_digits(dist: Distribution, x: Fraction, count: int, room: int):
                 step = None
         if step is None:
             try:
-                c, p, q, l = branch(yn, yd)
+                c = digit(yn, yd)
             except ResourceLimitError:
                 # a digit of y0 over the budget ends the word
                 break
             if total + c > room:
                 break
+            p, q, l = affine(c)
             step, step_sum, m = (c,), c, yn * l - p * yd
         a, b, den = a * l + b * p, b * q, den * l
         word += step

@@ -201,14 +201,12 @@ def _mc_sample_geometric(s: int, t: int, table, a: int) -> tuple:
     tail search's lower bound on the digit, taken in the bits of t^c: at
     least k = bit_length(t) - 1 per digit. A digit inside the digit budget
     can still need a power of hundreds of megabits: at q = 1/10^8 a digit
-    near 10^7 has t^c of about 3*10^8 bits. Such a law walks with no
-    table, whose words would all have too small a measure anyway.
+    near 10^7 has t^c of about 3*10^8 bits. Such a law has no table
+    (`_word_table` gives None): q < 2^-9, or t passes its scale cap.
     """
     u = t - s
     k = t.bit_length() - 1
     bounded = t * k > s * series.MAX_DIGIT_SUM
-    if bounded:
-        table = None
     if table is not None:
         scale, lefts, rows = table
     d = 1 << _MC_DEPTH

@@ -407,10 +407,10 @@ def ref_family_affine(dist, i):
 
 
 def ref_geometric_branch(dist, n, d):
-    """`Geometric._branch` as the family computed it alone, with no budget checks.
+    """(c, *affine(c)) for `Geometric`'s digit c of n/d, as the family computed them alone.
 
     The smallest c with (u/t)^c < 1 - n/d, from running products of u and
-    t, and affine(c) from t^c and u^(c-1).
+    t, and affine(c) from t^c and u^(c-1), with no budget checks.
     """
     s, t = dist.q.numerator, dist.q.denominator
     u = t - s
@@ -526,7 +526,8 @@ def ref_exact_walk(dist, x, max_steps=4096):
             return seq
         if j == max_steps:
             return NotDetected(tuple(digits))
-        c, p, q, l = dist._branch(n, d)
+        c = dist._digit(n, d)
+        p, q, l = dist.affine(c)
         digits.append(c)
         g = math.gcd(l, f)
         if g > 1:

@@ -11,6 +11,7 @@ import random
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -136,14 +137,13 @@ def test_core_matches_family_bodies():
         for i in range(1, 61):
             assert dist.affine(i) == ref_family_affine(dist, i), (dist, i)
         for n, d in points + deep if isinstance(dist, Dyadic) else points:
-            branch = dist._branch(n, d)
+            c = dist._digit(n, d)
             if isinstance(dist, Dyadic):
                 # the bit-length override against the shared search, digits up to 1 901
-                assert branch[0] < 2000
-                assert branch == Distribution._branch(dist, n, d), (n, d)
+                assert c < 2000
+                assert c == Distribution._digit(dist, n, d), (n, d)
             else:
-                assert branch == ref_geometric_branch(dist, n, d), (dist, n, d)
-            assert branch[1:] == dist.affine(branch[0])
+                assert (c, *dist.affine(c)) == ref_geometric_branch(dist, n, d), (dist, n, d)
 
 
 def test_series_matches_reference_on_random_streams():
@@ -1067,6 +1067,50 @@ def _budget_outcome(fn, *args):
         return fn(*args)
     except ResourceLimitError as exc:
         return str(exc)
+
+
+def test_shift_builds_one_triple(monkeypatch):
+    # one digit search and one affine call per shift: affine alone builds the triple
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    dists = [parse_distribution(spec) for spec in _bench_specs(monkeypatch)]
+    for cls in (Distribution, Dyadic):
+        monkeypatch.setattr(cls, "_digit", counted("_digit", vars(cls)["_digit"]))
+    monkeypatch.setattr(Distribution, "affine", counted("affine", Distribution.affine))
+    rng = random.Random(23)
+    for dist in dists:
+        for _ in range(200):
+            d = rng.getrandbits(40) | 1 << 39
+            x = F(rng.randrange(d), d)
+            calls.clear()
+            c, y = shift(dist, x)
+            assert calls == {"_digit": 1, "affine": 1}, (dist, x)
+            assert x == dist.prefix(c) + dist.pmf(c) * y
+
+
+def test_dyadic_shift_reads_a_huge_digit_from_bit_lengths():
+    # the shared search would make about 100 000 multiplications of growing integers here
+    x = 1 - F(1, 1 << 100000)
+    start = time.perf_counter()
+    assert shift(Dyadic(), x) == (100001, 0)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_bounded_geometric_laws_have_no_word_table():
+    # the Monte Carlo kernel holds a law to the budget in the bits of t^c when
+    # t * (bit_length(t) - 1) > s * MAX_DIGIT_SUM, and walks it with no table:
+    # q < 2^-9 leaves no digit a row, or t passes the table's scale cap
+    t = (1 << 32769) | 1
+    for q in (F(1, 10**8), F(t >> 9, t), F((t >> 9) + 1, t)):
+        s, t_q = q.numerator, q.denominator
+        assert t_q * (t_q.bit_length() - 1) > s * series.MAX_DIGIT_SUM, q
+        assert _word_table(Geometric(q)) is None, q
 
 
 def test_int_text_matches_str():
