@@ -19,8 +19,9 @@ strictly below digit i) and pmf(i) = Q/L from closed forms; `prefix` and
 directly. Without a head they are the families' own closed forms as
 integers: (2^i - 2, 1, 2^i) for `Dyadic`, (t^i - t u^(i-1), s u^(i-1), t^i)
 for `Geometric(s/t)` with u = t - s. `affine` is the one builder of a
-branch triple. `_digit(n, d) -> c` is the exact digit search on plain
-integers, the digit c of n/d; `digit_of` returns it, and the decoders take
+branch triple. `_digit(n, d, bits=1) -> c` is the exact digit search on
+plain integers, the digit c of n/d, held to the budget in c*bits;
+`digit_of` returns it, and the decoders and the Monte Carlo kernel take
 affine(c) for each digit it finds. `branch_primes() -> (S, W)` gives the
 primes that the walk tracks (see `expansion`). `Dyadic._digit` is the one
 override, a search by bit lengths: the shared search makes about c
@@ -167,13 +168,14 @@ class Distribution(_Frozen):
         """
         return self._digit(x.numerator, x.denominator)
 
-    def _digit(self, n: int, d: int) -> int:
+    def _digit(self, n: int, d: int, bits: int = 1) -> int:
         """The digit c of the point n/d with 0 <= n < d.
 
         The search compares integer powers exactly, with no logarithms or
-        floats. It raises ResourceLimitError when a lower bound on c passes
-        series.MAX_DIGIT_SUM, before any power is built, and when c itself
-        does, as affine(c) would.
+        floats. It raises ResourceLimitError when a lower bound on c times
+        `bits` (the least number of bits a tail digit adds to its power)
+        passes series.MAX_DIGIT_SUM, before any power is built, and when c
+        itself does, as affine(c) would: at bits = 1, only there.
         """
         h, rest, rn, rd, rest_rn, h_rd, drn = self._tail
         k = len(self._head_affine)
@@ -185,10 +187,12 @@ class Distribution(_Frozen):
                     return i
         # tail: smallest j >= 1 with (1-s) r^j < 1 - x for x = n/d, digit k + j;
         # 1 - s = rest/H, compared by cross-multiplication
-        if rn > (series.MAX_DIGIT_SUM - k) * drn:
+        if (rn + (k + 1) * drn) * bits > series.MAX_DIGIT_SUM * drn:
             # the geometric bound with (1-x)/(1-s) for 1-x, j > (x-s)/(1-s) * r/(1-r),
-            # can pass the budget only when k + r/(1-r) does; x - s = (n*H - cum_k*d)/(d*H)
-            _check_digit_bound(k + (n * h - self._cum[-1] * d) * rn // (d * rest * drn) + 1)
+            # is below k + 1 + r/(1-r), so it can pass the budget only when that does;
+            # x - s = (n*H - cum_k*d)/(d*H)
+            _check_digit_bound(k + (n * h - self._cum[-1] * d) * rn // (d * rest * drn) + 1,
+                               bits)
         # lo = rest rn^j d and hi = H rd^j (d - n) grow by one small factor per digit
         c, lo, hi = k + 1, rest_rn * d, h_rd * (d - n)
         while lo >= hi:
@@ -276,13 +280,14 @@ class Dyadic(Distribution):
     def __init__(self) -> None:
         self._set_law((), Fraction(1, 2))
 
-    def _digit(self, n: int, d: int) -> int:
+    def _digit(self, n: int, d: int, bits: int = 1) -> int:
         """The shared search's result, read from two bit lengths.
 
         The shared tail search multiplies its powers once per digit, so
         digit c costs about c multiplications of growing integers. At
         x = 1 - 2^-100000, whose digit is 100 001, that search took 1.2 s
-        and this one 0.02 ms (Python 3.11.7 on a 2-CPU x86-64 host).
+        and this one 0.02 ms (Python 3.11.7 on a 2-CPU x86-64 host). A
+        power of 2 gains one bit a digit, so `bits` is 1.
         """
         # smallest c with 2^c (d - n) > d: with b = d - n, 2^c b has
         # c + bit_length(b) bits, so c is bit_length(d) - bit_length(b) or one more

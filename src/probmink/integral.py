@@ -13,12 +13,14 @@ Monte Carlo estimate cross-checks the winner.
 The Monte Carlo kernels decode each sample x = a / 2^64 to depth 64 and
 give the midpoint of its enclosure, exact where the expansion terminates,
 as integers (A, e) with the value A / (3 * 2^e). The dyadic law reads the
-digits from bit masks, the geometric walk up to three per lookup in the
-law's word table (`expansion._word_table`), each word certified by an
-integer cylinder test, and custom heads decode through `decode`, which
-reads the same tables. The values of every family are summed as integers
-over a running power of two (`_mc_sums`), and each sum becomes one
-Fraction, so a run equals the one-digit-per-step rational loop exactly.
+digits from bit masks. The table walk serves any law: it reads up to three
+digits per lookup in the law's word table (`expansion._word_table`), each
+word certified by an integer cylinder test, and takes a miss through the
+law's own digit search and `affine`, as `decode` does. Geometric laws run
+it; custom heads decode through `decode`, which reads the same tables.
+The values of every family are summed as integers over a running power
+of two (`_mc_sums`), and each sum becomes one Fraction, so a run equals
+the one-digit-per-step rational loop exactly.
 """
 
 import functools
@@ -28,10 +30,9 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import series
-from .distribution import Distribution, _check_digit_bound
+from .distribution import Distribution
 from .errors import DomainError
-from .expansion import _TABLE_DIGITS, _word_table
+from .expansion import _word_table
 from .fmt import rational_payload
 from .minkowski import eval_minkowski_enclosure
 
@@ -149,7 +150,7 @@ def _mc_sample_dyadic(a: int) -> tuple:
     m = sum over k of (-1)^(k-1) 2^(n_bits - s_k) is the odd-numbered zero
     bits (counted from the top) minus the even-numbered ones, and a prefix
     XOR from the top picks out the odd ones. Leading zero bits of a are digit
-    1s like any other. Returns (A, e) as `_mc_sample_geometric` does.
+    1s like any other. Returns (A, e) as `_mc_sample_table` does.
     """
     if a == 0:
         # every digit of 0 is 1, and the series of all ones is 2/3
@@ -171,42 +172,34 @@ def _mc_sample_dyadic(a: int) -> tuple:
     return 12 * odd - 6 * zeros + sign, n_bits
 
 
-def _mc_sample_geometric(s: int, t: int, table, a: int) -> tuple:
-    """The sample at x = a / 2^64 under the geometric law with q = s/t.
+def _mc_sample_table(dist: Distribution, table, bits: int, a: int) -> tuple:
+    """The sample at x = a / 2^64 under any law, on its word table.
 
     Walks x = n/d as an unreduced integer pair, from n = a and d = 2^64.
-    While _TABLE_DIGITS or more digits are left, a lookup in `table`, the
-    law's word table (`expansion._word_table`) or None, proposes the
-    longest word of the table that x's digits can start with, and the
-    integer test 0 <= n*D - A*d < d*B certifies it. Then
+    A lookup in `table`, the law's word table (`expansion._word_table`) or
+    None, proposes the longest word of the table that x's digits can start
+    with, and the integer test 0 <= n*D - A*d < d*B certifies it. Then
     n, d <- n*D - A*d, d*B, and the series accumulator takes the word in
     one step, m <- (m << S_w) + sign * M_w, with S_w the word's digit sum
     and M_w its accumulator from m = 0; the sign flips when the word's
-    length is odd.
-    A lookup cannot give a wrong digit: the test holds exactly when x lies
-    in the word's cylinder, and a failed one costs a plain step. When the
-    remainder after a word is 0, the walk's first zero is after the word
-    with its trailing 1s removed: digit 1 fixes 0, and it maps a nonzero
-    remainder to a nonzero one.
+    length is odd. A failed lookup costs a plain step: c from
+    `dist._digit(n, d, bits)`, (P, Q, L) = affine(c) and
+    n, d <- n*L - P*d, d*Q. Each digit's series term is accumulated as
+    m / 2^(s_k - 1). Returns (A, e) with the sample value A / (3 * 2^e):
+    the exact value when the remainder hits zero (the stream ends in ones
+    and the alternating tail closes in one step), otherwise the midpoint
+    of the depth-64 enclosure.
 
-    A plain step searches for the smallest digit c with u^c d < t^c (d - n),
-    u = t - s, keeping u^c d and t^c (d - n) as running products, and the
-    step reuses them: n, d <- t u^(c-1) d - t^c (d - n), s u^(c-1) d. Each
-    digit's series term is accumulated as m / 2^(s_k - 1). Returns (A, e)
-    with the sample value A / (3 * 2^e): the exact value when the remainder
-    hits zero (the stream ends in ones and the alternating tail closes in
-    one step), otherwise the midpoint of the depth-64 enclosure.
-
-    The search is held to the budget before it builds any power, by the
-    tail search's lower bound on the digit, taken in the bits of t^c: at
-    least k = bit_length(t) - 1 per digit. A digit inside the digit budget
-    can still need a power of hundreds of megabits: at q = 1/10^8 a digit
-    near 10^7 has t^c of about 3*10^8 bits. Such a law has no table
-    (`_word_table` gives None): q < 2^-9, or t passes its scale cap.
+    The walk can end inside its last certified word: at digit 64, or at a
+    zero remainder, whose first zero is after the word with its trailing
+    1s removed (digit 1 fixes 0, and it maps a nonzero remainder to a
+    nonzero one). `bits` is a lower bound on the bits that each tail digit
+    adds to the power it builds, bit_length(r's denominator) - 1, so the
+    search refuses a digit c once c*bits passes the digit budget. A digit
+    inside the budget can still need a power of hundreds of megabits: at
+    q = 1/10^8 a digit near 10^7 has t^c of about 3*10^8 bits.
     """
-    u = t - s
-    k = t.bit_length() - 1
-    bounded = t * k > s * series.MAX_DIGIT_SUM
+    digit, affine = dist._digit, dist.affine
     if table is not None:
         scale, lefts, rows = table
     d = 1 << _MC_DEPTH
@@ -214,47 +207,42 @@ def _mc_sample_geometric(s: int, t: int, table, a: int) -> tuple:
     m = s_k = 0
     sign = 1
     left = _MC_DEPTH
-    while left:
-        if not n:
-            return 6 * m + 2 * sign, s_k
-        if table is not None and left >= _TABLE_DIGITS:
+    while left and n:
+        if table is not None:
             a_w, b_w, d_w, word, sum_w, alt = rows[bisect_right(lefts, n * scale // d) - 1]
             r = n * d_w - a_w * d
             db = d * b_w
             if 0 <= r < db:
+                length = len(word)
+                if r and length < left:
+                    n, d = r, db
+                    m = (m << sum_w) + sign * alt
+                    s_k += sum_w
+                    if length & 1:
+                        sign = -sign
+                    left -= length
+                    continue
+                # the walk ends in this word: at digit 64, or at its zero remainder
                 if not r:
                     while word[-1] == 1:
                         word = word[:-1]
-                    for c in word:
-                        m = (m << c) + sign
-                        s_k += c
-                        sign = -sign
-                    return 6 * m + 2 * sign, s_k
-                n, d = r, db
-                m = (m << sum_w) + sign * alt
-                s_k += sum_w
-                length = len(word)
-                if length & 1:
+                if len(word) <= left:
+                    n = r
+                for c in word[:left]:
+                    m = (m << c) + sign
+                    s_k += c
                     sign = -sign
-                left -= length
-                continue
-        if bounded:
-            # -log(1-x) >= x and -log(1-q) <= q/(1-q) give c > x*u/s
-            _check_digit_bound(n * u // (d * s) + 1, k)
-        prev, lo, hi, c = d, u * d, t * (d - n), 1
-        while lo >= hi:
-            prev = lo
-            lo *= u
-            hi *= t
-            c += 1
-        n, d = t * prev - hi, s * prev
+                break
+        c = digit(n, d, bits)
+        p, q, l = affine(c)
+        n, d = n * l - p * d, d * q
         m = (m << c) + sign
         s_k += c
         sign = -sign
         left -= 1
-    if not n:
-        return 6 * m + 2 * sign, s_k
-    return 3 * (4 * m + sign), s_k + 1
+    if n:
+        return 3 * (4 * m + sign), s_k + 1
+    return 6 * m + 2 * sign, s_k
 
 
 def _mc_sums(sample, samples: int, rng: random.Random) -> tuple:
@@ -299,8 +287,8 @@ def integral_mc(dist: Distribution, samples: int, seed: int) -> MCEstimate:
     depth-64 enclosures (exact values where the expansion terminates).
     A law with no head, a geometric tail alone (the dyadic and geometric
     families), runs an integer kernel, `_mc_sample_dyadic` or
-    `_mc_sample_geometric`, whose values are `_mc_sample_decode`'s (the
-    path for custom heads) sample for sample; runs are reproducible.
+    `_mc_sample_table`, whose values are `_mc_sample_decode`'s (the path
+    for custom heads) sample for sample; runs are reproducible.
     """
     if samples < 1:
         raise DomainError(f"sample count must be >= 1, got {samples}")
@@ -310,9 +298,8 @@ def integral_mc(dist: Distribution, samples: int, seed: int) -> MCEstimate:
     elif ratio == Fraction(1, 2):
         sample = _mc_sample_dyadic
     else:
-        # a tail alone is the geometric law with q = 1 - r
-        sample = functools.partial(_mc_sample_geometric, ratio.denominator - ratio.numerator,
-                                   ratio.denominator, _word_table(dist))
+        sample = functools.partial(_mc_sample_table, dist, _word_table(dist),
+                                   ratio.denominator.bit_length() - 1)
     total, sq_total = _mc_sums(sample, samples, random.Random(seed))
     mean = total / samples
     if samples > 1:

@@ -20,7 +20,7 @@ from probmink.expansion import _word_table
 from probmink.integral import (
     _mc_sample_decode,
     _mc_sample_dyadic,
-    _mc_sample_geometric,
+    _mc_sample_table,
     _mc_sums,
 )
 
@@ -135,8 +135,8 @@ def test_mc_fast_path_matches_generic():
         if q == F(1, 2):
             fast = _mc_sample_dyadic
         else:
-            fast = functools.partial(_mc_sample_geometric, q.numerator, q.denominator,
-                                     _word_table(dist))
+            fast = functools.partial(_mc_sample_table, dist, _word_table(dist),
+                                     q.denominator.bit_length() - 1)
         want = ref_mc_generic(dist, 100, random.Random(505))
         decoded = functools.partial(_mc_sample_decode, dist)
         assert _mc_sums(fast, 100, random.Random(505)) == want

@@ -42,7 +42,7 @@ from probmink import expansion, fmt, series
 from probmink.distribution import Distribution
 from probmink.errors import DomainError, ResourceLimitError
 from probmink.expansion import _compose, _coprime_fraction, _word_table
-from probmink.integral import _mc_sample_dyadic, _mc_sample_geometric
+from probmink.integral import _mc_sample_decode, _mc_sample_dyadic, _mc_sample_table
 from probmink.series import _finite_sum
 
 from oracles import (
@@ -494,8 +494,9 @@ def _mc_points(seed, count):
 
 
 def _table_sample(s, t, a):
-    """The geometric Monte Carlo kernel's sample at a, on the law's own word table."""
-    return _mc_sample_geometric(s, t, _word_table(Geometric(F(s, t))), a)
+    """The Monte Carlo table walk's sample at a under q = s/t, on the law's own word table."""
+    dist = Geometric(F(s, t))
+    return _mc_sample_table(dist, _word_table(dist), t.bit_length() - 1, a)
 
 
 def test_mc_sample_kernels_match_reference():
@@ -516,6 +517,69 @@ def test_table_walk_zero_inside_a_word():
     for a in (1 << 62, (1 << 62) - 1, (1 << 62) + 1, 0):
         assert _table_sample(1, 4, a) == ref_mc_sample_int(1, 4, a), a
     assert _table_sample(1, 4, 1 << 62) == (6 * 1 - 2, 2)
+
+
+def test_mc_kernel_steps_through_the_shared_search(monkeypatch):
+    # a table miss takes its digit from Distribution._digit and its triple from
+    # affine: one call of each per plain step, at that step's remainder (from
+    # shift, before the counters). q = 1/100 has no word table, so every digit
+    # is a plain step
+    rng = random.Random(25)
+    draws = {F(1, 100): [rng.getrandbits(64) for _ in range(4)],
+             F(1, 3): [rng.getrandbits(64) for _ in range(300)]}
+    walks = {}
+    for q, points in draws.items():
+        for a in points:
+            x, steps = F(a, 1 << 64), []
+            while x and len(steps) < 64:
+                c, y = shift(Geometric(q), x)
+                steps.append((x, c))
+                x = y
+            walks[q, a] = steps
+    tables = {q: _word_table(Geometric(q)) for q in draws}
+    assert tables[F(1, 100)] is None and tables[F(1, 3)] is not None
+    calls = []
+    search, build = Distribution._digit, Distribution.affine
+
+    def digit(self, n, d, bits=1):
+        c = search(self, n, d, bits)
+        calls.append((F(n, d), c))
+        return c
+
+    def affine(self, i):
+        calls.append(i)
+        return build(self, i)
+
+    monkeypatch.setattr(Distribution, "_digit", digit)
+    monkeypatch.setattr(Distribution, "affine", affine)
+    plain = Counter()
+    for (q, a), steps in walks.items():
+        calls.clear()
+        got = _mc_sample_table(Geometric(q), tables[q], q.denominator.bit_length() - 1, a)
+        if tables[q] is not None:
+            assert got == ref_mc_sample_int(q.numerator, q.denominator, a), (q, a)
+        searched, built = calls[::2], calls[1::2]
+        assert len(searched) == len(built) and [c for _, c in searched] == built, (q, a)
+        # raises ValueError if a search was made at no remainder of x's walk
+        at = [steps.index(step) for step in searched]
+        assert at == sorted(set(at)), (q, a)
+        if tables[q] is None:
+            assert at == list(range(len(steps))), (q, a)
+        plain[q] += len(at)
+    assert plain[F(1, 100)] == 4 * 64
+    assert 0 < plain[F(1, 3)] < 2 * len(draws[F(1, 3)])
+
+
+def test_mc_kernel_serves_custom_heads():
+    # the table walk is law-generic: under custom heads its samples equal decode's by value
+    for spec in ("custom:1/3,1/5;2/3", "custom:1/4,1/6;1/2", "custom:2/5,1/10;3/5",
+                 "custom:1/7,2/9,1/12;3/5"):
+        dist = parse_distribution(spec)
+        table, bits = _word_table(dist), dist.tail_ratio.denominator.bit_length() - 1
+        assert table is not None, spec
+        for a in _mc_points(len(spec), 750):
+            got, want = _mc_sample_table(dist, table, bits, a), _mc_sample_decode(dist, a)
+            assert F(got[0], 3 << got[1]) == F(want[0], 3 << want[1]), (spec, a)
 
 
 def _bench_specs(monkeypatch):

@@ -38,7 +38,7 @@ from probmink import (
 )
 from probmink.expansion import _compose, _word_table
 from probmink.fmt import rational_text
-from probmink.integral import _mc_sample_dyadic, _mc_sample_geometric
+from probmink.integral import _mc_sample_dyadic, _mc_sample_table
 
 from oracles import (
     FAMILIES,
@@ -71,8 +71,9 @@ def test_dyadic_sample_kernel_matches_reference(a):
 
 
 def _table_sample(s, t, a):
-    """The geometric Monte Carlo kernel's sample at a, on the law's own word table."""
-    return _mc_sample_geometric(s, t, _word_table(Geometric(Fraction(s, t))), a)
+    """The Monte Carlo table walk's sample at a under q = s/t, on the law's own word table."""
+    dist = Geometric(Fraction(s, t))
+    return _mc_sample_table(dist, _word_table(dist), t.bit_length() - 1, a)
 
 
 @st.composite

@@ -1,8 +1,8 @@
 """The value classes: equality, hashing, repr and immutability, and a cold import.
 
 It also pins, byte for byte, the seeded Monte Carlo outputs of
-`integral --method mc`, and the graph CSV and `diagnose` texts that the
-console command writes to stdout.
+`integral --method mc` (the longest by sha256 and length), and the graph
+CSV and `diagnose` texts that the console command writes to stdout.
 
 Distributions and `DigitSeq` are slotted classes that normalise their
 fields; every result record is a `typing.NamedTuple`. The expected values
@@ -10,6 +10,7 @@ below are the behaviour the package has always had, pinned exactly.
 """
 
 import copy
+import hashlib
 import os
 import pickle
 import subprocess
@@ -213,6 +214,20 @@ MC_RECORDED = (
         "mean 988495147266341023650335821745201446169497308621658065139636971505912001/2208558830972980411979121875928648144784354871094523697652007751615774720\n"
         "mean_decimal 0.447574741231076723247564080208…\n"
         "stderr 2.567e-02\n"),
+    # q = 1/4 has 2-bit powers t^c, so its plain steps are held to the budget in 2 bits a digit
+    (("integral", "--dist", "geometric:1/4", "--method", "mc", "--samples", "2000"),
+        "mean 202260763637714654643361326660487032176554909072700033270614093923659058342173309254103416944836950812985227358868493/615656346818663737691860001564743965704370926101022604186692084441339402679643915803347910232576806887603562348544000\n"
+        "mean_decimal 0.328528674613483383058207184250…\n"
+        "stderr 7.364e-03\n"),
+)
+
+# laws with no word table, whose samples take a plain step for every digit; the
+# means have thousands of digits, so stdout is pinned by its sha256 and byte length
+MC_RECORDED_DIGEST = (
+    (("integral", "--dist", "geometric:1/100", "--method", "mc", "--samples", "20"),
+        "f7c728396810f122d5dcab17b979c4da7cb6b432f5f32bcb724d77f8de7f31bf", 4947),
+    (("integral", "--dist", "geometric:1/1000", "--method", "mc", "--samples", "1"),
+        "bc6bda1a78474f0563d3e9fc077e6b743f0ba8a807df284884317e4f029633ad", 38674),
 )
 
 
@@ -220,6 +235,14 @@ MC_RECORDED = (
 def test_monte_carlo_prints_recorded_bytes(capsys, argv, text):
     assert main(list(argv)) == 0
     assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("argv, digest, size", MC_RECORDED_DIGEST,
+                         ids=[argv[2] for argv, _, _ in MC_RECORDED_DIGEST])
+def test_monte_carlo_prints_recorded_digest(capsys, argv, digest, size):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out.encode()
+    assert (hashlib.sha256(out).hexdigest(), len(out)) == (digest, size)
 
 
 GRAPH_CSV = """\
