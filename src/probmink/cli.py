@@ -5,14 +5,15 @@ Exit codes: 0 success, 1 self-test failure, 2 parse or usage error
 (including a rational point whose digit stream has no period, so M there
 is irrational), 4 resource limit (an exact result too large to compute,
 such as a series, a digit word or a single digit over
-series.MAX_DIGIT_SUM, a graph of more than minkowski.MAX_GRAPH_POINTS
-points, or a MemoryError, OverflowError or RecursionError that no budget
-check caught first), 141 a broken pipe (stdout's reader closed it before
-the output was written; nothing more is printed, and a shell reports the
-same status for a process killed by SIGPIPE). Output formats: plain text
-(default) or JSON; the graph command always emits CSV. Rationals print in
-full at any size. Decimal renderings honor --precision and carry a
-trailing ellipsis when inexact.
+series.MAX_DIGIT_SUM, a digit whose branch triple needs a power over
+distribution.MAX_POWER_BITS bits, a graph of more than
+minkowski.MAX_GRAPH_POINTS points, or a MemoryError, OverflowError or
+RecursionError that no budget check caught first), 141 a broken pipe
+(stdout's reader closed it before the output was written; nothing more is
+printed, and a shell reports the same status for a process killed by
+SIGPIPE). Output formats: plain text (default) or JSON; the graph command
+always emits CSV. Rationals print in full at any size. Decimal renderings
+honor --precision and carry a trailing ellipsis when inexact.
 """
 
 import argparse

@@ -40,6 +40,14 @@ from fractions import Fraction
 from .errors import DomainError, ParseError, ResourceLimitError
 from .fmt import int_text, parse_rational, rational_text
 
+# 2^25 bits (4 MB) for one power in a branch triple: tail digit k + j's triple
+# holds rd^j, held to j * bit_length(rd) <= MAX_POWER_BITS before any pow. The
+# digit budget already admits 3^(2^24), 2.7 * 10^7 bits, whose pow takes 5.4 s;
+# a pow at this bound takes 6.5-7.5 s, and at 2^26 bits 19-22 s (rd = 10^8 and
+# 2^61 - 1; Python 3.11.7, 2-CPU x86-64 host). Laws with rd <= 3 reach the
+# digit budget first; with rd of 4 to 7, digits above 2^25 / 3 are refused
+MAX_POWER_BITS = 1 << 25
+
 
 class _Frozen:
     """An immutable value with slots: ==, hash and repr over the public `_fields`.
@@ -96,9 +104,12 @@ class Distribution(_Frozen):
 
         H is the lcm of the head denominators, _cum[i-1] == prefix(i) * H for
         1 <= i <= k+1, and rest = H - cum_k. `_tail` is
-        (H, rest, rn, rd, rest*rn, H*rd, rd - rn), one slot that the integer
-        methods unpack at once; the last three are the tail search's first
-        terms.
+        (H, rest, rn, rd, rest*rn, H*rd, rd - rn, J, wide), one slot that the
+        integer methods unpack at once. rest*rn, H*rd and rd - rn are the tail
+        search's first terms. J = MAX_POWER_BITS // bit_length(rd), read here,
+        is the last tail index j whose power rd^j the budget admits, and
+        `wide` is set when a digit search's lower bound, below rd/(rd - rn),
+        can pass it.
         """
         h = math.lcm(*(p.denominator for p in head))
         cum = [0]
@@ -109,7 +120,9 @@ class Distribution(_Frozen):
         object.__setattr__(self, "_cum", tuple(cum))
         object.__setattr__(self, "_head_affine", tuple(
             (a, b - a, h) for a, b in zip(cum, cum[1:])))
-        object.__setattr__(self, "_tail", (h, rest, rn, rd, rest * rn, h * rd, rd - rn))
+        last_j = MAX_POWER_BITS // rd.bit_length()
+        object.__setattr__(self, "_tail", (h, rest, rn, rd, rest * rn, h * rd, rd - rn,
+                                           last_j, rd > last_j * (rd - rn)))
         object.__setattr__(self, "_hash", hash(self._key()))
 
     def __eq__(self, other):
@@ -127,7 +140,10 @@ class Distribution(_Frozen):
         """Integers (P, Q, L) with prefix(i) == P/L and pmf(i) == Q/L, for i >= 1.
 
         L > 0 and the triple need not be reduced. Digit i's branch of the
-        expansion is the affine map y -> (P + Q*y) / L.
+        expansion is the affine map y -> (P + Q*y) / L. Raises
+        ResourceLimitError when i passes series.MAX_DIGIT_SUM, or when tail
+        digit k + j needs a power rd^j with j * bit_length(rd) above
+        MAX_POWER_BITS, before any power is built.
         """
         if not 0 < i <= series.MAX_DIGIT_SUM:
             if i < 1:
@@ -138,8 +154,10 @@ class Distribution(_Frozen):
         if i <= len(head):
             return head[i - 1]
         # tail digit k+j over H rd^j, with prefix = 1 - (1-s) r^(j-1) and r = rn/rd
-        h, rest, rn, rd, _, _, drn = self._tail
+        h, rest, rn, rd, _, _, drn, last_j, _ = self._tail
         j = i - len(head)
+        if j > last_j:
+            raise ResourceLimitError(f"digit {int_text(i)}'s {_power_text(j, rd)}")
         tail = rest * rn ** (j - 1)
         l = h * rd**j
         return l - tail * rd, tail * drn, l
@@ -174,10 +192,11 @@ class Distribution(_Frozen):
         The search compares integer powers exactly, with no logarithms or
         floats. It raises ResourceLimitError when a lower bound on c times
         `bits` (the least number of bits a tail digit adds to its power)
-        passes series.MAX_DIGIT_SUM, before any power is built, and when c
-        itself does, as affine(c) would: at bits = 1, only there.
+        passes series.MAX_DIGIT_SUM, or when the same bound's power passes
+        MAX_POWER_BITS, before any power is built, and when c itself passes
+        the digit budget, as affine(c) would: at bits = 1, only there.
         """
-        h, rest, rn, rd, rest_rn, h_rd, drn = self._tail
+        h, rest, rn, rd, rest_rn, h_rd, drn, last_j, wide = self._tail
         k = len(self._head_affine)
         if k:
             cum = self._cum
@@ -187,12 +206,15 @@ class Distribution(_Frozen):
                     return i
         # tail: smallest j >= 1 with (1-s) r^j < 1 - x for x = n/d, digit k + j;
         # 1 - s = rest/H, compared by cross-multiplication
-        if (rn + (k + 1) * drn) * bits > series.MAX_DIGIT_SUM * drn:
+        if wide or (rn + (k + 1) * drn) * bits > series.MAX_DIGIT_SUM * drn:
             # the geometric bound with (1-x)/(1-s) for 1-x, j > (x-s)/(1-s) * r/(1-r),
-            # is below k + 1 + r/(1-r), so it can pass the budget only when that does;
-            # x - s = (n*H - cum_k*d)/(d*H)
-            _check_digit_bound(k + (n * h - self._cum[-1] * d) * rn // (d * rest * drn) + 1,
-                               bits)
+            # is below 1 + r/(1-r) = rd/(rd - rn), so digit k + j can pass either budget
+            # only when that bound does; x - s = (n*H - cum_k*d)/(d*H)
+            j = (n * h - self._cum[-1] * d) * rn // (d * rest * drn) + 1
+            _check_digit_bound(k + j, bits)
+            if j > last_j:
+                raise ResourceLimitError(f"the digit at this point is at least "
+                                         f"{int_text(k + j)}, whose {_power_text(j, rd)}")
         # lo = rest rn^j d and hi = H rd^j (d - n) grow by one small factor per digit
         c, lo, hi = k + 1, rest_rn * d, h_rd * (d - n)
         while lo >= hi:
@@ -214,7 +236,7 @@ class Distribution(_Frozen):
         """
         # L is H or H rd^j; Q(k+j) = rest rn^(j-1) (rd - rn) is a multiple of
         # Q(k+2) for j >= 2, so the gcd runs over Q(2), ..., Q(k+2)
-        _, rest, _, _, rest_rn, primes, drn = self._tail
+        _, rest, _, _, rest_rn, primes, drn, _, _ = self._tail
         qs = tuple(q for _, q, _ in self._head_affine) + (rest * drn, rest_rn * drn)
         w = math.gcd(*qs[1:])
         return primes, w // _smooth_part(w, primes)
@@ -256,6 +278,12 @@ def _smooth_part(n: int, primes: int) -> int:
         part *= g
         g = math.gcd(n, g)
     return part
+
+
+def _power_text(j: int, rd: int) -> str:
+    """The end of the message that refuses the power rd^j of a branch triple."""
+    return (f"branch triple needs a power of about {int_text(j * rd.bit_length())} bits, "
+            f"above the budget of {MAX_POWER_BITS} bits for one power")
 
 
 def _check_digit_bound(bound: int, bits: int = 1) -> None:

@@ -19,8 +19,9 @@ word certified by an integer cylinder test, and takes a miss through the
 law's own digit search and `affine`, as `decode` does. Geometric laws run
 it; custom heads decode through `decode`, which reads the same tables.
 The values of every family are summed as integers over a running power
-of two (`_mc_sums`), and each sum becomes one Fraction, so a run equals
-the one-digit-per-step rational loop exactly.
+of two (`_mc_sums`), and each sum becomes one Fraction, reduced by
+`series._dyadic` with a shift and a gcd with 3 or 9, so a run equals the
+one-digit-per-step rational loop exactly.
 """
 
 import functools
@@ -35,6 +36,7 @@ from .errors import DomainError
 from .expansion import _word_table
 from .fmt import rational_payload
 from .minkowski import eval_minkowski_enclosure
+from .series import _dyadic
 
 
 def alpha(dist: Distribution) -> Fraction:
@@ -264,7 +266,7 @@ def _mc_sums(sample, samples: int, rng: random.Random) -> tuple:
             sq_total <<= e2 - sq_exp
             sq_exp = e2
         sq_total += a_num * a_num << (sq_exp - e2)
-    return Fraction(total, 3 << total_exp), Fraction(sq_total, 9 << sq_exp)
+    return _dyadic(total, 3, total_exp), _dyadic(sq_total, 9, sq_exp)
 
 
 def _mc_sample_decode(dist: Distribution, a: int) -> tuple:
@@ -272,11 +274,19 @@ def _mc_sample_decode(dist: Distribution, a: int) -> tuple:
 
     The depth-64 enclosure's ends have denominators 2^k, or both 3 * 2^k
     where the expansion terminates, so their midpoint is num / (2 * den)
-    over the larger denominator den, returned as (A, e).
+    over the larger denominator den, returned as (A, e). The smaller
+    denominator divides den by a power of two, so its numerator is
+    shifted into place.
     """
-    _, lower, upper = eval_minkowski_enclosure(dist, Fraction(a, 1 << _MC_DEPTH), _MC_DEPTH)
-    den = max(lower.denominator, upper.denominator)
-    num = sum(v.numerator * (den // v.denominator) for v in (lower, upper))
+    _, lower, upper = eval_minkowski_enclosure(dist, _dyadic(a, 1, _MC_DEPTH), _MC_DEPTH)
+    num, den = lower.numerator, lower.denominator
+    up_num, up_den = upper.numerator, upper.denominator
+    gap = up_den.bit_length() - den.bit_length()
+    if gap < 0:
+        num += up_num << -gap
+    else:
+        num = (num << gap) + up_num
+        den = up_den
     return (3 * num, den.bit_length()) if den % 3 else (num, (den // 3).bit_length())
 
 

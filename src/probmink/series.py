@@ -14,7 +14,11 @@ accumulator m = (m << d) + sign gives the partial sum as exactly
 2m / 2^(s_n), and a period closes in one division (see alt_series_exact).
 A long list builds the same m from two bit strings, in time linear in
 s_n (see _finite_sum).
-Only results are built as Fractions, so each value costs one gcd.
+Only results are built as Fractions, and no result runs a gcd over its
+power of two. A value num / (odd * 2^s) with an odd factor `odd` (1, 3
+or 2^Q - b) is reduced by `_dyadic`: a shift by min(trailing zeros of
+num, s) cancels the power of two, in time linear in s, and one gcd with
+the odd factor, only where it is above 1, cancels the rest.
 
 A digit sum is a bit count: the result's denominator has about that many
 bits. A sum above MAX_DIGIT_SUM raises ResourceLimitError before any
@@ -23,11 +27,12 @@ shift is allocated. The codec holds words and digits to the same budget
 digit's denominator.
 """
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError, ResourceLimitError
-from .expansion import DigitSeq
+from .expansion import DigitSeq, _coprime_fraction
 from .fmt import int_text
 
 # 2^24 bits (2 MB) per power of two: well above the digit sum of a
@@ -67,6 +72,25 @@ def check_digit_sum(total: int) -> None:
             f"digit sum {int_text(total)} exceeds the budget of {MAX_DIGIT_SUM} bits "
             "for an exact value"
         )
+
+
+def _dyadic(num: int, odd: int, s: int) -> Fraction:
+    """num / (odd * 2^s) in lowest terms, for an odd factor odd >= 1 and s >= 0.
+
+    The Fraction constructor's gcd runs over the whole power of two, in
+    time quadratic in s. Here min(trailing zeros of num, s) bits go by one
+    shift, and the odd factor takes one gcd, only when odd > 1.
+    """
+    if not num:
+        return _coprime_fraction(0, 1)
+    zeros = min((num & -num).bit_length() - 1, s)
+    num >>= zeros
+    if odd > 1:
+        g = math.gcd(num, odd)
+        if g > 1:
+            num //= g
+            odd //= g
+    return _coprime_fraction(num, odd << (s - zeros))
 
 
 def _finite_sum(digits) -> tuple:
@@ -119,14 +143,23 @@ def alt_series_exact(stream) -> Fraction:
     so the value is one fraction
 
         2 (m_h (2^Q - b) + sign m_b) / (2^(s_pre) (2^Q - b)).
+
+    2^Q - b is odd, so its common factor with the numerator is
+    g = gcd(m_b, 2^Q - b), a gcd over Q bits, not over Q + s_pre. After
+    dividing by g only the power of two is left to cancel.
     """
     if isinstance(stream, DigitSeq):
         m_h, s_pre, sign = _finite_sum(stream.preperiod)
         m_b, q_sum, block_sign = _finite_sum(stream.period)
         den = (1 << q_sum) - block_sign
-        return Fraction(2 * (m_h * den + sign * m_b), den << s_pre)
+        g = math.gcd(m_b, den)
+        if g > 1:
+            m_b //= g
+            den //= g
+        value = _dyadic(2 * (m_h * den + sign * m_b), 1, s_pre)
+        return _coprime_fraction(value.numerator, den << value.denominator.bit_length() - 1)
     m, s, _ = _finite_sum(tuple(stream))
-    return Fraction(2 * m, 1 << s)
+    return _dyadic(2 * m, 1, s)
 
 
 def alt_series_periodic_closed_form(v: int, w: int) -> Fraction:
@@ -136,7 +169,7 @@ def alt_series_periodic_closed_form(v: int, w: int) -> Fraction:
     """
     if v < 1 or w < 1:
         raise DomainError(f"period digits must be >= 1, got ({v}, {w})")
-    return Fraction(2 * ((1 << w) - 1), (1 << (v + w)) - 1)
+    return _dyadic(2 * ((1 << w) - 1), (1 << (v + w)) - 1, 0)
 
 
 def prefix_enclosure(digits) -> AltSeriesValue:
@@ -146,8 +179,9 @@ def prefix_enclosure(digits) -> AltSeriesValue:
     sign (-1)^n and magnitude at most 2^(-s_n), so the band is one-sided.
     """
     m, s_n, sign = _finite_sum(tuple(digits))
-    partial = Fraction(2 * m, 1 << s_n)
-    other = Fraction(2 * m + sign, 1 << s_n)
+    partial = _dyadic(2 * m, 1, s_n)
+    # 2m + sign is odd, so the other end is already in lowest terms
+    other = _coprime_fraction(2 * m + sign, 1 << s_n)
     if sign > 0:
         return AltSeriesValue(partial, partial, other)
     return AltSeriesValue(partial, other, partial)

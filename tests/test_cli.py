@@ -126,6 +126,24 @@ def test_digit_search_budget_exit_4(capsys):
         assert err.startswith("error: " + message)
 
 
+def test_power_budget_exit_4(capsys):
+    """Digits inside the digit budget whose branch triple needs a power past MAX_POWER_BITS."""
+    power = "branch triple needs a power of about"
+    for argv, message in (
+        (("eval", "--dist", "geometric:1/100000000", "--x", "1/10"),
+         f"the digit at this point is at least 10000000, whose {power} 270000000 bits"),
+        (("diagnose", "--dist", "geometric:1/100000000", "--digits", "3000000"),
+         f"digit 3000000's {power} 81000000 bits"),
+        (("encode", "--dist", "geometric:1/100000000", "--digits", "(3000000)"),
+         f"digit 3000000's {power} 81000000 bits"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2, argv
+        assert (code, out) == (4, "")
+        assert err.startswith("error: " + message) and err.count("\n") == 1, err
+
+
 def test_qmark_exact_decimal(capsys):
     code, out, _ = run(capsys, "qmark", "--x", "2/5", "--precision", "8")
     assert code == 0

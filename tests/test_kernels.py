@@ -39,7 +39,7 @@ from probmink import (
     shift,
 )
 from probmink import expansion, fmt, series
-from probmink.distribution import Distribution
+from probmink.distribution import MAX_POWER_BITS, Distribution
 from probmink.errors import DomainError, ResourceLimitError
 from probmink.expansion import _compose, _coprime_fraction, _word_table
 from probmink.integral import _mc_sample_decode, _mc_sample_dyadic, _mc_sample_table
@@ -1080,6 +1080,40 @@ def test_decode_periodic_memory_is_linear():
             tracemalloc.stop()
         assert result == seq
         assert peak < 4 << 20, (dist, peak)
+
+
+def test_power_budget():
+    """Tail digit k + j is refused when j * bit_length(rd) passes MAX_POWER_BITS.
+
+    affine refuses it before any pow, and the digit search refuses a point
+    whose geometric lower bound already does. No law with rd <= 3 reaches
+    this budget inside the digit budget, and no law with rd <= 7 pays for
+    the search's check.
+    """
+    tiny = Geometric(F(1, 10**8))
+    last = MAX_POWER_BITS // (10**8).bit_length()
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="digit 1242757's branch triple needs a power"):
+        tiny.affine(last + 1)
+    for x in (F(1, 10), F(1, 20)):
+        with pytest.raises(ResourceLimitError, match="whose branch triple needs a power"):
+            tiny.digit_of(x)
+    head = CustomPrefixTail((F(1, 2),), F(10**8 - 1, 10**8))
+    with pytest.raises(ResourceLimitError, match="digit 1242758's branch triple"):
+        head.affine(last + 2)
+    assert time.perf_counter() - start < 1
+    # a 2 001-bit rd with digits near 2^15: inside the digit budget, but at
+    # 3/4 the search's lower bound, about 24 600, passes 2^25 / 2 001
+    wide = Geometric(F(1, 1 << 15) + F(1, 1 << 2000))
+    with pytest.raises(ResourceLimitError, match="whose branch triple needs a power"):
+        wide.digit_of(F(3, 4))
+    assert wide.digit_of(F(1, 1 << 30)) == 1
+    for dist in FAMILIES + (Geometric(F(1, 4)), Geometric(F(2, 5)), Geometric(F(1, 7))):
+        _, _, r = dist.head_tail()
+        last_j, wide = dist._tail[-2:]
+        assert not wide
+        if r.denominator <= 3:
+            assert last_j >= series.MAX_DIGIT_SUM
 
 
 def test_digit_search_budget(monkeypatch):

@@ -54,8 +54,11 @@ from oracles import (
     ref_exact_walk,
     ref_graph_points,
     ref_int_finite_sum,
+    ref_alt_series_exact,
+    ref_finite_sum,
     ref_mc_sample_int,
     ref_pmf,
+    ref_prefix_enclosure,
     ref_write_graph_csv,
     question_mark_by_mediants,
 )
@@ -267,6 +270,36 @@ def test_question_mark_matches_mediant_walk(x):
 def _seeded_digits(seed, length, top):
     rng = random.Random(seed)
     return tuple(rng.randint(1, top) for _ in range(length))
+
+
+def _in_lowest_terms(value):
+    return value.denominator > 0 and math.gcd(value.numerator, value.denominator) == 1
+
+
+@settings(DETERMINISTIC, max_examples=40)
+@given(st.integers(min_value=0, max_value=1 << 32), st.integers(min_value=0, max_value=1500),
+       st.sampled_from((1, 2, 3, 5, 12, 70)),
+       st.lists(st.integers(min_value=1, max_value=70), min_size=1, max_size=40))
+# both sides of _finite_sum's loop bound, and a period that shares the factor 3
+# with its block's denominator 2^4 - 1
+@example(seed=1, length=512, top=70, period=[1])
+@example(seed=2, length=513, top=70, period=[2, 2])
+@example(seed=3, length=1500, top=3, period=[70, 1, 5])
+def test_series_values_in_lowest_terms(seed, length, top, period):
+    """Series values and enclosures equal the references and are fully reduced.
+
+    `series._dyadic` builds them through `_coprime_fraction`, which skips the
+    constructor's reduction, and Fraction's == compares the stored integers, so
+    an unreduced value would break equality with no error of its own.
+    """
+    digits = _seeded_digits(seed, length, top)
+    total, s_n, sign = ref_finite_sum(digits)
+    seq = DigitSeq(digits, tuple(period))
+    enclosure = series.prefix_enclosure(digits)
+    values = (series.alt_series_exact(digits), series.alt_series_exact(seq), *enclosure)
+    assert values == (total, ref_alt_series_exact(seq), total, *ref_prefix_enclosure(digits))
+    assert all(map(_in_lowest_terms, values))
+    assert enclosure.width == Fraction(1, 1 << s_n) and (sign > 0) == (enclosure.lower == total)
 
 
 @st.composite

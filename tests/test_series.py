@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from probmink import (
     alt_series_truncated,
     prefix_enclosure,
 )
+from probmink.series import _finite_sum
 
 from oracles import partial_sums
 
@@ -116,3 +118,28 @@ def test_invalid_digits():
         alt_series_exact([1, 0, 2])
     with pytest.raises(DomainError):
         alt_series_truncated([0], 1)
+
+
+def test_long_series_values_in_linear_time():
+    """700 000 digits of 1-5, a digit sum of about 2.1 * 10^6: each value within 2 s.
+
+    The values are reduced by a shift of their trailing zeros. Built by the
+    Fraction constructor, whose gcd runs over the whole power of two, the
+    enclosure took 9.2 s and the finite sum 4.7 s on a 2-CPU x86-64 host.
+    """
+    rng = random.Random(700)
+    digits = tuple(rng.randint(1, 5) for _ in range(700_000))
+    m, s, sign = _finite_sum(digits)
+    start = time.perf_counter()
+    enclosure = prefix_enclosure(digits)
+    assert time.perf_counter() - start < 2
+    start = time.perf_counter()
+    value = alt_series_exact(digits)
+    assert time.perf_counter() - start < 2
+    # 2m / 2^s in lowest terms: an odd numerator over a power of two
+    num, den = value.numerator, value.denominator
+    zeros = den.bit_length() - 1
+    assert den == 1 << zeros and num & 1 and num << (s - zeros) == 2 * m
+    assert value == enclosure.value
+    other = enclosure.upper if sign > 0 else enclosure.lower
+    assert (other.numerator, other.denominator) == (2 * m + sign, 1 << s)
