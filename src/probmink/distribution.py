@@ -23,9 +23,10 @@ branch triple. `_digit(n, d, bits=1) -> c` is the exact digit search on
 plain integers, the digit c of n/d, held to the budget in c*bits;
 `digit_of` returns it, and the decoders and the Monte Carlo kernel take
 affine(c) for each digit it finds. `branch_primes() -> (S, W)` gives the
-primes that the walk tracks (see `expansion`). `Dyadic._digit` is the one
-override, a search by bit lengths: the shared search makes about c
-multiplications for digit c.
+primes that the walk tracks (see `expansion`). The shared search lifts
+its powers by squares, O(log c) products for digit c, and never past the
+powers that affine(c) may build. `Dyadic._digit` is the one override, a
+search by bit lengths, with no products at all.
 
 Instances are immutable and hashable; all operations are pure. Equality,
 hashing and repr come from one definition in the `_Frozen` base, keyed on
@@ -93,8 +94,8 @@ class Distribution(_Frozen):
     `affine`, `_digit`, `branch_primes`, `max_p` and `head_tail` are
     implemented once, here; the families supply their constructors, public
     fields and spec strings (see the module docstring). `Dyadic` alone
-    overrides `_digit`, because the shared search makes about c
-    multiplications for digit c and its own reads c from two bit lengths.
+    overrides `_digit`, because the shared search multiplies integers of
+    about c bits for digit c and its own reads c from two bit lengths.
     """
 
     __slots__ = ("_law", "_cum", "_head_affine", "_tail", "_hash")
@@ -190,11 +191,13 @@ class Distribution(_Frozen):
         """The digit c of the point n/d with 0 <= n < d.
 
         The search compares integer powers exactly, with no logarithms or
-        floats. It raises ResourceLimitError when a lower bound on c times
-        `bits` (the least number of bits a tail digit adds to its power)
-        passes series.MAX_DIGIT_SUM, or when the same bound's power passes
-        MAX_POWER_BITS, before any power is built, and when c itself passes
-        the digit budget, as affine(c) would: at bits = 1, only there.
+        floats, by `_steps_to_flip`'s binary lifting. It raises
+        ResourceLimitError when a lower bound on c times `bits` (the least
+        number of bits a tail digit adds to its power) passes
+        series.MAX_DIGIT_SUM, or when the same bound's power passes
+        MAX_POWER_BITS, before any power is built. Whatever `bits` is, it
+        also raises where affine(c) would, when c itself passes either
+        budget, with no power past those of the last digit affine builds.
         """
         h, rest, rn, rd, rest_rn, h_rd, drn, last_j, wide = self._tail
         k = len(self._head_affine)
@@ -215,15 +218,17 @@ class Distribution(_Frozen):
             if j > last_j:
                 raise ResourceLimitError(f"the digit at this point is at least "
                                          f"{int_text(k + j)}, whose {_power_text(j, rd)}")
-        # lo = rest rn^j d and hi = H rd^j (d - n) grow by one small factor per digit
-        c, lo, hi = k + 1, rest_rn * d, h_rd * (d - n)
-        while lo >= hi:
-            lo *= rn
-            hi *= rd
-            c += 1
-        if c > series.MAX_DIGIT_SUM:
-            series.check_digit_sum(c)
-        return c
+        # digit k + j for the least j with rest rn^j d < H rd^j (d - n); affine
+        # builds it for j <= last_j and k + j <= MAX_DIGIT_SUM, so j - 1 <= most
+        lo, hi = rest_rn * d, h_rd * (d - n)
+        most = min(last_j, series.MAX_DIGIT_SUM - k) - 1
+        e = _steps_to_flip(lo, hi, rn, rd, most) if lo >= hi else 0
+        if e <= most:
+            return k + 1 + e
+        j = most + 2
+        _check_digit_bound(k + j)
+        raise ResourceLimitError(f"the digit at this point is at least "
+                                 f"{int_text(k + j)}, whose {_power_text(j, rd)}")
 
     def branch_primes(self) -> tuple:
         """Integers (S, W) naming the primes of the branch denominators.
@@ -280,6 +285,51 @@ def _smooth_part(n: int, primes: int) -> int:
     return part
 
 
+def _steps_to_flip(lo: int, hi: int, rn: int, rd: int, most: int) -> int:
+    """The least e >= 1 with lo * rn^e < hi * rd^e, or most + 1 if it passes `most`.
+
+    For lo >= hi > 0 and 0 < rn < rd; the test holds from some e on, since
+    rn/rd < 1. Stepping by rn and rd would make e products of growing
+    integers, so digit c would cost time quadratic in c; binary lifting
+    makes O(log e). The test at e = 1 costs two products, as a step would.
+    Past it, two bit lengths refuse first: lo/hi > 2^g for
+    g = bit_length(lo) - bit_length(hi) - 1, and ln(rd/rn) <= (rd - rn)/rn
+    with ln 2 > 693/1000, so e > 693 g rn / (1000 (rd - rn)). While the
+    test fails at e + 2^i <= most, e grows by 2^i and rn, rd are squared;
+    once it holds there, or e + 2^i passes most, the kept powers
+    rn^(2^j), rd^(2^j) for j < i take e's bits from the top down. No test
+    is made past most, so no power passes rn^most, rd^most. Every
+    comparison is exact, on integers.
+    """
+    up_lo, up_hi = lo * rn, hi * rd
+    if up_lo < up_hi or most < 1:
+        return 1
+    if (lo.bit_length() - hi.bit_length() - 1) * 693 * rn >= most * 1000 * (rd - rn):
+        return most + 1
+    # the test fails at e, and powers[-1] holds rn^(step/2), rd^(step/2)
+    e, step, powers = 1, 2, [(rn, rd)]
+    lo, hi = up_lo, up_hi
+    while e + step <= most:
+        rn, rd = rn * rn, rd * rd
+        up_lo, up_hi = lo * rn, hi * rd
+        if up_lo < up_hi:
+            break
+        e += step
+        step <<= 1
+        powers.append((rn, rd))
+        lo, hi = up_lo, up_hi
+    # the test fails at e, and holds at e + step or that passes most
+    while powers:
+        step >>= 1
+        rn, rd = powers.pop()
+        if e + step <= most:
+            up_lo, up_hi = lo * rn, hi * rd
+            if up_lo >= up_hi:
+                e += step
+                lo, hi = up_lo, up_hi
+    return e + 1
+
+
 def _power_text(j: int, rd: int) -> str:
     """The end of the message that refuses the power rd^j of a branch triple."""
     return (f"branch triple needs a power of about {int_text(j * rd.bit_length())} bits, "
@@ -311,11 +361,11 @@ class Dyadic(Distribution):
     def _digit(self, n: int, d: int, bits: int = 1) -> int:
         """The shared search's result, read from two bit lengths.
 
-        The shared tail search multiplies its powers once per digit, so
-        digit c costs about c multiplications of growing integers. At
-        x = 1 - 2^-100000, whose digit is 100 001, that search took 1.2 s
-        and this one 0.02 ms (Python 3.11.7 on a 2-CPU x86-64 host). A
-        power of 2 gains one bit a digit, so `bits` is 1.
+        The shared tail search builds powers of about c bits for digit c.
+        At x = 1 - 2^-100000, whose digit is 100 001, stepping them one
+        factor per digit took 1.2 s and this search 0.02 ms (Python 3.11.7
+        on a 2-CPU x86-64 host). A power of 2 gains one bit a digit, so
+        `bits` is 1.
         """
         # smallest c with 2^c (d - n) > d: with b = d - n, 2^c b has
         # c + bit_length(b) bits, so c is bit_length(d) - bit_length(b) or one more

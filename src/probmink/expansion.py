@@ -27,15 +27,20 @@ whose cylinders have measure at least 2^-_TABLE_MEASURE_BITS, as disjoint
 intervals sorted by their left ends over one denominator, so one bisect
 names the longest word in the table that x's digits can start with, as
 table-driven decoders of prefix codes read several symbols at once (Moffat
-and Turpin 1997). The row is only a candidate, since x's first digit may
-have no row, until the cylinder test certifies it; a failed test costs one
-`shift`. So a lookup never yields a wrong digit. A certified word steps
-the unreduced pair (n*D - A*d, d*B), reduced once before a `shift` and at
-the end of a run. The trailing-ones rule: digit 1 fixes 0 and maps a
-nonzero remainder to a nonzero one, so when the remainder after a word is
-0, every later digit is 1, and the stream's first zero remainder came
-after the word without its trailing 1s; the geometric Monte Carlo walk
-closes its samples by it (see `integral`).
+and Turpin 1997). Most lookups make no bisect: the table's index cuts
+[0, 1) into 2^_INDEX_BITS equal buckets, and a bucket that lies inside one
+row holds that row, so one list index by x's leading bits names it. Only a
+bucket that a row's left end cuts, at most one per row (0 to 193 of
+4 096 on the benchmark's laws), holds None and takes the bisect. Either
+way the lookup names the bisect's row. The row is only a candidate, since
+x's first digit may have no row, until the cylinder test certifies it; a
+failed test costs one `shift`. So a lookup never yields a wrong digit. A
+certified word steps the unreduced pair (n*D - A*d, d*B), reduced once
+before a `shift` and at the end of a run. The trailing-ones rule: digit 1
+fixes 0 and maps a nonzero remainder to a nonzero one, so when the
+remainder after a word is 0, every later digit is 1, and the stream's
+first zero remainder came after the word without its trailing 1s; the
+geometric Monte Carlo walk closes its samples by it (see `integral`).
 
 Batch cylinder test, Lehmer's idea for Euclid on long integers. While x's
 denominator has more than _BATCH_BITS bits, a point y0 <= x of _LEAD_BITS
@@ -287,6 +292,9 @@ _TABLE_DIGITS = 3
 _TABLE_MEASURE_BITS = 9
 _TABLE_SCALE_BITS = 512
 _TABLE_CACHE = 16
+# a table's index has one entry per bucket [b, b+1) / 2^_INDEX_BITS of [0, 1),
+# eight buckets per cylinder of the least measure a table holds
+_INDEX_BITS = _TABLE_MEASURE_BITS + 3
 
 
 def _check_unit_interval(x: Fraction) -> None:
@@ -392,11 +400,12 @@ def _next_digits(dist: Distribution, x: Fraction, word: list, count: int, room: 
     """(y, room): appends x's next certified digits, at most `count`, to `word`.
 
     y is x's remainder after them and room what is left of `room` after
-    their digit sum: a batch (`_leading_digits`) above _BATCH_BITS bits,
-    otherwise a run (`_short_digits`) of up to `run` digits, or of one
-    after a batch that certifies nothing (see the module docstring).
+    their digit sum: a batch (`_leading_digits`) above _BATCH_BITS bits
+    when `count` leaves room for the two digits a batch needs, otherwise a
+    run (`_short_digits`) of up to `run` digits, or of one after a batch
+    that certifies nothing (see the module docstring).
     """
-    if x.denominator.bit_length() > _BATCH_BITS:
+    if count > 1 and x.denominator.bit_length() > _BATCH_BITS:
         batch, rest = _leading_digits(dist, x, count, room)
         if batch:
             word += batch
@@ -416,14 +425,15 @@ def _short_digits(dist: Distribution, x: Fraction, word: list, run: int, count: 
     one that takes their sum past `room`, and just before one that `shift`
     refuses, unless it is the first, which raises.
     """
-    scale, lefts, rows = _word_table(dist) or (1, (), ())
+    scale, lefts, rows, index, index_bits = _word_table(dist) or _NO_TABLE
     first = len(word)
     end, last = first + run, first + count - _TABLE_DIGITS if rows else -1
     # the remainder num/den, left unreduced across table words; cur is None until reduced
     num, den, cur = x.numerator, x.denominator, x
     while len(word) < end:
         if len(word) <= last:
-            a, b, d, step, step_sum, _ = rows[bisect_right(lefts, num * scale // den) - 1]
+            a, b, d, step, step_sum, _ = (index[(num << index_bits) // den]
+                                          or rows[bisect_right(lefts, num * scale // den) - 1])
             m, db = num * d - a * den, den * b
             if 0 <= m < db and step_sum <= room:
                 word += step
@@ -462,7 +472,7 @@ def _leading_digits(dist: Distribution, x: Fraction, count: int, room: int):
     k = d.bit_length() - _LEAD_BITS
     yn, yd = n >> k, (d >> k) + 1
     digit, affine = dist._digit, dist.affine
-    scale, lefts, rows = _word_table(dist) or (1, (), ())
+    scale, lefts, rows, index, index_bits = _word_table(dist) or _NO_TABLE
     limit = series.MAX_DIGIT_SUM
     # maps[i] is the map of word[:ends[i]]
     word, maps, ends = [], [], []
@@ -472,7 +482,8 @@ def _leading_digits(dist: Distribution, x: Fraction, count: int, room: int):
         # a table word's map (A, B, D) takes the place of a digit's (P, Q, L)
         step = None
         if rows and count - len(word) >= _TABLE_DIGITS:
-            p, q, l, step, step_sum, _ = rows[bisect_right(lefts, yn * scale // yd) - 1]
+            p, q, l, step, step_sum, _ = (index[(yn << index_bits) // yd]
+                                          or rows[bisect_right(lefts, yn * scale // yd) - 1])
             m = yn * l - p * yd
             # a table built on a larger budget can hold a digit over this one
             if not (0 <= m < yd * q and total + step_sum <= room and step_sum <= limit):
@@ -541,12 +552,50 @@ class _WordTable(NamedTuple):
     lefts[i] / scale up to the next row's left end, all inside the word's
     cylinder [A/D, (A+B)/D), except that the last row of a first digit
     also reaches over the first digits that have no rows; `scale` is the
-    lcm of the left ends' denominators.
+    lcm of the left ends' denominators. A point x = n/d's row is
+    rows[bisect_right(lefts, n*scale // d) - 1], and `index` names it
+    with no bisect for most points: index[b] is the row of every point of
+    the bucket [b, b+1) / 2^index_bits, or None when a row's left end
+    cuts the bucket. So every lookup is
+
+        index[(n << index_bits) // d]
+        or rows[bisect_right(lefts, n*scale // d) - 1]
+
+    and names the bisect's row. The walks write it inline, as a call per
+    lookup would cost a tenth of the Monte Carlo table walk, and read
+    index_bits from the table, so only `_word_table` sets the buckets.
     """
 
     scale: int
     lefts: tuple
     rows: tuple
+    index: tuple
+    index_bits: int
+
+
+# the unpacked table of a law that has none: no rows, so no lookup is made
+_NO_TABLE = (1, (), (), (), 0)
+
+
+def _bucket_index(scale: int, lefts: tuple, rows: tuple) -> tuple:
+    """The `index` of a table: bucket b's row, or None where a row's left end cuts it.
+
+    Bucket b holds the keys floor(x*scale) from floor(b*scale / 2^K) to
+    floor(((b+1)*scale - 1) / 2^K), K = _INDEX_BITS. A left end l cuts the
+    one bucket floor(l * 2^K / scale) unless it is that bucket's first
+    key, l * 2^K = b*scale; the buckets before it take the previous row,
+    which below lefts[0] is the bisect's rows[-1]. One pass over the left
+    ends extends the list by repetition, so the cost is O(rows + 2^K).
+    """
+    index, row = [], rows[-1]
+    for left, following in zip(lefts, rows):
+        b, cut = divmod(left << _INDEX_BITS, scale)
+        index += [row] * (b - len(index))
+        if cut and len(index) == b:
+            index.append(None)
+        row = following
+    index += [row] * ((1 << _INDEX_BITS) - len(index))
+    return tuple(index)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
@@ -557,14 +606,15 @@ def _word_table(dist: Distribution):
     gets a row for each gap that its children in the table leave in its
     cylinder, so a point lies in the row of the longest word in the table
     that its digits start with: the row i with lefts[i] <= floor(x*scale),
-    a candidate that the caller certifies (the table lookup in the module
-    docstring). There are at most 2^_TABLE_MEASURE_BITS words of each
-    length, and one depth-first walk emits the rows in the order of their
-    left ends. Every head digit is tried, since head masses need not
-    decrease; the first tail digit whose mass is too small ends a word's
-    children. No table is built when the common denominator of the left
-    ends has more than _TABLE_SCALE_BITS bits, and the build stops as soon
-    as a digit's L or a word's D does, since each divides it.
+    which `index` names for most x, a candidate that the caller certifies
+    (the table lookup in the module docstring). There are at most
+    2^_TABLE_MEASURE_BITS words of each length, and one depth-first walk
+    emits the rows in the order of their left ends. Every head digit is
+    tried, since head masses need not decrease; the first tail digit whose
+    mass is too small ends a word's children. No table is built when the
+    common denominator of the left ends has more than _TABLE_SCALE_BITS
+    bits, and the build stops as soon as a digit's L or a word's D does,
+    since each divides it.
     """
     bits, cap, size = _TABLE_MEASURE_BITS, _TABLE_SCALE_BITS, _TABLE_DIGITS
     head = len(dist.head_tail()[0])
@@ -626,7 +676,7 @@ def _word_table(dist: Distribution):
     # tuples, as the cache hands one table to every caller
     lefts = tuple(num * (scale // low) for num, low in zip(nums, lows))
     rows = tuple(rows)
-    return _WordTable(scale, lefts, rows)
+    return _WordTable(scale, lefts, rows, _bucket_index(scale, lefts, rows), _INDEX_BITS)
 
 
 def decode_periodic(dist: Distribution, x: Fraction, max_steps: int = 4096):

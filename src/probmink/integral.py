@@ -14,9 +14,10 @@ The Monte Carlo kernels decode each sample x = a / 2^64 to depth 64 and
 give the midpoint of its enclosure, exact where the expansion terminates,
 as integers (A, e) with the value A / (3 * 2^e). The dyadic law reads the
 digits from bit masks. The table walk serves any law: it reads up to three
-digits per lookup in the law's word table (`expansion._word_table`), each
-word certified by an integer cylinder test, and takes a miss through the
-law's own digit search and `affine`, as `decode` does. Geometric laws run
+digits per lookup in the law's word table (`expansion._word_table`), whose
+bucket index names the row with no bisect for most points, each word
+certified by an integer cylinder test, and takes a miss through the law's
+own digit search and `affine`, as `decode` does. Geometric laws run
 it; custom heads decode through `decode`, which reads the same tables.
 The values of every family are summed as integers over a running power
 of two (`_mc_sums`), and each sum becomes one Fraction, reduced by
@@ -180,7 +181,9 @@ def _mc_sample_table(dist: Distribution, table, bits: int, a: int) -> tuple:
     Walks x = n/d as an unreduced integer pair, from n = a and d = 2^64.
     A lookup in `table`, the law's word table (`expansion._word_table`) or
     None, proposes the longest word of the table that x's digits can start
-    with, and the integer test 0 <= n*D - A*d < d*B certifies it. Then
+    with: the row in the index bucket of x's leading `index_bits` bits,
+    or the bisect's where a row's left end cuts that bucket. The integer
+    test 0 <= n*D - A*d < d*B certifies it. Then
     n, d <- n*D - A*d, d*B, and the series accumulator takes the word in
     one step, m <- (m << S_w) + sign * M_w, with S_w the word's digit sum
     and M_w its accumulator from m = 0; the sign flips when the word's
@@ -203,7 +206,7 @@ def _mc_sample_table(dist: Distribution, table, bits: int, a: int) -> tuple:
     """
     digit, affine = dist._digit, dist.affine
     if table is not None:
-        scale, lefts, rows = table
+        scale, lefts, rows, index, index_bits = table
     d = 1 << _MC_DEPTH
     n = a
     m = s_k = 0
@@ -211,7 +214,8 @@ def _mc_sample_table(dist: Distribution, table, bits: int, a: int) -> tuple:
     left = _MC_DEPTH
     while left and n:
         if table is not None:
-            a_w, b_w, d_w, word, sum_w, alt = rows[bisect_right(lefts, n * scale // d) - 1]
+            a_w, b_w, d_w, word, sum_w, alt = (index[(n << index_bits) // d]
+                                               or rows[bisect_right(lefts, n * scale // d) - 1])
             r = n * d_w - a_w * d
             db = d * b_w
             if 0 <= r < db:

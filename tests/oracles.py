@@ -29,13 +29,15 @@ every graph row through the general `fmt` formatters, and
 `diagnose` and prints one. `ref_cylinder_increment` builds the measure and
 the quotient as Fractions, `ref_int_finite_sum` is the series accumulator
 that checks each digit as it sums it, and `ref_check_digits` is
-`DigitSeq`'s digit check by one loop. `FAMILIES` are the distributions the
-kernel and property tests share.
+`DigitSeq`'s digit check by one loop. `ref_bucket_index` builds a word
+table's index bucket by bucket, from a bisect at both ends of each.
+`FAMILIES` are the distributions the kernel and property tests share.
 """
 
 import itertools
 import json
 import math
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 
@@ -642,3 +644,20 @@ def ref_mc_generic(dist, samples, rng, depth=64):
         total += v
         sq_total += v * v
     return total, sq_total
+
+
+def ref_bucket_index(table, bits):
+    """A word table's index over 2^bits buckets, one bisect at each end of every bucket.
+
+    Bucket b holds the points [b, b+1) / 2^bits, whose keys floor(x*scale)
+    run from floor(b*scale / 2^bits) to floor(((b+1)*scale - 1) / 2^bits).
+    Its entry is the row that `bisect_right` names at both ends, or None
+    when the two ends name different rows.
+    """
+    scale, lefts, rows = table.scale, table.lefts, table.rows
+    index = []
+    for b in range(1 << bits):
+        low = bisect_right(lefts, (b * scale) >> bits) - 1
+        high = bisect_right(lefts, ((b + 1) * scale - 1) >> bits) - 1
+        index.append(rows[low] if low == high else None)
+    return tuple(index)

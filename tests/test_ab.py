@@ -2,7 +2,11 @@
 
 import importlib.util
 import json
+import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
@@ -74,3 +78,53 @@ def test_differences_name_every_changed_or_missing_op():
         "('w', 2, 0): only the parent ran it",
         "('w', 3, 0): only the change ran it",
     ]
+
+
+def test_in_process_summary_takes_minimum_median_and_ratios():
+    # binary fractions, so every median and ratio is exact
+    seconds = {"walk": {"parent": [3.0, 1.0, 2.0, 4.0], "change": [0.75, 0.5, 0.625, 0.875]}}
+    body = ab.in_process_summary(seconds)["walk"]
+    assert body["parent"] == {"min": 1.0, "median": 2.5, "runs": 4}
+    assert body["change"] == {"min": 0.5, "median": 0.6875, "runs": 4}
+    assert (body["ratio_of_mins"], body["ratio_of_medians"]) == (0.5, 0.275)
+
+
+def test_time_cases_alternates_sides_and_names_differing_values():
+    calls = []
+
+    def case(side, value):
+        def call():
+            calls.append(side)
+            return value() if callable(value) else value
+        return call
+
+    changing = iter([(1, 2), (1, 2), (1, 3)])
+    cases = {"parent": [("same", case("parent", (1, 2))), ("drift", case("parent", (1, 2)))],
+             "change": [("same", case("change", (1, 2))),
+                        ("drift", case("change", lambda: next(changing)))]}
+    seconds, differ = ab.time_cases(cases, 3)
+    assert differ == ["drift"]
+    assert [len(seconds[label][side]) for label in ("same", "drift")
+            for side in ("parent", "change")] == [3, 3, 3, 3]
+    # the parent first in the first repetition, the change first in the second
+    assert calls[:4] == ["parent", "change", "parent", "change"]
+    assert calls[4:8] == ["change", "parent", "change", "parent"]
+    assert ab.time_cases({side: cases[side][:1] for side in cases}, 2)[1] == []
+    with pytest.raises(ValueError):
+        ab.time_cases({"parent": cases["parent"], "change": cases["change"][::-1]}, 1)
+
+
+def test_load_package_gives_each_copy_its_own_modules():
+    import probmink
+
+    copy = ab.load_package(ROOT / "src" / "probmink", "probmink_copy")
+    try:
+        assert copy is not probmink and copy.expansion is not probmink.expansion
+        assert copy.expansion._word_table is not probmink.expansion._word_table
+        dist = copy.parse_distribution("geometric:1/3")
+        x = Fraction(5, 7)
+        want = probmink.decode(probmink.Geometric(Fraction(1, 3)), x, 30)
+        assert copy.decode(dist, x, 30) == want
+    finally:
+        for name in [name for name in sys.modules if name.split(".")[0] == "probmink_copy"]:
+            del sys.modules[name]

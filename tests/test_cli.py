@@ -27,7 +27,7 @@ from probmink import (
 )
 from probmink import fmt as fmt_module
 from probmink.cli import main
-from probmink.fmt import rational_text, render_decimal
+from probmink.fmt import int_text, rational_text, render_decimal
 from probmink.series import MAX_DIGIT_SUM
 
 from oracles import brute_graph_points, ref_cmd_diagnose, ref_write_graph_csv
@@ -142,6 +142,20 @@ def test_power_budget_exit_4(capsys):
         assert time.perf_counter() - start < 2, argv
         assert (code, out) == (4, "")
         assert err.startswith("error: " + message) and err.count("\n") == 1, err
+
+
+def test_point_past_the_power_budget_exits_4(capsys):
+    # 1 - 2^-k under q = 1/1000 has a first digit of about 693 k, past the power
+    # budget from k = 4 843 on: refused from two bit lengths, before any power
+    for k in (5000, 24000):
+        x = f"{int_text((1 << k) - 1)}/{int_text(1 << k)}"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "decode", "--dist", "geometric:1/1000", "--x", x,
+                             "--depth", "1")
+        assert time.perf_counter() - start < 2, k
+        assert (code, out) == (4, "")
+        assert err.startswith("error: the digit at this point is at least 3355444, whose "
+                              "branch triple needs a power"), err
 
 
 def test_qmark_exact_decimal(capsys):

@@ -38,17 +38,23 @@ from probmink import (
     render_decimal,
     shift,
 )
-from probmink import expansion, fmt, series
+from probmink import distribution, expansion, fmt, integral, series
 from probmink.distribution import MAX_POWER_BITS, Distribution
 from probmink.errors import DomainError, ResourceLimitError
 from probmink.expansion import _compose, _coprime_fraction, _word_table
-from probmink.integral import _mc_sample_decode, _mc_sample_dyadic, _mc_sample_table
+from probmink.integral import (
+    _mc_sample_decode,
+    _mc_sample_dyadic,
+    _mc_sample_table,
+    integral_mc,
+)
 from probmink.series import _finite_sum
 
 from oracles import (
     FAMILIES,
     brute_graph_points,
     ref_alt_series_exact,
+    ref_bucket_index,
     ref_decode,
     ref_decode_periodic,
     ref_digit_of,
@@ -649,7 +655,7 @@ def test_word_table_bounds(monkeypatch):
             # nothing to tabulate, or a common denominator past the cap
             assert not heavy or max(_compose(dist, w)[2] for w in heavy).bit_length() > cap
             continue
-        scale, lefts, rows = table
+        scale, lefts, rows, index, _ = table
         words = [row[3] for row in rows]
         assert scale.bit_length() <= cap, dist
         assert set(words) <= set(heavy) and len(rows) <= 2 * len(heavy)
@@ -680,6 +686,51 @@ def test_word_table_bounds(monkeypatch):
     assert _word_table(Geometric(F(1, 10**8))) is None
     assert {row[3] for row in _word_table(Geometric(F(10**8 - 1, 10**8))).rows} == {
         (1,), (1, 1), (1, 1, 1)}
+
+
+def test_bucket_index_names_the_bisect_row(monkeypatch):
+    # every bucket of every table names the row that bisect_right finds at both of
+    # its ends, the same row object, or None when a row's left end cuts it
+    bits = expansion._INDEX_BITS
+    assert bits == expansion._TABLE_MEASURE_BITS + 3
+    dists = [parse_distribution(spec) for spec in _bench_specs(monkeypatch)] + list(FAMILIES) + [
+        Geometric(F(99, 100)),
+        # no row for digit 1, so below the first left end the bisect names rows[-1]
+        CustomPrefixTail((F(1, 10**9), F(1, 2)), F(1, 2)),
+        CustomPrefixTail((F(1, 3), F(1, 7)), F(5, 11)),
+    ]
+    for dist in dists:
+        table = _word_table(dist)
+        assert table is not None, dist
+        want = ref_bucket_index(table, bits)
+        assert table.index_bits == bits and len(table.index) == len(want) == 1 << bits
+        assert all(got is row for got, row in zip(table.index, want)), dist
+        # a left end cuts at most one bucket
+        assert table.index.count(None) < len(table.rows), dist
+
+
+def test_walks_unchanged_without_the_index(monkeypatch):
+    # with every index entry None, each lookup takes the bisect: the digits,
+    # remainders, periodic streams and Monte Carlo estimates are the same
+    rng = random.Random(27)
+    dists = [parse_distribution(spec) for spec in _bench_specs(monkeypatch)]
+    points = []
+    for dist in dists:
+        points += [(dist, F(rng.getrandbits(64), 1 << 64), 50) for _ in range(40)]
+        seq = DigitSeq((), tuple(rng.randint(1, 3) for _ in range(600)))
+        points.append((dist, encode(dist, seq), 700))
+
+    def run():
+        return ([decode(dist, x, n) for dist, x, n in points],
+                [decode_periodic(dist, x) for dist, x, n in points if n == 700],
+                [integral_mc(dist, 150, 5) for dist in dists])
+
+    indexed = run()
+    plain = {dist: _word_table(dist)._replace(index=(None,) * (1 << expansion._INDEX_BITS))
+             for dist in dists}
+    for module in (expansion, integral):
+        monkeypatch.setattr(module, "_word_table", lambda dist: plain.get(dist))
+    assert run() == indexed
 
 
 def _strip(n, primes):
@@ -1198,6 +1249,56 @@ def test_dyadic_shift_reads_a_huge_digit_from_bit_lengths():
     start = time.perf_counter()
     assert shift(Dyadic(), x) == (100001, 0)
     assert time.perf_counter() - start < 0.5
+
+
+def test_tail_search_lifts_by_squares():
+    # the digit of 1 - 2^-160 under q = 1/1000 is 110 849; stepping one factor a digit
+    # makes that many products of growing integers, and binary lifting about 70
+    dist = Geometric(F(1, 1000))
+    start = time.perf_counter()
+    c = dist._digit((1 << 160) - 1, 1 << 160)
+    assert time.perf_counter() - start < 2
+    assert c == 110849
+    # the least c with r^c < 1 - x for r = 999/1000, 1 - x = 2^-160
+    assert 999**c << 160 < 1000**c
+    assert 999 ** (c - 1) << 160 >= 1000 ** (c - 1)
+
+
+def test_tail_search_stops_at_the_budgets(monkeypatch):
+    # with budgets of 2^12 power bits (tail index 409 for rd = 1000) and of 300 for
+    # the digit sum, the search finds every digit that affine builds and refuses the
+    # next ones, at the first index past the budget
+    monkeypatch.setattr(distribution, "MAX_POWER_BITS", 1 << 12)
+    for dist, digit_sum, last, message in (
+        (Geometric(F(1, 1000)), 1 << 24, 409, "at least 410, whose branch triple needs a power"),
+        (CustomPrefixTail((F(1, 2),), F(999, 1000)), 1 << 24, 410,
+         "at least 411, whose branch triple"),
+        (Geometric(F(1, 3)), 300, 300, "at least 301, above the budget of 300"),
+    ):
+        monkeypatch.setattr(series, "MAX_DIGIT_SUM", digit_sum)
+        head, rest, r = dist.head_tail()
+        for c in range(last - 40, last + 40):
+            # the least point of cylinder c, and the last point below it
+            low = 1 - rest * r ** (c - 1 - len(head))
+            for x in (low, low - F(1, low.denominator * 7)):
+                want = c if x == low else c - 1
+                if want <= last:
+                    assert dist.digit_of(x) == want == ref_digit_of(dist, x)
+                else:
+                    with pytest.raises(ResourceLimitError, match=message):
+                        dist.digit_of(x)
+
+
+def test_tail_search_refuses_far_points_at_once():
+    # 1 - 2^-k under q = 1/1000 has digit about 693 k: past the 2^25-bit power
+    # budget (index 3 355 443) from k = 4 843 on, and past the digit budget from
+    # k = 24 216. Two bit lengths bound the digit from below, so no power is built
+    dist = Geometric(F(1, 1000))
+    for k in (5000, 10000, 24000, 30000):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="at least 3355444, whose branch triple"):
+            dist._digit((1 << k) - 1, 1 << k)
+        assert time.perf_counter() - start < 0.5, k
 
 
 def test_bounded_geometric_laws_have_no_word_table():

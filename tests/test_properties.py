@@ -36,12 +36,14 @@ from probmink import (
     shift,
     singularity_ratio_step,
 )
+from probmink.distribution import _steps_to_flip
 from probmink.expansion import _compose, _word_table
 from probmink.fmt import rational_text
 from probmink.integral import _mc_sample_dyadic, _mc_sample_table
 
 from oracles import (
     FAMILIES,
+    ref_bucket_index,
     ref_cmd_diagnose,
     ref_check_digits,
     ref_compose,
@@ -226,6 +228,62 @@ def test_branch_matches_reference_search(dist, x):
 @given(st.sampled_from(FAMILIES), st.data())
 def test_branch_matches_reference_search_at_prefixes(dist, data):
     _check_branch(dist, data.draw(prefix_points(dist)))
+
+
+@st.composite
+def tail_laws(draw):
+    """A geometric law q = s/t with t <= 60, or a custom head of up to three masses."""
+    t = draw(st.integers(min_value=2, max_value=60))
+    ratio = Fraction(draw(st.integers(min_value=1, max_value=t - 1)), t)
+    masses = st.fractions(min_value=Fraction(1, 50), max_value=Fraction(1, 2), max_denominator=50)
+    head = draw(st.lists(masses, max_size=3))
+    assume(sum(head) < 1)
+    return CustomPrefixTail(tuple(head), ratio) if head else Geometric(1 - ratio)
+
+
+@st.composite
+def tail_points(draw, dist):
+    """A point in cylinder c for a digit c up to REF_DIGITS, or just below it."""
+    c = draw(st.one_of(st.integers(min_value=1, max_value=40),
+                       st.integers(min_value=40, max_value=REF_DIGITS)))
+    _, q, l = dist.affine(c)
+    d = 1 << draw(st.integers(min_value=1, max_value=64))
+    x = dist.prefix(c) + Fraction(q, l) * Fraction(draw(st.integers(0, d - 1)), d)
+    below = dist.prefix(c) - Fraction(1, d * l)
+    return below if draw(st.booleans()) and below >= 0 else x
+
+
+@settings(DETERMINISTIC, max_examples=150)
+@given(tail_laws(), st.data())
+def test_tail_search_matches_reference(dist, data):
+    # the search lifts by squares from the first tail digit on, and takes the same digit
+    x = data.draw(tail_points(dist))
+    assert dist._digit(x.numerator, x.denominator) == ref_digit_of(dist, x)
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(st.integers(min_value=2, max_value=60), st.data())
+def test_steps_to_flip_matches_stepping(rd, data):
+    # the least e >= 1 with lo rn^e < hi rd^e, one factor at a time, held to most
+    rn = data.draw(st.integers(min_value=1, max_value=rd - 1))
+    hi = data.draw(st.integers(min_value=1, max_value=1 << 40))
+    lo = hi * data.draw(st.integers(min_value=1, max_value=1 << 60)) + data.draw(
+        st.integers(min_value=0, max_value=hi))
+    most = data.draw(st.integers(min_value=0, max_value=400))
+    e, up_lo, up_hi = 1, lo * rn, hi * rd
+    while up_lo >= up_hi:
+        e, up_lo, up_hi = e + 1, up_lo * rn, up_hi * rd
+    assert _steps_to_flip(lo, hi, rn, rd, most) == min(e, most + 1)
+
+
+@settings(DETERMINISTIC, max_examples=60)
+@given(tail_laws())
+def test_bucket_index_of_drawn_laws(dist):
+    table = _word_table(dist)
+    if table is not None:
+        want = ref_bucket_index(table, expansion._INDEX_BITS)
+        assert all(got is row for got, row in zip(table.index, want))
+        assert len(table.index) == len(want)
 
 
 DIGITS = st.integers(min_value=1, max_value=6)

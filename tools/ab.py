@@ -4,6 +4,7 @@ Usage:
     python tools/ab.py --parent REV [--workload W ...] [--seeds 1,2,3]
                        [--pairs N] [--seconds S] [--json-out FILE] [--change TEXT]
     python tools/ab.py --parent REV --outputs [--seeds 1,2,3]
+    python tools/ab.py --parent REV --in-process MODULE:FUNC [--pairs N] [--json-out FILE]
 
 Both sides run from fresh copies in a temporary directory: REV through
 `git archive`, and the working tree's tracked and untracked, not ignored,
@@ -25,11 +26,25 @@ the layout of the BENCH_*.json records.
 --outputs runs every op of the three workloads at each seed, the warm-up
 op first, once through `cli.main` on each side, as `bench/run.py` does,
 and compares each op's exit code, exception, stdout and stderr by sha256.
-It exits 1 on any difference. Neither mode changes anything under bench/.
+It exits 1 on any difference.
+
+--in-process loads REV's src/probmink and the working tree's into one
+process, as the packages probmink_parent and probmink_change. MODULE is a
+module importable from the repository root, such as tools.ab_cases, and
+FUNC(package) returns a list of (label, zero-argument callable) on that
+package. Each of N repetitions calls every label's callable once per side,
+the parent first in odd-numbered repetitions and the change first in even
+ones, and compares the two return values with ==, so the callables return
+plain values (ints, Fractions, tuples), not the packages' own classes. It
+prints the minimum and median seconds per side and their ratios per
+label, and exits 1 when any label's two sides returned different values.
+No mode changes anything under bench/.
 """
 
 import argparse
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -40,6 +55,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -254,6 +270,85 @@ def run_outputs(sides: dict, seeds: list) -> int:
     return 1 if problems else 0
 
 
+def load_package(src: Path, name: str):
+    """Import the package in directory src (probmink's sources) under the name `name`.
+
+    The package imports its modules relatively, so each copy gets its own
+    modules and caches.
+    """
+    spec = importlib.util.spec_from_file_location(name, src / "__init__.py",
+                                                  submodule_search_locations=[str(src)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def time_cases(cases: dict, repeats: int) -> tuple:
+    """(seconds, differ): every case of both sides timed `repeats` times, alternating.
+
+    `cases` maps "parent" and "change" to lists of (label, callable) with the
+    same labels in the same order. seconds[label][side] lists one time per
+    repetition, and differ lists each label whose two sides returned
+    unequal values in some repetition.
+    """
+    labels = [label for label, _ in cases["parent"]]
+    if labels != [label for label, _ in cases["change"]]:
+        raise ValueError("the two sides name different cases")
+    seconds = {label: {"parent": [], "change": []} for label in labels}
+    differ = []
+    for rep in range(repeats):
+        order = ("parent", "change") if rep % 2 == 0 else ("change", "parent")
+        for i, label in enumerate(labels):
+            values = {}
+            for side in order:
+                call = cases[side][i][1]
+                start = time.perf_counter()
+                values[side] = call()
+                seconds[label][side].append(time.perf_counter() - start)
+            if values["parent"] != values["change"] and label not in differ:
+                differ.append(label)
+    return seconds, differ
+
+
+def in_process_summary(seconds: dict) -> dict:
+    """Per label: each side's minimum, median and count, and the change's ratios to the parent."""
+    summary = {}
+    for label, sides in seconds.items():
+        body = {side: {"min": min(times), "median": statistics.median(times),
+                       "runs": len(times)} for side, times in sides.items()}
+        body["ratio_of_mins"] = body["change"]["min"] / body["parent"]["min"]
+        body["ratio_of_medians"] = body["change"]["median"] / body["parent"]["median"]
+        summary[label] = body
+    return summary
+
+
+def run_in_process(args, sides: dict, parent_hash: str) -> int:
+    module_name, _, func_name = args.in_process.partition(":")
+    sys.path.insert(0, str(ROOT))
+    make_cases = getattr(importlib.import_module(module_name), func_name)
+    cases = {side: make_cases(load_package(root / "src" / "probmink", f"probmink_{side}"))
+             for side, root in sides.items()}
+    seconds, differ = time_cases(cases, args.pairs)
+    summary = in_process_summary(seconds)
+    width = max(map(len, summary))
+    print(f"{'label':{width}s} {'parent min':>11s} {'median':>9s} {'change min':>11s}"
+          f" {'median':>9s} {'min ratio':>9s} {'ratio':>6s}")
+    for label, body in summary.items():
+        parent, change = body["parent"], body["change"]
+        print(f"{label:{width}s} {parent['min']:11.3e} {parent['median']:9.3e} {change['min']:11.3e}"
+              f" {change['median']:9.3e} {body['ratio_of_mins']:9.3f}"
+              f" {body['ratio_of_medians']:6.3f}")
+    for label in differ:
+        print(f"{label}: the two sides returned different values")
+    if args.json_out:
+        record = {"change": args.change, "parent": parent_hash, "cases": args.in_process,
+                  "repetitions": args.pairs, "machine": machine(), "summary": summary,
+                  "differ": differ}
+        Path(args.json_out).write_text(json.dumps(record, indent=2) + "\n")
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", help="git revision to compare against")
@@ -262,7 +357,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--seeds", default="1,2,3",
                         type=lambda text: [int(s) for s in text.split(",")])
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="pairs of runs per workload, or repetitions with --in-process")
+    parser.add_argument("--in-process", metavar="MODULE:FUNC",
+                        help="time FUNC(package)'s cases on both sides in this process")
     parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--json-out", help="write every run and the summary here")
     parser.add_argument("--change", default="", help="one line on the change, for the record")
@@ -279,6 +377,8 @@ def main(argv=None) -> int:
         copy_worktree(sides["change"])
         if args.outputs:
             return run_outputs(sides, args.seeds)
+        if args.in_process:
+            return run_in_process(args, sides, parent_hash)
         return run_pairs(args, sides, parent_hash)
 
 
