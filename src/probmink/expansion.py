@@ -22,25 +22,24 @@ for the one digit that `dist.digit_of` finds, and batches, walk repeats
 and witnesses use it too, so every remainder is the plain loop's bit for
 bit. The decoders rest on four certificates, each stated here once.
 
-Table lookup. `_word_table` holds the words of up to _TABLE_DIGITS digits
-whose cylinders have measure at least 2^-_TABLE_MEASURE_BITS, as disjoint
-intervals sorted by their left ends over one denominator, so one bisect
-names the longest word in the table that x's digits can start with, as
+Table lookup. `_word_table` cuts [0, 1) into 2^_INDEX_BITS equal buckets,
+and bucket b holds the longest of the words of up to _TABLE_DIGITS digits
+with measure at least 2^-_TABLE_MEASURE_BITS whose cylinder holds the
+whole bucket, or None where no such cylinder does: a bucket that straddles
+the border of a digit with no word in the table (8 to 41 of 4 096 on the
+benchmark's laws). So one list index by x's leading bits names a word, as
 table-driven decoders of prefix codes read several symbols at once (Moffat
-and Turpin 1997). Most lookups make no bisect: the table's index cuts
-[0, 1) into 2^_INDEX_BITS equal buckets, and a bucket that lies inside one
-row holds that row, so one list index by x's leading bits names it. Only a
-bucket that a row's left end cuts, at most one per row (0 to 193 of
-4 096 on the benchmark's laws), holds None and takes the bisect. Either
-way the lookup names the bisect's row. The row is only a candidate, since
-x's first digit may have no row, until the cylinder test certifies it; a
-failed test costs one `shift`. So a lookup never yields a wrong digit. A
-certified word steps the unreduced pair (n*D - A*d, d*B), reduced once
-before a `shift` and at the end of a run. The trailing-ones rule: digit 1
-fixes 0 and maps a nonzero remainder to a nonzero one, so when the
-remainder after a word is 0, every later digit is 1, and the stream's
-first zero remainder came after the word without its trailing 1s; the
-geometric Monte Carlo walk closes its samples by it (see `integral`).
+and Turpin 1997). The cylinder test still certifies the word on x, so a
+digit rests on exact arithmetic and not on how the table was built (on a
+right table it cannot fail, since x's bucket lies inside the cylinder);
+a None entry or a failed test costs one plain step. So a lookup never
+yields a wrong digit. A certified word steps the unreduced pair
+(n*D - A*d, d*B), reduced once before a `shift` and at the end of a run.
+The trailing-ones rule: digit 1 fixes 0 and maps a nonzero remainder to
+a nonzero one, so when the remainder after a word is 0, every later digit
+is 1, and the stream's first zero remainder came after the word without
+its trailing 1s; the Monte Carlo table walk closes its samples by it (see
+`integral`).
 
 Batch cylinder test, Lehmer's idea for Euclid on long integers. While x's
 denominator has more than _BATCH_BITS bits, a point y0 <= x of _LEAD_BITS
@@ -283,16 +282,16 @@ _ENCODE_CHECK_BITS = 320
 # mod p by Euler's criterion. 2q is above series.MAX_DIGIT_SUM, so p
 # divides no factor 2^s - 1 of a dyadic period's point
 _PRINT_MOD = 1073739179
-# decode's plain loop, its batches' short points and the geometric Monte
-# Carlo walk read up to _TABLE_DIGITS digits per lookup, from a table of the
+# decode's plain loop, its batches' short points and the Monte Carlo table
+# walk read up to _TABLE_DIGITS digits per lookup, from a table of the
 # words of up to that length whose cylinders have measure at least
-# 2^-_TABLE_MEASURE_BITS; a table whose common denominator has more than
-# _TABLE_SCALE_BITS bits is not built, and the last _TABLE_CACHE tables are kept
+# 2^-_TABLE_MEASURE_BITS; a table with a word whose D has more than
+# _TABLE_MAP_BITS bits is not built, and the last _TABLE_CACHE tables are kept
 _TABLE_DIGITS = 3
 _TABLE_MEASURE_BITS = 9
-_TABLE_SCALE_BITS = 512
+_TABLE_MAP_BITS = 512
 _TABLE_CACHE = 16
-# a table's index has one entry per bucket [b, b+1) / 2^_INDEX_BITS of [0, 1),
+# a table has one entry per bucket [b, b+1) / 2^_INDEX_BITS of [0, 1),
 # eight buckets per cylinder of the least measure a table holds
 _INDEX_BITS = _TABLE_MEASURE_BITS + 3
 
@@ -425,15 +424,15 @@ def _short_digits(dist: Distribution, x: Fraction, word: list, run: int, count: 
     one that takes their sum past `room`, and just before one that `shift`
     refuses, unless it is the first, which raises.
     """
-    scale, lefts, rows, index, index_bits = _word_table(dist) or _NO_TABLE
+    index, index_bits = _word_table(dist) or _NO_TABLE
     first = len(word)
-    end, last = first + run, first + count - _TABLE_DIGITS if rows else -1
+    end, last = first + run, first + count - _TABLE_DIGITS
     # the remainder num/den, left unreduced across table words; cur is None until reduced
     num, den, cur = x.numerator, x.denominator, x
     while len(word) < end:
-        if len(word) <= last:
-            a, b, d, step, step_sum, _ = (index[(num << index_bits) // den]
-                                          or rows[bisect_right(lefts, num * scale // den) - 1])
+        node = index[(num << index_bits) // den] if len(word) <= last else None
+        if node is not None:
+            a, b, d, step, step_sum, _ = node
             m, db = num * d - a * den, den * b
             if 0 <= m < db and step_sum <= room:
                 word += step
@@ -471,8 +470,13 @@ def _leading_digits(dist: Distribution, x: Fraction, count: int, room: int):
     n, d = x.numerator, x.denominator
     k = d.bit_length() - _LEAD_BITS
     yn, yd = n >> k, (d >> k) + 1
+    h, _, rn, rd = dist._tail[:4]
+    # y0's first digit c in the tail has mass (1 - r)(1 - prefix(c)) < (1 - r)(1 - y0)/r;
+    # below 2^-_WORD_BITS, the word would end after c alone, so c is not searched
+    if yn * h >= dist._cum[-1] * yd and ((yd - yn) * (rd - rn)) << _WORD_BITS < yd * rn:
+        return [], None
     digit, affine = dist._digit, dist.affine
-    scale, lefts, rows, index, index_bits = _word_table(dist) or _NO_TABLE
+    index, index_bits = _word_table(dist) or _NO_TABLE
     limit = series.MAX_DIGIT_SUM
     # maps[i] is the map of word[:ends[i]]
     word, maps, ends = [], [], []
@@ -480,10 +484,10 @@ def _leading_digits(dist: Distribution, x: Fraction, count: int, room: int):
     total = 0
     while len(word) < count:
         # a table word's map (A, B, D) takes the place of a digit's (P, Q, L)
+        node = index[(yn << index_bits) // yd] if count - len(word) >= _TABLE_DIGITS else None
         step = None
-        if rows and count - len(word) >= _TABLE_DIGITS:
-            p, q, l, step, step_sum, _ = (index[(yn << index_bits) // yd]
-                                          or rows[bisect_right(lefts, yn * scale // yd) - 1])
+        if node is not None:
+            p, q, l, step, step_sum, _ = node
             m = yn * l - p * yd
             # a table built on a larger budget can hold a digit over this one
             if not (0 <= m < yd * q and total + step_sum <= room and step_sum <= limit):
@@ -543,80 +547,47 @@ def _remainder(n: int, d: int, a: int, b: int, den: int):
 
 
 class _WordTable(NamedTuple):
-    """A distribution's words of up to _TABLE_DIGITS digits, as sorted intervals.
+    """A distribution's words of up to _TABLE_DIGITS digits, indexed by bucket.
 
-    rows[i] = (A, B, D, word, digit sum, alt): the word's map
-    y -> (A + B*y) / D as `_compose` builds it, its digit sum, and its
-    series accumulator alt, which `series`'s m <- (m << c) + sign gives
-    over the word from m = 0 and sign 1. Row i holds the points from
-    lefts[i] / scale up to the next row's left end, all inside the word's
-    cylinder [A/D, (A+B)/D), except that the last row of a first digit
-    also reaches over the first digits that have no rows; `scale` is the
-    lcm of the left ends' denominators. A point x = n/d's row is
-    rows[bisect_right(lefts, n*scale // d) - 1], and `index` names it
-    with no bisect for most points: index[b] is the row of every point of
-    the bucket [b, b+1) / 2^index_bits, or None when a row's left end
-    cuts the bucket. So every lookup is
+    index[b] is the node (A, B, D, word, digit sum, alt) of the longest
+    word in the table whose cylinder [A/D, (A+B)/D) holds the whole bucket
+    [b, b+1) / 2^index_bits, or None when no word's cylinder does: the
+    word's map y -> (A + B*y) / D as `_compose` builds it, its digit sum,
+    and its series accumulator alt, which `series`'s m <- (m << c) + sign
+    gives over the word from m = 0 and sign 1. A point x = n/d's lookup is
 
         index[(n << index_bits) // d]
-        or rows[bisect_right(lefts, n*scale // d) - 1]
 
-    and names the bisect's row. The walks write it inline, as a call per
-    lookup would cost a tenth of the Monte Carlo table walk, and read
-    index_bits from the table, so only `_word_table` sets the buckets.
+    and a None entry takes a plain step, as a failed cylinder test does.
+    The walks write it inline, as a call per lookup would cost a tenth of
+    the Monte Carlo table walk, and read index_bits from the table, so
+    only `_word_table` sets the buckets.
     """
 
-    scale: int
-    lefts: tuple
-    rows: tuple
     index: tuple
     index_bits: int
 
 
-# the unpacked table of a law that has none: no rows, so no lookup is made
-_NO_TABLE = (1, (), (), (), 0)
-
-
-def _bucket_index(scale: int, lefts: tuple, rows: tuple) -> tuple:
-    """The `index` of a table: bucket b's row, or None where a row's left end cuts it.
-
-    Bucket b holds the keys floor(x*scale) from floor(b*scale / 2^K) to
-    floor(((b+1)*scale - 1) / 2^K), K = _INDEX_BITS. A left end l cuts the
-    one bucket floor(l * 2^K / scale) unless it is that bucket's first
-    key, l * 2^K = b*scale; the buckets before it take the previous row,
-    which below lefts[0] is the bisect's rows[-1]. One pass over the left
-    ends extends the list by repetition, so the cost is O(rows + 2^K).
-    """
-    index, row = [], rows[-1]
-    for left, following in zip(lefts, rows):
-        b, cut = divmod(left << _INDEX_BITS, scale)
-        index += [row] * (b - len(index))
-        if cut and len(index) == b:
-            index.append(None)
-        row = following
-    index += [row] * ((1 << _INDEX_BITS) - len(index))
-    return tuple(index)
+# the table of a law that has none: one bucket, None, so every lookup takes a plain step
+_NO_TABLE = _WordTable((None,), 0)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
 def _word_table(dist: Distribution):
-    """dist's _WordTable, or None when it has no rows or too long a scale.
+    """dist's _WordTable, or None when it has no words or too long a map.
 
-    Each word of _TABLE_DIGITS digits is one row, and every shorter word
-    gets a row for each gap that its children in the table leave in its
-    cylinder, so a point lies in the row of the longest word in the table
-    that its digits start with: the row i with lefts[i] <= floor(x*scale),
-    which `index` names for most x, a candidate that the caller certifies
-    (the table lookup in the module docstring). There are at most
-    2^_TABLE_MEASURE_BITS words of each length, and one depth-first walk
-    emits the rows in the order of their left ends. Every head digit is
+    One depth-first walk visits the words of up to _TABLE_DIGITS digits
+    whose cylinders have measure at least 2^-_TABLE_MEASURE_BITS, at most
+    2^_TABLE_MEASURE_BITS of each length, each word before its children,
+    and paints the word's node over every bucket that lies wholly inside
+    its cylinder. A child's cylinder lies inside its parent's, so each
+    bucket keeps the longest word that covers it. Every head digit is
     tried, since head masses need not decrease; the first tail digit whose
-    mass is too small ends a word's children. No table is built when the
-    common denominator of the left ends has more than _TABLE_SCALE_BITS
-    bits, and the build stops as soon as a digit's L or a word's D does,
-    since each divides it.
+    mass is too small ends a word's children. No table is built, and the
+    walk stops, at the first word whose D has more than _TABLE_MAP_BITS
+    bits.
     """
-    bits, cap, size = _TABLE_MEASURE_BITS, _TABLE_SCALE_BITS, _TABLE_DIGITS
+    bits, cap, size, k = _TABLE_MEASURE_BITS, _TABLE_MAP_BITS, _TABLE_DIGITS, _INDEX_BITS
     head = len(dist.head_tail()[0])
     digits = []
     c = 1
@@ -624,22 +595,19 @@ def _word_table(dist: Distribution):
     while c <= series.MAX_DIGIT_SUM:
         p, q, l = dist.affine(c)
         if q << bits >= l:
-            if l.bit_length() > cap:
-                return None
             digits.append((c, p, q, l))
         elif c > head:
             break
         c += 1
-    # each row, and its left end as a fraction num/low, in order; equal
-    # measures and denominators, which recur across words, share one int
-    rows, nums, lows = [], [], []
-    shared = {}
+    index = [None] * (1 << k)
 
-    def tile(word, a, b, den, total, alt, sign):
-        """Add the rows of the word's cylinder; False once a denominator passes the cap."""
-        row = None
-        # the left end of the part not yet tiled
-        num, low = a, den
+    def paint(word, a, b, den, total, alt, sign):
+        """Paint the word's node and its children's; False at a D over the cap."""
+        if den.bit_length() > cap:
+            return False
+        # the buckets lo, ..., hi - 1 lie wholly inside [a/den, (a+b)/den)
+        lo, hi = -(-(a << k) // den), ((a + b) << k) // den
+        index[lo:hi] = [(a, b, den, word, total, alt)] * (hi - lo)
         if len(word) < size:
             for c, p, q, l in digits:
                 bq, dl = b * q, den * l
@@ -647,36 +615,16 @@ def _word_table(dist: Distribution):
                     if c > head:
                         break
                     continue
-                if dl.bit_length() > cap:
+                if not paint(word + (c,), a * l + b * p, bq, dl, total + c,
+                             (alt << c) + sign, -sign):
                     return False
-                child = a * l + b * p
-                if num * dl < child * low:
-                    row = row or (a, b, den, word, total, alt)
-                    rows.append(row)
-                    nums.append(num)
-                    lows.append(low)
-                bq, dl = shared.setdefault(bq, bq), shared.setdefault(dl, dl)
-                if not tile(word + (c,), child, bq, dl, total + c, (alt << c) + sign, -sign):
-                    return False
-                num, low = child + bq, dl
-        if num * den < (a + b) * low:
-            rows.append(row or (a, b, den, word, total, alt))
-            nums.append(num)
-            lows.append(low)
         return True
 
     for c, p, q, l in digits:
-        if not tile((c,), p, q, l, c, 1, -1):
+        if not paint((c,), p, q, l, c, 1, -1):
             return None
-    if not rows:
-        return None
-    scale = math.lcm(*lows)
-    if scale.bit_length() > cap:
-        return None
-    # tuples, as the cache hands one table to every caller
-    lefts = tuple(num * (scale // low) for num, low in zip(nums, lows))
-    rows = tuple(rows)
-    return _WordTable(scale, lefts, rows, _bucket_index(scale, lefts, rows), _INDEX_BITS)
+    # a tuple, as the cache hands one table to every caller
+    return _WordTable(tuple(index), k) if digits else None
 
 
 def decode_periodic(dist: Distribution, x: Fraction, max_steps: int = 4096):

@@ -14,9 +14,9 @@ The Monte Carlo kernels decode each sample x = a / 2^64 to depth 64 and
 give the midpoint of its enclosure, exact where the expansion terminates,
 as integers (A, e) with the value A / (3 * 2^e). The dyadic law reads the
 digits from bit masks. The table walk serves any law: it reads up to three
-digits per lookup in the law's word table (`expansion._word_table`), whose
-bucket index names the row with no bisect for most points, each word
-certified by an integer cylinder test, and takes a miss through the law's
+digits per lookup in the law's word table (`expansion._word_table`), one
+list index by the point's leading bits, each word certified by an integer
+cylinder test, and takes a None entry or a failed test through the law's
 own digit search and `affine`, as `decode` does. Geometric laws run
 it; custom heads decode through `decode`, which reads the same tables.
 The values of every family are summed as integers over a running power
@@ -28,13 +28,12 @@ one-digit-per-step rational loop exactly.
 import functools
 import math
 import random
-from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
 from .distribution import Distribution
 from .errors import DomainError
-from .expansion import _word_table
+from .expansion import _NO_TABLE, _word_table
 from .fmt import rational_payload
 from .minkowski import eval_minkowski_enclosure
 from .series import _dyadic
@@ -180,14 +179,13 @@ def _mc_sample_table(dist: Distribution, table, bits: int, a: int) -> tuple:
 
     Walks x = n/d as an unreduced integer pair, from n = a and d = 2^64.
     A lookup in `table`, the law's word table (`expansion._word_table`) or
-    None, proposes the longest word of the table that x's digits can start
-    with: the row in the index bucket of x's leading `index_bits` bits,
-    or the bisect's where a row's left end cuts that bucket. The integer
-    test 0 <= n*D - A*d < d*B certifies it. Then
+    None, proposes the word in the bucket of x's leading `index_bits`
+    bits: the longest word of the table whose cylinder holds the bucket.
+    The integer test 0 <= n*D - A*d < d*B certifies it. Then
     n, d <- n*D - A*d, d*B, and the series accumulator takes the word in
     one step, m <- (m << S_w) + sign * M_w, with S_w the word's digit sum
     and M_w its accumulator from m = 0; the sign flips when the word's
-    length is odd. A failed lookup costs a plain step: c from
+    length is odd. A None entry or a failed test costs a plain step: c from
     `dist._digit(n, d, bits)`, (P, Q, L) = affine(c) and
     n, d <- n*L - P*d, d*Q. Each digit's series term is accumulated as
     m / 2^(s_k - 1). Returns (A, e) with the sample value A / (3 * 2^e):
@@ -205,17 +203,16 @@ def _mc_sample_table(dist: Distribution, table, bits: int, a: int) -> tuple:
     q = 1/10^8 a digit near 10^7 has t^c of about 3*10^8 bits.
     """
     digit, affine = dist._digit, dist.affine
-    if table is not None:
-        scale, lefts, rows, index, index_bits = table
+    index, index_bits = table or _NO_TABLE
     d = 1 << _MC_DEPTH
     n = a
     m = s_k = 0
     sign = 1
     left = _MC_DEPTH
     while left and n:
-        if table is not None:
-            a_w, b_w, d_w, word, sum_w, alt = (index[(n << index_bits) // d]
-                                               or rows[bisect_right(lefts, n * scale // d) - 1])
+        node = index[(n << index_bits) // d]
+        if node is not None:
+            a_w, b_w, d_w, word, sum_w, alt = node
             r = n * d_w - a_w * d
             db = d * b_w
             if 0 <= r < db:

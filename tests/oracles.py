@@ -29,8 +29,10 @@ every graph row through the general `fmt` formatters, and
 `diagnose` and prints one. `ref_cylinder_increment` builds the measure and
 the quotient as Fractions, `ref_int_finite_sum` is the series accumulator
 that checks each digit as it sums it, and `ref_check_digits` is
-`DigitSeq`'s digit check by one loop. `ref_bucket_index` builds a word
-table's index bucket by bucket, from a bisect at both ends of each.
+`DigitSeq`'s digit check by one loop. `ref_bucket_index` finds, bucket by
+bucket, the longest heavy word whose cylinder holds the bucket, from
+`ref_prefix` and `ref_pmf` alone, where the table paints each word's
+cylinder once.
 `FAMILIES` are the distributions the kernel and property tests share.
 """
 
@@ -646,18 +648,48 @@ def ref_mc_generic(dist, samples, rng, depth=64):
     return total, sq_total
 
 
-def ref_bucket_index(table, bits):
-    """A word table's index over 2^bits buckets, one bisect at each end of every bucket.
+def ref_bucket_index(dist, bits, size, measure_bits):
+    """Bucket by bucket, the longest heavy word whose cylinder holds the bucket.
 
-    Bucket b holds the points [b, b+1) / 2^bits, whose keys floor(x*scale)
-    run from floor(b*scale / 2^bits) to floor(((b+1)*scale - 1) / 2^bits).
-    Its entry is the row that `bisect_right` names at both ends, or None
-    when the two ends name different rows.
+    A word is heavy when it has at most `size` digits and its cylinder has
+    measure at least 2^-measure_bits. Entry b, for the bucket
+    [b, b+1) / 2^bits, is that word, or None when no heavy word's cylinder
+    holds the whole bucket. The word grows by the heavy child whose
+    cylinder holds the bucket's left end, while that cylinder holds the
+    whole bucket; cylinders are Fractions from `ref_prefix` and `ref_pmf`.
     """
-    scale, lefts, rows = table.scale, table.lefts, table.rows
+    least = Fraction(1, 1 << measure_bits)
+    head = len(dist.head_tail()[0])
+    # (digit, prefix, mass) of each digit whose own mass is heavy
+    heavy = []
+    c = 1
+    while True:
+        mass = ref_pmf(dist, c)
+        if mass >= least:
+            heavy.append((c, ref_prefix(dist, c), mass))
+        elif c > head:
+            break
+        c += 1
+    # word -> (its heavy children's lower ends, and each child's (low, high, word, mass))
+    children = {}
+
+    def heavy_children(word, low, mass):
+        if word not in children:
+            kids = [(low + mass * p, low + mass * (p + m), word + (c,), mass * m)
+                    for c, p, m in heavy if mass * m >= least]
+            children[word] = [kid[0] for kid in kids], kids
+        return children[word]
+
     index = []
     for b in range(1 << bits):
-        low = bisect_right(lefts, (b * scale) >> bits) - 1
-        high = bisect_right(lefts, ((b + 1) * scale - 1) >> bits) - 1
-        index.append(rows[low] if low == high else None)
-    return tuple(index)
+        y, z = Fraction(b, 1 << bits), Fraction(b + 1, 1 << bits)
+        word, low, mass, best = (), Fraction(0), Fraction(1), None
+        while len(word) < size:
+            lows, kids = heavy_children(word, low, mass)
+            i = bisect_right(lows, y) - 1
+            if i < 0 or y >= kids[i][1] or z > kids[i][1]:
+                break
+            low, _, word, mass = kids[i]
+            best = word
+        index.append(best)
+    return index

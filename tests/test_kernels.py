@@ -370,10 +370,10 @@ def _refused_digit_points():
     """(dist, x, k) with x's k-th digit over REFUSED_BUDGET; tables built on the full budget."""
     points = []
     for dist in (Dyadic(), Geometric(F(1, 3)), FAMILIES[7], FAMILIES[-1]):
-        rows = _word_table(dist).rows
+        words = {node[3] for node in _word_table(dist).index if node is not None}
         for prefix in REFUSED_PREFIXES:
             # the longest prefix is read as two table words before the digit
-            assert len(prefix) < 3 or any(row[3] == prefix[:3] for row in rows)
+            assert len(prefix) < 3 or prefix[:3] in words
             points.append((dist, encode(dist, DigitSeq(prefix + (40,), (1,))), len(prefix) + 1))
     return points
 
@@ -633,7 +633,7 @@ def test_equal_distributions_share_one_word_table():
 
 def test_word_table_bounds(monkeypatch):
     bits, size = expansion._TABLE_MEASURE_BITS, expansion._TABLE_DIGITS
-    cap = expansion._TABLE_SCALE_BITS
+    cap = expansion._TABLE_MAP_BITS
     odd = (1 << 200) + 235
     dists = [parse_distribution(spec) for spec in _bench_specs(monkeypatch)] + [
         Geometric(F(1, 10**8)),
@@ -652,65 +652,51 @@ def test_word_table_bounds(monkeypatch):
         assert min(took) < 1e-3, (dist, took)
         heavy = _heavy_words(dist, bits, size)
         if table is None:
-            # nothing to tabulate, or a common denominator past the cap
+            # nothing to tabulate, or a word's map past the cap
             assert not heavy or max(_compose(dist, w)[2] for w in heavy).bit_length() > cap
             continue
-        scale, lefts, rows, index, _ = table
-        words = [row[3] for row in rows]
-        assert scale.bit_length() <= cap, dist
-        assert set(words) <= set(heavy) and len(rows) <= 2 * len(heavy)
+        nodes = set(table.index) - {None}
+        words = {node[3] for node in nodes}
+        assert words <= set(heavy)
         for length in range(1, size + 1):
             assert len({w for w in words if len(w) == length}) <= 1 << bits
-        # each word of the full length is one row, in order
-        assert [w for w in words if len(w) == size] == [w for w in heavy if len(w) == size]
-        assert all(left < right for left, right in zip(lefts, lefts[1:]))
-        ends = [F(left, scale) for left in lefts] + [None]
-        for i, (a, b, den, word, total, alt) in enumerate(rows):
-            assert (a, b, den) == _compose(dist, word)
-            assert (alt, total) == _finite_sum(word)[:2]
-            # the row starts inside its word's cylinder, where no longer word of the table starts
-            x = ends[i]
-            assert F(a, den) <= x < F(a + b, den)
-            if len(word) < size:
-                rest = (x * den - a) / b
-                assert word + (ref_digit_of(dist, rest),) not in heavy
-            # the rows of one first digit tile its cylinder, each inside its word's
-            first = cylinder(dist, word[:1])
-            if i == 0 or rows[i - 1][3][0] != word[0]:
-                assert x == first.inf
-            if i + 1 < len(rows) and rows[i + 1][3][0] == word[0]:
-                assert ends[i + 1] <= F(a + b, den)
-            else:
-                assert F(a + b, den) == first.sup
+        # a word of the full length covers a bucket that no longer word takes
+        assert {w for w in words if len(w) == size} == {w for w in heavy if len(w) == size}
+        assert all(den.bit_length() <= cap for _, _, den, *_ in nodes), dist
     _word_table.cache_clear()
     assert _word_table(Geometric(F(1, 10**8))) is None
-    assert {row[3] for row in _word_table(Geometric(F(10**8 - 1, 10**8))).rows} == {
-        (1,), (1, 1), (1, 1, 1)}
+    # the heavy words are (1,), (1, 1) and (1, 1, 1), each inside the one before, so the
+    # longest holds every bucket but the last, which reaches past digit 1's cylinder
+    dist = Geometric(F(10**8 - 1, 10**8))
+    assert set(_heavy_words(dist, bits, size)) == {(1,), (1, 1), (1, 1, 1)}
+    last = (1 << expansion._INDEX_BITS) - 1
+    assert [node and node[3] for node in _word_table(dist).index] == [(1, 1, 1)] * last + [None]
 
 
-def test_bucket_index_names_the_bisect_row(monkeypatch):
-    # every bucket of every table names the row that bisect_right finds at both of
-    # its ends, the same row object, or None when a row's left end cuts it
+def test_bucket_index_holds_the_longest_covering_word(monkeypatch):
+    # every bucket of every table holds the node of the longest word in the table whose
+    # cylinder holds the whole bucket, or None when no word's cylinder does
     bits = expansion._INDEX_BITS
     assert bits == expansion._TABLE_MEASURE_BITS + 3
     dists = [parse_distribution(spec) for spec in _bench_specs(monkeypatch)] + list(FAMILIES) + [
         Geometric(F(99, 100)),
-        # no row for digit 1, so below the first left end the bisect names rows[-1]
+        # no word for digit 1, so the buckets of its cylinder hold None
         CustomPrefixTail((F(1, 10**9), F(1, 2)), F(1, 2)),
         CustomPrefixTail((F(1, 3), F(1, 7)), F(5, 11)),
     ]
     for dist in dists:
         table = _word_table(dist)
         assert table is not None, dist
-        want = ref_bucket_index(table, bits)
+        want = ref_bucket_index(dist, bits, expansion._TABLE_DIGITS, expansion._TABLE_MEASURE_BITS)
         assert table.index_bits == bits and len(table.index) == len(want) == 1 << bits
-        assert all(got is row for got, row in zip(table.index, want)), dist
-        # a left end cuts at most one bucket
-        assert table.index.count(None) < len(table.rows), dist
+        assert [node and node[3] for node in table.index] == want, dist
+        for a, b, den, word, total, alt in set(table.index) - {None}:
+            assert (a, b, den) == _compose(dist, word)
+            assert (alt, total) == _finite_sum(word)[:2]
 
 
 def test_walks_unchanged_without_the_index(monkeypatch):
-    # with every index entry None, each lookup takes the bisect: the digits,
+    # with every index entry None, each lookup takes a plain step: the digits,
     # remainders, periodic streams and Monte Carlo estimates are the same
     rng = random.Random(27)
     dists = [parse_distribution(spec) for spec in _bench_specs(monkeypatch)]
@@ -1304,7 +1290,7 @@ def test_tail_search_refuses_far_points_at_once():
 def test_bounded_geometric_laws_have_no_word_table():
     # the Monte Carlo kernel holds a law to the budget in the bits of t^c when
     # t * (bit_length(t) - 1) > s * MAX_DIGIT_SUM, and walks it with no table:
-    # q < 2^-9 leaves no digit a row, or t passes the table's scale cap
+    # q < 2^-9 leaves no digit in the table, or t passes the table's cap on a word's D
     t = (1 << 32769) | 1
     for q in (F(1, 10**8), F(t >> 9, t), F((t >> 9) + 1, t)):
         s, t_q = q.numerator, q.denominator

@@ -40,6 +40,7 @@ from probmink.distribution import _steps_to_flip
 from probmink.expansion import _compose, _word_table
 from probmink.fmt import rational_text
 from probmink.integral import _mc_sample_dyadic, _mc_sample_table
+from probmink.series import _finite_sum
 
 from oracles import (
     FAMILIES,
@@ -95,8 +96,8 @@ def test_geometric_sample_kernel_matches_reference(params, a):
 
 
 # the laws of the word-table walk: q = 1/100 has no table, as its digits of
-# mass 2^-9 or more reach 100^78, past the table's scale; q = 99/100 has a
-# row for each of the words 1, 11, 111 and for those with one digit 2
+# mass 2^-9 or more reach 100^78, past the table's cap on a word's D;
+# q = 99/100 tabulates the words 1, 11, 111 and those with one digit 2
 TABLE_QS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(1, 4), Fraction(3, 4),
             Fraction(99, 100), Fraction(1, 100))
 
@@ -281,9 +282,12 @@ def test_steps_to_flip_matches_stepping(rd, data):
 def test_bucket_index_of_drawn_laws(dist):
     table = _word_table(dist)
     if table is not None:
-        want = ref_bucket_index(table, expansion._INDEX_BITS)
-        assert all(got is row for got, row in zip(table.index, want))
-        assert len(table.index) == len(want)
+        want = ref_bucket_index(dist, expansion._INDEX_BITS, expansion._TABLE_DIGITS,
+                                expansion._TABLE_MEASURE_BITS)
+        assert [node and node[3] for node in table.index] == want
+        for a, b, den, word, total, alt in set(table.index) - {None}:
+            assert (a, b, den) == _compose(dist, word)
+            assert (alt, total) == _finite_sum(word)[:2]
 
 
 DIGITS = st.integers(min_value=1, max_value=6)

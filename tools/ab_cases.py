@@ -29,7 +29,7 @@ def _period_points(pkg, length: int, seed: int) -> list:
 
 
 def word_tables(pkg) -> list:
-    """The walks that look rows up in a word table: Monte Carlo, decode and decode_periodic."""
+    """The walks that look words up in a word table: Monte Carlo, decode and decode_periodic."""
     cases = []
     for kind, specs, samples in (("geometric", GEOMETRIC, 500), ("custom", CUSTOM, 200)):
         dists = [pkg.parse_distribution(spec) for spec in specs]
