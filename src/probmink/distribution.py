@@ -23,10 +23,12 @@ branch triple. `_digit(n, d, bits=1) -> c` is the exact digit search on
 plain integers, the digit c of n/d, held to the budget in c*bits;
 `digit_of` returns it, and the decoders and the Monte Carlo kernel take
 affine(c) for each digit it finds. `branch_primes() -> (S, W)` gives the
-primes that the walk tracks (see `expansion`). The shared search lifts
-its powers by squares, O(log c) products for digit c, and never past the
-powers that affine(c) may build. `Dyadic._digit` is the one override, a
-search by bit lengths, with no products at all.
+primes that the walk tracks (see `expansion`). The search lifts its
+powers by squares, O(log c) products for digit c, and never past the
+powers that affine(c) may build; every family takes it, with no override.
+`_light_digit(n, d, bits)` tells, before any search, that the digit
+of n/d lies in the tail with mass below 2^-bits. Only this module reads
+the law's integer slots.
 
 Instances are immutable and hashable; all operations are pure. Equality,
 hashing and repr come from one definition in the `_Frozen` base, keyed on
@@ -92,10 +94,8 @@ class Distribution(_Frozen):
     """A finite head of digit masses followed by a geometric tail, as plain ints.
 
     `affine`, `_digit`, `branch_primes`, `max_p` and `head_tail` are
-    implemented once, here; the families supply their constructors, public
-    fields and spec strings (see the module docstring). `Dyadic` alone
-    overrides `_digit`, because the shared search multiplies integers of
-    about c bits for digit c and its own reads c from two bit lengths.
+    implemented once, here; the families supply only their constructors,
+    public fields and spec strings (see the module docstring).
     """
 
     __slots__ = ("_law", "_cum", "_head_affine", "_tail", "_hash")
@@ -230,6 +230,17 @@ class Distribution(_Frozen):
         raise ResourceLimitError(f"the digit at this point is at least "
                                  f"{int_text(k + j)}, whose {_power_text(j, rd)}")
 
+    def _light_digit(self, n: int, d: int, bits: int) -> bool:
+        """True when the digit c of n/d, 0 <= n < d, is in the tail with pmf(c) < 2^-bits.
+
+        Two integer comparisons, with no search: c is in the tail when
+        n/d >= prefix(k+1) = cum_k/H, and there pmf(c) = (1 - r)(1 - prefix(c))
+        < (1 - r)(1 - n/d)/r, since r (1 - prefix(c)) = 1 - prefix(c+1) < 1 - n/d.
+        False does not mean that the digit is heavy.
+        """
+        h, _, rn, rd = self._tail[:4]
+        return n * h >= self._cum[-1] * d and ((d - n) * (rd - rn)) << bits < d * rn
+
     def branch_primes(self) -> tuple:
         """Integers (S, W) naming the primes of the branch denominators.
 
@@ -357,25 +368,6 @@ class Dyadic(Distribution):
 
     def __init__(self) -> None:
         self._set_law((), Fraction(1, 2))
-
-    def _digit(self, n: int, d: int, bits: int = 1) -> int:
-        """The shared search's result, read from two bit lengths.
-
-        The shared tail search builds powers of about c bits for digit c.
-        At x = 1 - 2^-100000, whose digit is 100 001, stepping them one
-        factor per digit took 1.2 s and this search 0.02 ms (Python 3.11.7
-        on a 2-CPU x86-64 host). A power of 2 gains one bit a digit, so
-        `bits` is 1.
-        """
-        # smallest c with 2^c (d - n) > d: with b = d - n, 2^c b has
-        # c + bit_length(b) bits, so c is bit_length(d) - bit_length(b) or one more
-        b = d - n
-        c = d.bit_length() - b.bit_length()
-        if b << c <= d:
-            c += 1
-        if c > series.MAX_DIGIT_SUM:
-            series.check_digit_sum(c)
-        return c
 
     def spec_string(self) -> str:
         return "dyadic"

@@ -464,20 +464,18 @@ def _leading_digits(dist: Distribution, x: Fraction, count: int, room: int):
     docstring). The word stops after `count` digits, once its measure falls
     below 2^-_WORD_BITS, or before a digit that takes its digit sum past
     `room` or is itself over the digit budget, so that x's own `shift`
-    meets that digit. It is empty, and y None, when no prefix of two or
+    meets that digit; room <= series.MAX_DIGIT_SUM, so no table word passes
+    the budget either. It is empty, and y None, when no prefix of two or
     more digits passes: a one-digit word costs as much as a plain shift.
     """
     n, d = x.numerator, x.denominator
     k = d.bit_length() - _LEAD_BITS
     yn, yd = n >> k, (d >> k) + 1
-    h, _, rn, rd = dist._tail[:4]
-    # y0's first digit c in the tail has mass (1 - r)(1 - prefix(c)) < (1 - r)(1 - y0)/r;
-    # below 2^-_WORD_BITS, the word would end after c alone, so c is not searched
-    if yn * h >= dist._cum[-1] * yd and ((yd - yn) * (rd - rn)) << _WORD_BITS < yd * rn:
+    # a first digit of y0 below 2^-_WORD_BITS would end the word alone, so it is not searched
+    if dist._light_digit(yn, yd, _WORD_BITS):
         return [], None
     digit, affine = dist._digit, dist.affine
     index, index_bits = _word_table(dist) or _NO_TABLE
-    limit = series.MAX_DIGIT_SUM
     # maps[i] is the map of word[:ends[i]]
     word, maps, ends = [], [], []
     a, b, den = 0, 1, 1
@@ -489,8 +487,7 @@ def _leading_digits(dist: Distribution, x: Fraction, count: int, room: int):
         if node is not None:
             p, q, l, step, step_sum, _ = node
             m = yn * l - p * yd
-            # a table built on a larger budget can hold a digit over this one
-            if not (0 <= m < yd * q and total + step_sum <= room and step_sum <= limit):
+            if not (0 <= m < yd * q and total + step_sum <= room):
                 step = None
         if step is None:
             try:

@@ -16,8 +16,8 @@ as integers (A, e) with the value A / (3 * 2^e). The dyadic law reads the
 digits from bit masks. The table walk serves any law: it reads up to three
 digits per lookup in the law's word table (`expansion._word_table`), one
 list index by the point's leading bits, each word certified by an integer
-cylinder test, and takes a None entry or a failed test through the law's
-own digit search and `affine`, as `decode` does. Geometric laws run
+cylinder test, and takes a None entry or a failed test through the one
+digit search `_digit` and `affine`, as `decode` does. Geometric laws run
 it; custom heads decode through `decode`, which reads the same tables.
 The values of every family are summed as integers over a running power
 of two (`_mc_sums`), and each sum becomes one Fraction, reduced by
@@ -273,22 +273,18 @@ def _mc_sums(sample, samples: int, rng: random.Random) -> tuple:
 def _mc_sample_decode(dist: Distribution, a: int) -> tuple:
     """The sample at x = a / 2^64 from `decode`: the path for custom heads.
 
-    The depth-64 enclosure's ends have denominators 2^k, or both 3 * 2^k
-    where the expansion terminates, so their midpoint is num / (2 * den)
-    over the larger denominator den, returned as (A, e). The smaller
-    denominator divides den by a power of two, so its numerator is
-    shifted into place.
+    Returned as (A, e) for the value A / (3 * 2^e): the midpoint of the
+    depth-64 enclosure, or its exact value where the expansion terminates.
     """
     _, lower, upper = eval_minkowski_enclosure(dist, _dyadic(a, 1, _MC_DEPTH), _MC_DEPTH)
-    num, den = lower.numerator, lower.denominator
-    up_num, up_den = upper.numerator, upper.denominator
-    gap = up_den.bit_length() - den.bit_length()
-    if gap < 0:
-        num += up_num << -gap
-    else:
-        num = (num << gap) + up_num
-        den = up_den
-    return (3 * num, den.bit_length()) if den % 3 else (num, (den // 3).bit_length())
+    if lower == upper:
+        # the stream ends in the period (1,), so alt_series_exact's value is
+        # 2 (3 m_h +- 1) / (2^s * 3): V / (3 * 2^e) with V prime to 3
+        return upper.numerator, (upper.denominator // 3).bit_length() - 1
+    # 64 digits, an even count, leave the next term's sign +, so the band is
+    # [2m / 2^s, (2m + 1) / 2^s] with upper's odd numerator over the full 2^s,
+    # and the midpoint is (4m + 1) / 2^(s + 1)
+    return 3 * (2 * upper.numerator - 1), upper.denominator.bit_length()
 
 
 def integral_mc(dist: Distribution, samples: int, seed: int) -> MCEstimate:

@@ -15,7 +15,8 @@ for bit.
 through `Fraction` and returns the digit alone. `ref_family_affine`,
 `ref_geometric_branch` and `ref_family_branch_primes` are the per-family
 integer bodies that the shared head+tail core of `Distribution` replaced,
-for the laws with no head. `ref_digit_seq` is
+for the laws with no head, and `ref_dyadic_digit` the digit search by bit
+lengths that `Dyadic` once kept for itself. `ref_digit_seq` is
 `DigitSeq`'s canonical form absorbing one preperiod digit per step.
 `ref_graph_points` is the graph enumeration that recomposes every word from
 its first digit. `ref_decode_periodic` is period detection with no
@@ -428,6 +429,17 @@ def ref_geometric_branch(dist, n, d):
         hi *= t
         c += 1
     return c, tp - t * u_prev, s * u_prev, tp
+
+
+def ref_dyadic_digit(n, d):
+    """`Dyadic`'s digit of n/d, 0 <= n < d, read from two bit lengths with no budget.
+
+    The smallest c with 2^c (d - n) > d: with b = d - n, 2^c b has
+    c + bit_length(b) bits, so c is bit_length(d) - bit_length(b) or one more.
+    """
+    b = d - n
+    c = d.bit_length() - b.bit_length()
+    return c + 1 if b << c <= d else c
 
 
 def ref_family_branch_primes(dist):

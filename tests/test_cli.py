@@ -18,12 +18,22 @@ from unittest import mock
 import pytest
 
 from probmink import (
+    DigitSeq,
+    DomainError,
+    Dyadic,
     Geometric,
+    ParseError,
     alt_series_periodic_closed_form,
+    alt_series_truncated,
+    approximation_bound,
     cli,
+    cylinder,
+    functional_equation_residuals,
     graph_points,
+    ifs_maps,
     integral_closed,
     parse_distribution,
+    singularity_ratio_step,
 )
 from probmink import fmt as fmt_module
 from probmink.cli import main
@@ -378,6 +388,43 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "eval", "--dist", "dyadic")[0] == 2
     assert run(capsys, "nosuchcommand")[0] == 2
     assert run(capsys)[0] == 2
+
+
+_DYADIC = Dyadic()
+_SEQ = DigitSeq((2,), (1, 3))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: _SEQ.shifted(-1), DomainError, "shift count must be >= 0, got -1"),
+    (lambda: cylinder(_DYADIC, ()), DomainError, "cylinder word must be nonempty"),
+    (lambda: approximation_bound(_DYADIC, 0), DomainError, "depth must be >= 1, got 0"),
+    (lambda: functional_equation_residuals(_DYADIC, _SEQ, 0), DomainError,
+     "depth must be >= 1, got 0"),
+    (lambda: ifs_maps(_DYADIC, 0), DomainError, "map count must be >= 1, got 0"),
+    (lambda: singularity_ratio_step(_DYADIC, 0), DomainError, "digit must be >= 1, got 0"),
+    (lambda: alt_series_periodic_closed_form(0, 1), DomainError,
+     "period digits must be >= 1, got (0, 1)"),
+    (lambda: alt_series_truncated(_SEQ, 0), DomainError, "term count must be >= 1, got 0"),
+    (lambda: _DYADIC.mass_transform(0, Fraction(1, 2)), DomainError,
+     "mass transform needs an integer a >= 1"),
+    (lambda: render_decimal(Fraction(1, 3), 0), ParseError, "precision must be >= 1, got 0"),
+    (("diagnose", "--dist", "dyadic", "--digits", "1,0"), ParseError,
+     "digits must be positive integers: '1,0'"),
+    (("diagnose", "--dist", "dyadic", "--digits", "1,²"), ParseError,
+     "integer literal not accepted"),
+], ids=["shifted", "cylinder", "approximation_bound", "functional_equation_residuals",
+        "ifs_maps", "singularity_ratio_step", "alt_series_periodic_closed_form",
+        "alt_series_truncated", "mass_transform", "render_decimal", "diagnose-zero-digit",
+        "diagnose-superscript-digit"])
+def test_argument_checks(capsys, call, error, message):
+    # a command line prints the error and exits 2; a call raises it
+    if isinstance(call, tuple):
+        code, out, err = run(capsys, *call)
+        assert (code, out) == (2, "") and err.startswith("error: " + message)
+    else:
+        with pytest.raises(error) as raised:
+            call()
+        assert str(raised.value).startswith(message)
 
 
 def test_help_exits_zero(capsys):

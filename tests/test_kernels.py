@@ -59,6 +59,7 @@ from oracles import (
     ref_decode_periodic,
     ref_digit_of,
     ref_digit_seq,
+    ref_dyadic_digit,
     ref_encode,
     ref_exact_walk,
     ref_family_affine,
@@ -145,9 +146,9 @@ def test_core_matches_family_bodies():
         for n, d in points + deep if isinstance(dist, Dyadic) else points:
             c = dist._digit(n, d)
             if isinstance(dist, Dyadic):
-                # the bit-length override against the shared search, digits up to 1 901
+                # the shared search against the bit-length formula, digits up to 1 901
                 assert c < 2000
-                assert c == Distribution._digit(dist, n, d), (n, d)
+                assert c == ref_dyadic_digit(n, d), (n, d)
             else:
                 assert (c, *dist.affine(c)) == ref_geometric_branch(dist, n, d), (dist, n, d)
 
@@ -1215,8 +1216,7 @@ def test_shift_builds_one_triple(monkeypatch):
         return wrapper
 
     dists = [parse_distribution(spec) for spec in _bench_specs(monkeypatch)]
-    for cls in (Distribution, Dyadic):
-        monkeypatch.setattr(cls, "_digit", counted("_digit", vars(cls)["_digit"]))
+    monkeypatch.setattr(Distribution, "_digit", counted("_digit", Distribution._digit))
     monkeypatch.setattr(Distribution, "affine", counted("affine", Distribution.affine))
     rng = random.Random(23)
     for dist in dists:
@@ -1230,11 +1230,31 @@ def test_shift_builds_one_triple(monkeypatch):
 
 
 def test_dyadic_shift_reads_a_huge_digit_from_bit_lengths():
-    # the shared search would make about 100 000 multiplications of growing integers here
+    # digit 100 001: stepping one factor a digit would make that many products of
+    # growing integers; the shared search lifts its powers by squares, O(log c) products
     x = 1 - F(1, 1 << 100000)
     start = time.perf_counter()
     assert shift(Dyadic(), x) == (100001, 0)
     assert time.perf_counter() - start < 0.5
+
+
+def test_light_digit_is_a_light_tail_digit():
+    # True only for a tail digit below 2^-bits; False on a tail digit leaves its
+    # mass at least r 2^-bits, since pmf(c) >= (1 - r)(1 - x) there
+    rng = random.Random(30)
+    for dist in FAMILIES:
+        head, _, r = dist.head_tail()
+        light = 0
+        for e in range(1, 100):
+            x = 1 - F(rng.randint(1, 7), 1 << e)
+            c = ref_digit_of(dist, x)
+            for bits in (4, 16, 64):
+                if dist._light_digit(x.numerator, x.denominator, bits):
+                    light += 1
+                    assert c > len(head) and ref_pmf(dist, c) < F(1, 1 << bits), (dist, x)
+                elif c > len(head):
+                    assert ref_pmf(dist, c) >= r / (1 << bits), (dist, x)
+        assert light > 100, dist
 
 
 def test_tail_search_lifts_by_squares():
@@ -1296,6 +1316,21 @@ def test_bounded_geometric_laws_have_no_word_table():
         s, t_q = q.numerator, q.denominator
         assert t_q * (t_q.bit_length() - 1) > s * series.MAX_DIGIT_SUM, q
         assert _word_table(Geometric(q)) is None, q
+
+
+def test_law_with_a_wide_two_digit_word_has_no_word_table():
+    # H = 2^300, so a two-digit word's D = H^2 passes _TABLE_MAP_BITS and no
+    # table is built: decode takes plain steps and untabled batches only
+    dist = CustomPrefixTail((F(1, 2), F((1 << 299) - 1, 1 << 300)), F(1, 2))
+    assert _word_table(dist) is None
+    rng = random.Random(29)
+    points = [F(rng.getrandbits(64), 1 << 64) for _ in range(40)]
+    for _ in range(10):
+        d = rng.getrandbits(1500) | 1 << 1499
+        points.append(F(rng.randrange(d), d))
+    points += [encode(dist, DigitSeq((2,), (1, 3, 2))), 1 - F(1, 1 << 400)]
+    for x in points:
+        assert decode(dist, x, 40) == ref_decode(dist, x, 40), x
 
 
 def test_int_text_matches_str():

@@ -19,6 +19,17 @@ from oracles import partial_sums
 F = Fraction
 
 
+def test_truncated_finite_list_longer_than_n():
+    # past n terms a finite list is a prefix like any stream's
+    rng = random.Random(29)
+    for _ in range(50):
+        digits = [rng.randint(1, 6) for _ in range(rng.randint(2, 30))]
+        n = rng.randint(1, len(digits) - 1)
+        assert alt_series_truncated(digits, n) == prefix_enclosure(digits[:n])
+        assert alt_series_truncated(digits, n) == alt_series_truncated(
+            DigitSeq(tuple(digits), (1,)), n)
+
+
 def test_exact_fixtures():
     assert alt_series_exact(DigitSeq((), (1,))) == F(2, 3)
     assert alt_series_exact(DigitSeq((), (2,))) == F(2, 5)

@@ -1,6 +1,7 @@
 """Cases for `tools/ab.py --in-process`, each a function of a loaded probmink package.
 
     python tools/ab.py --parent HEAD --in-process tools.ab_cases:word_tables --pairs 15
+    python tools/ab.py --parent HEAD --in-process tools.ab_cases:digit_search --pairs 15
 
 Every function returns a list of (label, zero-argument callable); the
 callables return plain values (tuples, lists, ints and Fractions), which
@@ -17,11 +18,11 @@ CUSTOM = ("custom:1/3,1/5;2/3", "custom:1/4,1/6;1/2", "custom:2/5,1/10;3/5")
 FAMILIES = ("dyadic", "geometric:1/3", "custom:1/3,1/4;1/2")
 
 
-def _period_points(pkg, length: int, seed: int) -> list:
-    """(dist, x) for each decode family: the point of a seeded period of `length` digits 1-3."""
+def _period_points(pkg, length: int, seed: int, specs=FAMILIES) -> list:
+    """(dist, x) for each law of `specs`: the point of a seeded period of `length` digits 1-3."""
     rng = random.Random(seed)
     points = []
-    for spec in FAMILIES:
+    for spec in specs:
         dist = pkg.parse_distribution(spec)
         digits = tuple(rng.randint(1, 3) for _ in range(length))
         points.append((dist, pkg.encode(dist, pkg.DigitSeq((), digits))))
@@ -50,3 +51,22 @@ def word_tables(pkg) -> list:
         for seq in (pkg.decode_periodic(dist, x) for dist, x in walk_points)]))
     return cases
 
+
+def digit_search(pkg) -> list:
+    """The digit search under `dyadic`: single digits, decode, decode_periodic and huge digits."""
+    dist = pkg.Dyadic()
+    rng = random.Random(29)
+    short = [Fraction(rng.getrandbits(64), 1 << 64) for _ in range(300)]
+    long_points = _period_points(pkg, 2000, 7, ("dyadic",) * 3)
+    walk_points = _period_points(pkg, 250, 12, ("dyadic",) * 6)
+    huge = [1 - Fraction(1, 1 << k) for k in (100, 1000, 10000, 100000)]
+    return [
+        ("digit_of 64-bit points", lambda: [dist.digit_of(x) for x in short]),
+        ("decode 64-bit points, 40 digits", lambda: [pkg.decode(dist, x, 40) for x in short]),
+        ("decode 2000-digit periods", lambda: [
+            pkg.decode(dist, x, 2000) for dist, x in long_points]),
+        ("decode_periodic 250-digit periods", lambda: [
+            (seq.preperiod, seq.period)
+            for seq in (pkg.decode_periodic(dist, x) for dist, x in walk_points)]),
+        ("digit_of 1 - 2^-k, k = 10^2..10^5", lambda: [dist.digit_of(x) for x in huge]),
+    ]
