@@ -26,7 +26,7 @@ Table lookup. `_word_table` cuts [0, 1) into 2^_INDEX_BITS equal buckets,
 and bucket b holds the longest of the words of up to _TABLE_DIGITS digits
 with measure at least 2^-_TABLE_MEASURE_BITS whose cylinder holds the
 whole bucket, or None where no such cylinder does: a bucket that straddles
-the border of a digit with no word in the table (8 to 41 of 4 096 on the
+the border of a digit with no word in the table (8 to 39 of 8 192 on the
 benchmark's laws). So one list index by x's leading bits names a word, as
 table-driven decoders of prefix codes read several symbols at once (Moffat
 and Turpin 1997). The cylinder test still certifies the word on x, so a
@@ -34,7 +34,8 @@ digit rests on exact arithmetic and not on how the table was built (on a
 right table it cannot fail, since x's bucket lies inside the cylinder);
 a None entry or a failed test costs one plain step. So a lookup never
 yields a wrong digit. A certified word steps the unreduced pair
-(n*D - A*d, d*B), reduced once before a `shift` and at the end of a run.
+(n*D - A*d, d*B), reduced by one gcd, with no Fraction constructor, before a
+`shift` and at the end of a run.
 The trailing-ones rule: digit 1 fixes 0 and maps a nonzero remainder to
 a nonzero one, so when the remainder after a word is 0, every later digit
 is 1, and the stream's first zero remainder came after the word without
@@ -286,9 +287,12 @@ _PRINT_MOD = 1073739179
 # walk read up to _TABLE_DIGITS digits per lookup, from a table of the
 # words of up to that length whose cylinders have measure at least
 # 2^-_TABLE_MEASURE_BITS; a table with a word whose D has more than
-# _TABLE_MAP_BITS bits is not built, and the last _TABLE_CACHE tables are kept
+# _TABLE_MAP_BITS bits is not built, and the last _TABLE_CACHE tables are kept.
+# At 2^-10 a geometric Monte Carlo sample makes 24-27 lookups and 0.23-0.30
+# plain steps for its 64 digits; 4-digit words take over 1 ms to build, and
+# 2^-11 costs integral_mc 7-11 % of its peak memory
 _TABLE_DIGITS = 3
-_TABLE_MEASURE_BITS = 9
+_TABLE_MEASURE_BITS = 10
 _TABLE_MAP_BITS = 512
 _TABLE_CACHE = 16
 # a table has one entry per bucket [b, b+1) / 2^_INDEX_BITS of [0, 1),
@@ -354,6 +358,12 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
     y._numerator = num
     y._denominator = den
     return y
+
+
+def _lowest(num: int, den: int) -> Fraction:
+    """num/den in lowest terms for num >= 0 and den > 0: one gcd, no Fraction constructor."""
+    g = math.gcd(num, den)
+    return _coprime_fraction(num // g, den // g)
 
 
 def shift(dist: Distribution, x: Fraction) -> tuple:
@@ -440,7 +450,7 @@ def _short_digits(dist: Distribution, x: Fraction, word: list, run: int, count: 
                 num, den, cur = m, db, None
                 continue
         if cur is None:
-            cur = Fraction(num, den)
+            cur = _lowest(num, den)
         try:
             c, cur = shift(dist, cur)
         except ResourceLimitError:
@@ -452,7 +462,7 @@ def _short_digits(dist: Distribution, x: Fraction, word: list, run: int, count: 
         room -= c
         if room < 0:
             break
-    return Fraction(num, den) if cur is None else cur, room
+    return _lowest(num, den) if cur is None else cur, room
 
 
 def _leading_digits(dist: Distribution, x: Fraction, count: int, room: int):
@@ -582,7 +592,8 @@ def _word_table(dist: Distribution):
     tried, since head masses need not decrease; the first tail digit whose
     mass is too small ends a word's children. No table is built, and the
     walk stops, at the first word whose D has more than _TABLE_MAP_BITS
-    bits.
+    bits; a digit of the table whose own L has more bits is that word, so
+    it refuses the table before the later digits' wider powers are built.
     """
     bits, cap, size, k = _TABLE_MEASURE_BITS, _TABLE_MAP_BITS, _TABLE_DIGITS, _INDEX_BITS
     head = len(dist.head_tail()[0])
@@ -592,6 +603,9 @@ def _word_table(dist: Distribution):
     while c <= series.MAX_DIGIT_SUM:
         p, q, l = dist.affine(c)
         if q << bits >= l:
+            if l.bit_length() > cap:
+                # the one-digit word's D is this L: refused before a wider power is built
+                return None
             digits.append((c, p, q, l))
         elif c > head:
             break

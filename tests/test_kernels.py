@@ -589,10 +589,15 @@ def test_mc_kernel_serves_custom_heads():
             assert F(got[0], 3 << got[1]) == F(want[0], 3 << want[1]), (spec, a)
 
 
+def _bench_workloads(monkeypatch):
+    """The benchmark's `workloads` module, imported from bench/."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    return importlib.import_module("workloads")
+
+
 def _bench_specs(monkeypatch):
     """Every distribution spec that the benchmark's workloads send to the CLI."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    workloads = importlib.import_module("workloads")
+    workloads = _bench_workloads(monkeypatch)
     specs = set(workloads.EXACT_FAMILIES) | set(workloads.SWEEP_FAMILIES)
     specs.update(spec for kind in workloads.MC_FAMILIES.values() for spec in kind)
     return sorted(specs)
@@ -672,6 +677,20 @@ def test_word_table_bounds(monkeypatch):
     assert set(_heavy_words(dist, bits, size)) == {(1,), (1, 1), (1, 1, 1)}
     last = (1 << expansion._INDEX_BITS) - 1
     assert [node and node[3] for node in _word_table(dist).index] == [(1, 1, 1)] * last + [None]
+
+
+def test_monte_carlo_word_tables_fit_a_size_envelope(monkeypatch):
+    # the cache keeps every node of a table for the life of the process, and
+    # integral_mc's peak_rss_mb has a 10 % bound: its six tabled laws hold 1 641
+    # distinct nodes together at measure 2^-10 (1 095 at 2^-9; tables at 2^-11
+    # raised peak_rss_mb by 7-11 %)
+    workloads = _bench_workloads(monkeypatch)
+    specs = workloads.MC_FAMILIES["geometric"] + workloads.MC_FAMILIES["custom"]
+    assert len(set(specs)) == 6
+    nodes = set()
+    for spec in specs:
+        nodes |= set(_word_table(parse_distribution(spec)).index) - {None}
+    assert len(nodes) <= 2000
 
 
 def test_bucket_index_holds_the_longest_covering_word(monkeypatch):
@@ -1310,12 +1329,24 @@ def test_tail_search_refuses_far_points_at_once():
 def test_bounded_geometric_laws_have_no_word_table():
     # the Monte Carlo kernel holds a law to the budget in the bits of t^c when
     # t * (bit_length(t) - 1) > s * MAX_DIGIT_SUM, and walks it with no table:
-    # q < 2^-9 leaves no digit in the table, or t passes the table's cap on a word's D
+    # q < 2^-10 leaves no digit in the table, or t passes the table's cap on a word's D
     t = (1 << 32769) | 1
     for q in (F(1, 10**8), F(t >> 9, t), F((t >> 9) + 1, t)):
         s, t_q = q.numerator, q.denominator
         assert t_q * (t_q.bit_length() - 1) > s * series.MAX_DIGIT_SUM, q
         assert _word_table(Geometric(q)) is None, q
+
+
+def test_wide_law_is_refused_before_its_powers_are_built():
+    # q ~ 2^-8: about 350 digits have mass at least 2^-10, and digit c's L is t^c with
+    # t of 32 770 bits; digit 1's L already passes _TABLE_MAP_BITS, so the table is
+    # refused there (building every digit's powers first took 36 s)
+    t = (1 << 32769) + 1
+    dist = Geometric(F(t >> 8, t))
+    _word_table.cache_clear()
+    start = time.perf_counter()
+    assert _word_table(dist) is None
+    assert time.perf_counter() - start < 0.5
 
 
 def test_law_with_a_wide_two_digit_word_has_no_word_table():

@@ -96,7 +96,7 @@ def test_geometric_sample_kernel_matches_reference(params, a):
 
 
 # the laws of the word-table walk: q = 1/100 has no table, as its digits of
-# mass 2^-9 or more reach 100^78, past the table's cap on a word's D;
+# mass 2^-10 or more reach 100^78, past the table's cap on a word's D;
 # q = 99/100 tabulates the words 1, 11, 111 and those with one digit 2
 TABLE_QS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(1, 4), Fraction(3, 4),
             Fraction(99, 100), Fraction(1, 100))
@@ -432,6 +432,17 @@ def test_short_decode_matches_reference(dist, data):
     n = data.draw(st.one_of(st.integers(min_value=1, max_value=5),
                             st.integers(min_value=6, max_value=150)))
     _check_decode(dist, x, n)
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(tail_laws(), st.data())
+def test_short_decode_remainders_in_lowest_terms_on_drawn_laws(dist, data):
+    # table words step an unreduced pair, and one gcd reduces it, with no Fraction
+    # constructor, before each shift and at the end of a run; a cylinder end's
+    # remainder is 0, which must come out as 0/1. _check_decode asserts both the
+    # reference's digits and remainder and gcd(numerator, denominator) = 1
+    x = data.draw(short_points(dist))
+    _check_decode(dist, x, data.draw(st.integers(min_value=1, max_value=80)))
 
 
 @settings(DETERMINISTIC, max_examples=200)

@@ -30,8 +30,21 @@ def _period_points(pkg, length: int, seed: int, specs=FAMILIES) -> list:
 
 
 def word_tables(pkg) -> list:
-    """The walks that look words up in a word table: Monte Carlo, decode and decode_periodic."""
-    cases = []
+    """The word tables' builds, and the walks that look words up in them.
+
+    The walks are Monte Carlo, decode and decode_periodic. The build case
+    clears the table cache and builds each benchmark law's table once,
+    returning only whether one was built, so that both sides compare equal;
+    it leaves every law's table cached for the walks.
+    """
+    laws = [pkg.parse_distribution(spec) for spec in dict.fromkeys(FAMILIES + GEOMETRIC + CUSTOM)]
+    table = pkg.expansion._word_table
+
+    def builds():
+        table.cache_clear()
+        return [table(dist) is not None for dist in laws]
+
+    cases = [(f"word table builds, {len(laws)} laws", builds)]
     for kind, specs, samples in (("geometric", GEOMETRIC, 500), ("custom", CUSTOM, 200)):
         dists = [pkg.parse_distribution(spec) for spec in specs]
         cases.append((f"integral_mc {kind} x{samples}",
