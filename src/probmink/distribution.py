@@ -23,9 +23,11 @@ branch triple. `_digit(n, d, bits=1) -> c` is the exact digit search on
 plain integers, the digit c of n/d, held to the budget in c*bits;
 `digit_of` returns it, and the decoders and the Monte Carlo kernel take
 affine(c) for each digit it finds. `branch_primes() -> (S, W)` gives the
-primes that the walk tracks (see `expansion`). The search lifts its
-powers by squares, O(log c) products for digit c, and never past the
-powers that affine(c) may build; every family takes it, with no override.
+primes that the walk tracks (see `expansion`), and `_numerator_primes()`
+an integer with every prime of every Q, which its fingerprint modulus
+avoids. The search lifts its powers by squares, O(log c) products for
+digit c, and never past the powers that affine(c) may build; every family
+takes it, with no override.
 `_light_digit(n, d, bits)` tells, before any search, that the digit
 of n/d lies in the tail with mass below 2^-bits. Only this module reads
 the law's integer slots.
@@ -256,6 +258,14 @@ class Distribution(_Frozen):
         qs = tuple(q for _, q, _ in self._head_affine) + (rest * drn, rest_rn * drn)
         w = math.gcd(*qs[1:])
         return primes, w // _smooth_part(w, primes)
+
+    def _numerator_primes(self) -> int:
+        """An integer that every prime of every branch numerator Q divides.
+
+        The head's Q's times rest*rn*(rd - rn), since Q(k+j) = rest rn^(j-1) (rd - rn).
+        """
+        _, _, _, _, rest_rn, _, drn, _, _ = self._tail
+        return math.prod(q for _, q, _ in self._head_affine) * rest_rn * drn
 
     def head_tail(self) -> tuple:
         """(head, rest, r): head masses p_1..p_k, the tail's mass 1 - sum(head), its ratio.

@@ -78,20 +78,22 @@ head W may be 1, and the walk may run out of steps.
 First fingerprint repeat. Keeping every exact remainder costs memory
 quadratic in a long period, so the walk steps on `_next_digits`, keeping
 x's exact remainder at each step's start and every remainder r_k only as
-its residue modulo the prime p = _PRINT_MOD (Karp and Rabin's
-fingerprints), r <- (r*L - P) * Q^-1 mod p; when p divides neither x's
-denominator nor any Q, equal remainders have equal residues. A hit at k
-rebuilds r_k exactly from the last kept remainder and compares it with
-each earlier remainder of that residue, oldest first; a refused hit walks
-on. If (mu, mu + lambda) is the first repeat, r_0, ..., r_(mu+lambda-1)
-are distinct, so no hit passes before k = mu + lambda, and there only r_mu
-does; the stream is canonical as it stands, since a shorter period or an
-absorbable preperiod digit would repeat a remainder sooner. A point that p
-cannot fingerprint takes one `shift` per digit, keeping every remainder.
+its residue modulo M (Karp and Rabin's fingerprints), r <- (r*L - P) *
+Q^-1 mod M. M is the least integer from _PRINT_MOD up prime to x's
+denominator and to every Q: every remainder's denominator divides x's
+times a product of Q's, so every remainder has a residue, and equal
+remainders have equal residues. A hit at k rebuilds r_k exactly from the
+last kept remainder and compares it with each earlier remainder of that
+residue, oldest first; a refused hit walks on. If (mu, mu + lambda) is
+the first repeat, r_0, ..., r_(mu+lambda-1) are distinct, so no hit
+passes before k = mu + lambda, and there only r_mu does; the stream is
+canonical as it stands, since a shorter period or an absorbable
+preperiod digit would repeat a remainder sooner.
 """
 
 import functools
 import math
+import operator
 import re
 from bisect import bisect_right
 from fractions import Fraction
@@ -103,13 +105,20 @@ from .fmt import parse_ints, rational_text
 
 
 def _int_tuple(values) -> tuple:
-    """tuple(map(int, values)), built at its exact size.
+    """tuple(map(operator.index, values)), built at its exact size.
 
-    tuple() of an iterator with no length hint leaves a tuple on CPython's
-    free lists per call: 200 graph_sweep passes peaked at 22.5 MB with it
-    and 18.9 MB with this (Python 3.11.7).
+    operator.index takes every integer type and refuses the rest, where
+    int() would round 2.5 down to 2, so a digit that is no integer raises
+    DomainError with its value. tuple() of an iterator with no length hint
+    leaves a tuple on CPython's free lists per call: 200 graph_sweep passes
+    peaked at 22.5 MB with it and 18.9 MB with this (Python 3.11.7).
     """
-    return tuple([*map(int, values)])
+    values = tuple(values)
+    try:
+        return tuple([*map(operator.index, values)])
+    except TypeError:
+        bad = next(v for v in values if not hasattr(v, "__index__"))
+        raise DomainError(f"digits must be integers, got {bad!r}") from None
 
 
 class DigitSeq(_Frozen):
@@ -277,11 +286,14 @@ _FOLD_DIGITS = 64
 # _ENCODE_CHECK_BITS bits against encode, which on exact_eval's ladder of
 # short periods is the one `encode` call that bench/spans.py can require
 _ENCODE_CHECK_BITS = 320
-# _PRINT_MOD is a safe prime p = 2q + 1 below 2^30, with q prime, so a
-# fingerprint step stays on CPython's one-digit ints. ord_p(2) = 2q: it
-# divides p - 1 = 2q and is not 1 or 2, and p = 3 mod 8 makes 2^q = -1
-# mod p by Euler's criterion. 2q is above series.MAX_DIGIT_SUM, so p
-# divides no factor 2^s - 1 of a dyadic period's point
+# the fingerprint modulus is the least integer from _PRINT_MOD up prime to
+# the point's denominator and every Q. It stays below 2^30, so that a
+# fingerprint step stays on CPython's one-digit ints, unless those rule out
+# all 2 645 integers from _PRINT_MOD to 2^30 - 1. _PRINT_MOD is a safe
+# prime p = 2q + 1, with q prime. ord_p(2) = 2q: it divides p - 1 = 2q and
+# is not 1 or 2, and p = 3 mod 8 makes 2^q = -1 mod p by Euler's criterion.
+# 2q is above series.MAX_DIGIT_SUM, so p divides no factor 2^s - 1 of a
+# dyadic period's point, and every dyadic period takes p itself
 _PRINT_MOD = 1073739179
 # decode's plain loop, its batches' short points and the Monte Carlo table
 # walk read up to _TABLE_DIGITS digits per lookup, from a table of the
@@ -645,9 +657,10 @@ def decode_periodic(dist: Distribution, x: Fraction, max_steps: int = 4096):
     Aperiodic certificate at the first remainder, x included, whose
     denominator a prime of W (dist.branch_primes()) divides; or NotDetected
     with the digits found when neither happens in max_steps (the W witness
-    and first fingerprint repeat in the module docstring). A digit over the
-    budget raises where `shift` does, and a stream over it where `encode`
-    would, in `_batched_walk` and in `_plain_walk` alike.
+    and first fingerprint repeat in the module docstring). Past x itself,
+    one `_batched_walk` under the modulus M chosen for x and the law finds
+    it. A digit over the budget raises where `shift` does, and a stream
+    over it where `encode` would.
     """
     _check_unit_interval(x)
     if max_steps < 1:
@@ -657,31 +670,15 @@ def decode_periodic(dist: Distribution, x: Fraction, max_steps: int = 4096):
     witness = math.gcd(d, w)
     if witness > 1:
         return Aperiodic((), witness, 0)
-    found = _batched_walk(dist, x, max_steps, w) if d % _PRINT_MOD else None
-    if found is None:
-        found = _plain_walk(dist, x, max_steps, w)
+    mod, shared = _PRINT_MOD, d * dist._numerator_primes()
+    while math.gcd(mod, shared) > 1:
+        mod += 1
+    found = _batched_walk(dist, x, max_steps, w, mod)
     if (isinstance(found, DigitSeq) and d.bit_length() <= _ENCODE_CHECK_BITS
             and encode(dist, found) != x):
         raise ProbminkError("period detection produced an inconsistent stream for "
                             f"{rational_text(x)}")
     return found
-
-
-def _plain_walk(dist: Distribution, x: Fraction, max_steps: int, w: int):
-    """decode_periodic's result for x by one `shift` per digit, keeping every remainder."""
-    seen = {}
-    digits = []
-    while True:
-        j = seen.setdefault((x.numerator, x.denominator), len(digits))
-        if j < len(digits):
-            return _stream(digits, j, len(digits))
-        if j == max_steps:
-            return NotDetected(tuple(digits))
-        c, x = shift(dist, x)
-        digits.append(c)
-        witness = math.gcd(x.denominator, w)
-        if witness > 1:
-            return Aperiodic(tuple(digits), witness, len(digits))
 
 
 def _stream(digits: list, i: int, k: int) -> DigitSeq:
@@ -692,17 +689,17 @@ def _stream(digits: list, i: int, k: int) -> DigitSeq:
     return DigitSeq._canonical(pre, per)
 
 
-def _batched_walk(dist: Distribution, x: Fraction, max_steps: int, w: int):
-    """decode_periodic's result for x, walked on `_next_digits`; None when p divides some Q.
+def _batched_walk(dist: Distribution, x: Fraction, max_steps: int, w: int, mod: int):
+    """decode_periodic's result for x, walked on `_next_digits` with fingerprints modulo `mod`.
 
-    A fingerprint hit at k goes to `_walk_repeat`, and a step whose end
-    remainder holds a prime of W to `_first_witness`. The first run has
-    about a quarter of x's denominator bits in digits, from 4 up to
-    _PLAIN_RUN, with a digit sum of at most four times that, and each
+    `mod` is prime to x's denominator and to every Q (see
+    `decode_periodic`). A fingerprint hit at k goes to `_walk_repeat`, and
+    a step whose end remainder holds a prime of W to `_first_witness`. The
+    first run has about a quarter of x's denominator bits in digits, from 4
+    up to _PLAIN_RUN, with a digit sum of at most four times that, and each
     later one twice the last: a short point stops near its period, and a
     law of large digits reads few of them.
     """
-    mod = _PRINT_MOD
     # digit c's triple (P, Q, L), and its step r -> (r*a - b) % mod with a = L/Q and b = P/Q
     branches, steps = {}, {}
     fp = x.numerator * pow(x.denominator, -1, mod) % mod
@@ -726,8 +723,6 @@ def _batched_walk(dist: Distribution, x: Fraction, max_steps: int, w: int):
         for c in dict.fromkeys(word):
             if c not in steps:
                 p, q, l = branches[c] = dist.affine(c)
-                if not q % mod:
-                    return None
                 inv = pow(q, -1, mod)
                 steps[c] = (l * inv % mod, p * inv % mod)
         k = len(digits)
@@ -767,13 +762,12 @@ def _walk_repeat(branches, digits: list, starts: list, rests: list, held: list, 
     return None
 
 
-def _first_witness(dist: Distribution, x: Fraction, word, digits: list, w: int):
+def _first_witness(dist: Distribution, x: Fraction, word, digits: list, w: int) -> Aperiodic:
     """Aperiodic at x's first remainder after a digit of `word` whose denominator meets W.
 
     `digits` leads to x, and x's remainder after the whole word holds a
-    prime of W, so some digit of the word brings it; `digits` is extended
-    up to that digit. Should none do, the result is None, which hands the
-    point to `_plain_walk`.
+    prime of W, so some digit of the word brings it, at the latest the last
+    one, whose remainder is that one; `digits` is extended up to that digit.
     """
     for c in word:
         x = _remainder(x.numerator, x.denominator, *dist.affine(c))
@@ -781,7 +775,7 @@ def _first_witness(dist: Distribution, x: Fraction, word, digits: list, w: int):
         witness = math.gcd(x.denominator, w)
         if witness > 1:
             return Aperiodic(tuple(digits), witness, len(digits))
-    return None
+    raise ProbminkError("the walk's witness is missing from its own step's remainders")
 
 
 def cylinder(dist: Distribution, word) -> Cylinder:
@@ -793,7 +787,7 @@ def cylinder(dist: Distribution, word) -> Cylinder:
     digit sum, one more than the word's, is held to series.MAX_DIGIT_SUM
     before any power is built.
     """
-    digits = tuple(int(d) for d in word)
+    digits = _int_tuple(word)
     if not digits:
         raise DomainError("cylinder word must be nonempty")
     series.check_digit_sum(sum(digits) + 1)

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError, ResourceLimitError
-from .expansion import DigitSeq, _coprime_fraction
+from .expansion import DigitSeq, _coprime_fraction, _int_tuple
 from .fmt import int_text
 
 # 2^24 bits (2 MB) per power of two: well above the digit sum of a
@@ -99,7 +99,8 @@ def _finite_sum(digits) -> tuple:
     Returns (m, s_n, sign): the partial sum is 2m / 2^(s_n), s_n is the
     digit sum and sign the sign (-1)^n carried by the next term after the
     list. Raises ResourceLimitError when the digit sum exceeds
-    MAX_DIGIT_SUM, and DomainError for a digit below 1, before any sum.
+    MAX_DIGIT_SUM, and DomainError for a digit below 1 or one that is no
+    integer, before any sum.
 
     Term k adds (-1)^(k-1) * 2^(s_n - s_k) to m. Up to _LOOP_SUM_DIGITS
     digits the accumulator m = (m << d) + sign runs as it is; it copies m
@@ -109,7 +110,14 @@ def _finite_sum(digits) -> tuple:
     even-numbered one. Each is written as a string of s_n binary digits
     by one join and read by int(., 2), and both are linear in s_n.
     """
-    s = sum(digits)
+    try:
+        s = sum(digits)
+    except TypeError:
+        s = None
+    if s.__class__ is not int:
+        # _int_tuple names a digit that is no integer, and reads any other integer type
+        digits = _int_tuple(digits)
+        s = sum(digits)
     check_digit_sum(s)
     if digits and min(digits) < 1:
         raise DomainError(f"digits must be >= 1, got {next(d for d in digits if d < 1)}")

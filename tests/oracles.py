@@ -22,7 +22,11 @@ lengths that `Dyadic` once kept for itself. `ref_digit_seq` is
 its first digit. `ref_decode_periodic` is period detection with no
 aperiodicity certificate, keyed on every reduced remainder, and
 `ref_exact_walk` the integer walk with the certificate, on the split of
-each denominator into its S-smooth part and the rest. `ref_decode` is
+each denominator into its S-smooth part and the rest. `ref_modulus` is the
+fingerprint modulus that `decode_periodic` picks for a point, found from
+the numerators Q(1), ..., Q(k+2) themselves. `ref_reversing_encode` is
+`encode` under the orientation-reversing dyadic coding, whose complement
+the series is. `ref_decode` is
 the decoder that runs one full-size `shift` per digit, and `ref_compose`
 the left fold of a word's branch triples. `ref_write_graph_csv` writes
 every graph row through the general `fmt` formatters, and
@@ -65,6 +69,7 @@ from probmink import (
 )
 from probmink.cli import _check_precision, _parse_digit_word
 from probmink.distribution import _smooth_part
+from probmink.expansion import _PRINT_MOD, _product
 from probmink.fmt import _ratio_decimal, _ratio_text, rational_payload, rational_text
 from probmink.integral import alpha
 
@@ -567,6 +572,29 @@ def ref_exact_walk(dist, x, max_steps=4096):
             if witness > 1:
                 return Aperiodic(tuple(digits), witness, len(digits))
             seen.clear()
+
+
+def ref_modulus(dist, d, start=_PRINT_MOD):
+    """The least integer from `start` up prime to d and to every branch numerator Q.
+
+    Q(k+j) = rest rn^(j-1) (rd - rn) for a head of k digits, so every
+    prime of a Q divides one of Q(1), ..., Q(k+2).
+    """
+    shared = d * math.prod(dist.affine(c)[1] for c in range(1, len(dist.head_tail()[0]) + 3))
+    return next(m for m in itertools.count(start) if math.gcd(m, shared) == 1)
+
+
+def ref_reversing_encode(seq):
+    """The point of `seq` under the reversing dyadic coding, by `encode`'s fixed-point closure.
+
+    Digit c's branch is y -> 1 - 2^-c (1 + y), the triple (2^c - 1, -1, 2^c),
+    composed by `expansion._product`; the period's map has a negative B when
+    its length is odd, and its fixed point is A / (D - B) all the same.
+    """
+    branches = {c: ((1 << c) - 1, -1, 1 << c) for c in set(seq.preperiod + seq.period)}
+    a, b, den = _product(branches, seq.preperiod)
+    a_p, b_p, den_p = _product(branches, seq.period)
+    return Fraction(a * (den_p - b_p) + b * a_p, den * (den_p - b_p))
 
 
 def ref_digit_seq(preperiod, period):

@@ -23,16 +23,20 @@ from probmink import (
     Dyadic,
     Geometric,
     ParseError,
+    alt_series_exact,
     alt_series_periodic_closed_form,
     alt_series_truncated,
     approximation_bound,
     cli,
     cylinder,
+    cylinder_increment,
+    encode,
     functional_equation_residuals,
     graph_points,
     ifs_maps,
     integral_closed,
     parse_distribution,
+    prefix_enclosure,
     singularity_ratio_step,
 )
 from probmink import fmt as fmt_module
@@ -412,10 +416,21 @@ _SEQ = DigitSeq((2,), (1, 3))
      "digits must be positive integers: '1,0'"),
     (("diagnose", "--dist", "dyadic", "--digits", "1,²"), ParseError,
      "integer literal not accepted"),
+    # a digit that is no integer is refused, not rounded
+    (lambda: DigitSeq((2.5,), (1.9,)), DomainError, "digits must be integers, got 2.5"),
+    (lambda: encode(_DYADIC, DigitSeq((), (Fraction(5, 2),))), DomainError,
+     "digits must be integers, got Fraction(5, 2)"),
+    (lambda: cylinder(_DYADIC, (2.7,)), DomainError, "digits must be integers, got 2.7"),
+    (lambda: cylinder_increment(_DYADIC, (2.7,)), DomainError,
+     "digits must be integers, got 2.7"),
+    (lambda: alt_series_exact([2.5]), DomainError, "digits must be integers, got 2.5"),
+    (lambda: prefix_enclosure([2.5]), DomainError, "digits must be integers, got 2.5"),
 ], ids=["shifted", "cylinder", "approximation_bound", "functional_equation_residuals",
         "ifs_maps", "singularity_ratio_step", "alt_series_periodic_closed_form",
         "alt_series_truncated", "mass_transform", "render_decimal", "diagnose-zero-digit",
-        "diagnose-superscript-digit"])
+        "diagnose-superscript-digit", "DigitSeq-fractional-digit", "encode-fractional-digit",
+        "cylinder-fractional-digit", "cylinder_increment-fractional-digit",
+        "alt_series_exact-fractional-digit", "prefix_enclosure-fractional-digit"])
 def test_argument_checks(capsys, call, error, message):
     # a command line prints the error and exits 2; a call raises it
     if isinstance(call, tuple):

@@ -68,6 +68,7 @@ from oracles import (
     ref_geometric_branch,
     ref_int_finite_sum,
     ref_mc_sample_int,
+    ref_modulus,
     ref_pmf,
     ref_prefix,
     ref_prefix_enclosure,
@@ -875,23 +876,22 @@ def test_batched_walk_hands_hard_points_to_the_exact_walk():
         assert last == len(rems) - 1 and found == seq
         assert (found.preperiod, found.period) == ref_digit_seq(found.preperiod, found.period)
         assert any(i == len(seq.preperiod) for i, _ in tried)
-        with mock.patch.object(expansion, "_PRINT_MOD", modulus):
-            assert expansion._batched_walk(g, x, 4096, w) == seq == exact
-    # a modulus that divides some Q, or x's denominator, hands the point to
-    # the plain walk, which gives the exact walk's result: Q(2) = 2 is a
-    # multiple of 2, and 3 divides the denominator of x / 3, so the batched
-    # walk never starts
+        assert batched.call_args.args[4] == modulus
+        assert expansion._batched_walk(g, x, 4096, w, modulus) == seq == exact
+    # a modulus that shares a prime with some Q, or with x's denominator, is
+    # passed over for the next modulus, and the one walk gives the exact
+    # walk's result: Q(2) = 2 is a multiple of 2, and 3 divides the
+    # denominator of x / 3
     y = x / 3
-    for point, modulus, calls in ((x, 2, 1), (y, 3, 0)):
+    for point, modulus in ((x, 2), (y, 3)):
         with mock.patch.object(expansion, "_PRINT_MOD", modulus), \
                 mock.patch.object(expansion, "_batched_walk",
-                                  wraps=expansion._batched_walk) as batched, \
-                mock.patch.object(expansion, "_plain_walk",
-                                  wraps=expansion._plain_walk) as plain:
+                                  wraps=expansion._batched_walk) as batched:
             assert decode_periodic(g, point) == ref_exact_walk(g, point)
-            assert batched.call_count == calls and plain.call_count == 1
-            if calls:
-                assert expansion._batched_walk(g, point, 4096, w) is None
+        assert batched.call_count == 1
+        chosen = batched.call_args.args[4]
+        assert chosen == ref_modulus(g, point.denominator, modulus) > modulus
+        assert expansion._batched_walk(g, point, 4096, w, chosen) == ref_exact_walk(g, point)
     assert decode_periodic(g, x) == seq
 
 
@@ -932,12 +932,12 @@ def test_fingerprint_prime_divides_no_dyadic_period_factor():
     assert _is_prime((1 << 61) - 1) and not _is_prime(3215031751)
 
 
-def test_plain_walk_at_the_fingerprint_prime():
+def test_walk_past_the_fingerprint_prime():
     # the fingerprint prime p divides the denominators of x = k / (p*m), so
-    # they take the plain walk, under dyadic, geometric:1/3 and a custom head;
-    # so do the points of a custom law whose first digit has Q(1) = 5p, once
-    # the batched walk meets that digit. Each result is the exact walk's, and
-    # so is each message under a small digit budget
+    # their modulus steps past p, under dyadic, geometric:1/3 and a custom
+    # head; so does every modulus under a custom law whose first digit has
+    # Q(1) = 5p. Each point takes one walk, whose result is the exact walk's,
+    # and so is each message under a small digit budget
     p = expansion._PRINT_MOD
     rng = random.Random(1073739179)
     points = []
@@ -957,21 +957,79 @@ def test_plain_walk_at_the_fingerprint_prime():
         for _ in range(3):
             d = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
             points.append((law, F(rng.randrange(d), d), False))
-    kinds, plain_walks = set(), 0
+    kinds, stepped = set(), 0
     for budget in (None, 12):
         for dist, x, divides in points:
             with mock.patch.object(series, "MAX_DIGIT_SUM", budget or series.MAX_DIGIT_SUM):
                 want = _budget_outcome(ref_exact_walk, dist, x, 600)
-                with mock.patch.object(expansion, "_plain_walk",
-                                       wraps=expansion._plain_walk) as plain:
+                with mock.patch.object(expansion, "_batched_walk",
+                                       wraps=expansion._batched_walk) as batched:
                     assert _budget_outcome(decode_periodic, dist, x, 600) == want, (dist, x)
             kinds.add(type(want).__name__)
-            plain_walks += plain.call_count
-            # only W on x itself ends such a point before the plain walk
-            if divides:
-                assert plain.call_count == 1 or want.step == 0, (dist, x)
+            # only W on x itself ends such a point before the walk
+            if batched.call_count == 0:
+                assert want.step == 0, (dist, x)
+                continue
+            assert batched.call_count == 1
+            mod = batched.call_args.args[4]
+            assert mod == ref_modulus(dist, x.denominator)
+            stepped += mod > p
+            if divides or dist == law:
+                assert mod > p, (dist, x)
     assert kinds == {"DigitSeq", "Aperiodic", "NotDetected", "str"}
-    assert plain_walks > len(points)
+    assert stepped > len(points)
+
+
+def test_modulus_steps_past_several_candidates():
+    # Q(1) of this law is a multiple of p, p + 1 and p + 2 for the
+    # fingerprint prime p, so every point's modulus steps past all three; a
+    # point whose denominator p + 3, or the first candidate prime to every
+    # Q, divides steps further. Each point that W does not end at once takes
+    # one walk under the least modulus prime to its denominator and to every
+    # Q, and gets the exact walk's result, also under a digit budget of 12
+    p = expansion._PRINT_MOD
+    top = p * (p + 1) * (p + 2)
+    law = CustomPrefixTail((F(top, 4 * top + 1),), F(1, 2))
+    assert all(law.affine(1)[1] % m == 0 for m in (p, p + 1, p + 2))
+    first = ref_modulus(law, 1)
+    assert first > p + 2
+    rng = random.Random(p + 3)
+    points = []
+    for length in (1, 5, 40, 300):
+        for _ in range(3):
+            seq = DigitSeq(tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 4))),
+                           tuple(rng.randint(1, 3) for _ in range(length)))
+            points.append(encode(law, seq))
+    for bits in (20, 200, 600):
+        for _ in range(3):
+            d = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+            points.append(F(rng.randrange(d), d))
+    for m in (p + 3, first):
+        for _ in range(4):
+            d = m * rng.randint(1, 10**6)
+            n = rng.randrange(d)
+            while math.gcd(n, d) > 1:
+                n = rng.randrange(d)
+            points.append(F(n, d))
+    kinds, moduli = set(), set()
+    for budget in (None, 12):
+        for x in points:
+            with mock.patch.object(series, "MAX_DIGIT_SUM", budget or series.MAX_DIGIT_SUM):
+                want = _budget_outcome(ref_exact_walk, law, x, 600)
+                with mock.patch.object(expansion, "_batched_walk",
+                                       wraps=expansion._batched_walk) as batched:
+                    assert _budget_outcome(decode_periodic, law, x, 600) == want, x
+            kinds.add(type(want).__name__)
+            if batched.call_count == 0:
+                assert want.step == 0, x
+                continue
+            assert batched.call_count == 1
+            mod = batched.call_args.args[4]
+            assert mod == ref_modulus(law, x.denominator) >= first
+            assert math.gcd(mod, x.denominator) == 1 and law.affine(1)[1] % mod
+            moduli.add(mod)
+    assert kinds >= {"DigitSeq", "Aperiodic", "str"}
+    assert first in moduli and max(moduli) > first
 
 
 def test_dyadic_period_with_digit_sum_a_multiple_of_61_takes_the_batched_walk():
@@ -991,7 +1049,9 @@ def test_dyadic_period_with_digit_sum_a_multiple_of_61_takes_the_batched_walk():
                                wraps=expansion._batched_walk) as batched:
             assert decode_periodic(dyadic, x) == seq
         assert batched.call_count == 1
-        assert expansion._batched_walk(dyadic, x, 4096, w) == seq == ref_exact_walk(dyadic, x)
+        assert batched.call_args.args[4] == expansion._PRINT_MOD
+        assert (expansion._batched_walk(dyadic, x, 4096, w, expansion._PRINT_MOD) == seq
+                == ref_exact_walk(dyadic, x))
 
 
 def test_batched_walk_in_the_band_below_2560_bits():

@@ -26,6 +26,7 @@ from probmink import (
     decode,
     decode_periodic,
     encode,
+    eval_minkowski,
     eval_question_mark,
     expansion,
     functional_equation_residuals,
@@ -60,8 +61,10 @@ from oracles import (
     ref_alt_series_exact,
     ref_finite_sum,
     ref_mc_sample_int,
+    ref_modulus,
     ref_pmf,
     ref_prefix_enclosure,
+    ref_reversing_encode,
     ref_write_graph_csv,
     question_mark_by_mediants,
 )
@@ -169,7 +172,7 @@ def points(draw):
 def test_decode_periodic_matches_reference(dist, x):
     result = decode_periodic(dist, x, max_steps=400)
     if isinstance(result, Aperiodic):
-        # no period: the plain walk finds none either, along the same digits
+        # no period: the reference walk finds none either, along the same digits
         ref = ref_decode_periodic(dist, x, max_steps=3000)
         assert isinstance(ref, NotDetected)
         assert ref.prefix[: result.step] == result.prefix
@@ -302,6 +305,24 @@ DIGITS = st.integers(min_value=1, max_value=6)
 def test_codec_round_trip(dist, preperiod, period):
     seq = DigitSeq(tuple(preperiod), tuple(period))
     assert decode_periodic(dist, encode(dist, seq)) == seq
+
+
+@DETERMINISTIC
+@given(
+    st.sampled_from(FAMILIES),
+    st.lists(st.integers(min_value=1, max_value=40), max_size=30),
+    st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=30),
+    points(),
+)
+def test_series_is_the_complemented_reversing_encode(dist, preperiod, period, x):
+    # series(s) = 1 - E_rev(s): both sides obey y = 2^-c (2 - y') for a first
+    # digit c, so M = 1 - E_rev(decode_periodic(x)) at every periodic point x
+    seq = DigitSeq(tuple(preperiod), tuple(period))
+    assert series.alt_series_exact(seq) == 1 - ref_reversing_encode(seq)
+    for point in (encode(dist, DigitSeq(seq.preperiod[:4], seq.period[:6])), x):
+        found = decode_periodic(dist, point)
+        if isinstance(found, DigitSeq):
+            assert eval_minkowski(dist, point) == 1 - ref_reversing_encode(found)
 
 
 @DETERMINISTIC
@@ -607,7 +628,7 @@ def test_batched_walk_certifies_true_repeats(seed, length, pre):
     for dist in FAMILIES:
         x = encode(dist, seq)
         _, w = dist.branch_primes()
-        found = expansion._batched_walk(dist, x, 4100, w)
+        found = expansion._batched_walk(dist, x, 4100, w, ref_modulus(dist, x.denominator))
         assert found == ref_exact_walk(dist, x, 4100) == seq, dist
 
 
@@ -639,7 +660,7 @@ def test_batched_walk_finds_the_exact_witness(dist, data, small):
     x = data.draw(aperiodic_tails(dist))
     result = _check_walk(dist, x, 4096, **(SMALL_BATCHES if small else {}))
     assert isinstance(result, Aperiodic)
-    # the plain walk finds no period along the same digits
+    # the reference walk finds no period along the same digits
     ref = ref_decode_periodic(dist, x, result.step + 5)
     assert isinstance(ref, NotDetected) and ref.prefix[: result.step] == result.prefix
 
@@ -677,10 +698,10 @@ def test_batched_walk_budget_message(dist, x, budget, small):
 @given(st.sampled_from(FAMILIES), st.data(), st.sampled_from((2, 3, 5, 7)),
        st.sampled_from((None, 30)))
 def test_batched_walk_with_a_tiny_modulus(dist, data, modulus, budget):
-    # modulo a tiny prime false repeats are common, and each is refused; so
-    # are moduli that divide some Q or the point's denominator, which hand
-    # the point to the plain walk: the result is still the exact walk's, also
-    # on a small digit budget that a period's digit sum can pass
+    # modulo a tiny prime false repeats are common, and each is refused; a
+    # modulus that shares a prime with some Q or the point's denominator is
+    # passed over for the next modulus: the result is still the exact walk's,
+    # also on a small digit budget that a period's digit sum can pass
     seed = data.draw(st.integers(min_value=0, max_value=1 << 32))
     kind = data.draw(st.sampled_from(("period", "tail", "random")))
     if kind == "period":
@@ -690,16 +711,22 @@ def test_batched_walk_with_a_tiny_modulus(dist, data, modulus, budget):
         x = data.draw(aperiodic_tails(dist))
     else:
         x = data.draw(large_rationals(8, 1200))
-    with mock.patch.object(series, "MAX_DIGIT_SUM", budget or series.MAX_DIGIT_SUM):
+    with mock.patch.object(series, "MAX_DIGIT_SUM", budget or series.MAX_DIGIT_SUM), \
+            mock.patch.object(expansion, "_batched_walk",
+                              wraps=expansion._batched_walk) as batched:
         _check_walk(dist, x, 600, _PRINT_MOD=modulus, **SMALL_BATCHES)
+    # one walk for every point that W does not end at step 0
+    assert batched.call_count == (math.gcd(x.denominator, dist.branch_primes()[1]) == 1)
+    if batched.call_count:
+        assert batched.call_args.args[4] == ref_modulus(dist, x.denominator, modulus)
 
 
-def _batched(dist, x, max_steps, **patches):
-    """_batched_walk's own result on x, or its ResourceLimitError message, under patches."""
+def _batched(dist, x, max_steps, modulus, **patches):
+    """_batched_walk's own result on x modulo `modulus`, or its ResourceLimitError message."""
     w = dist.branch_primes()[1]
     with mock.patch.multiple(expansion, **patches):
         try:
-            return expansion._batched_walk(dist, x, max_steps, w)
+            return expansion._batched_walk(dist, x, max_steps, w, modulus)
         except ResourceLimitError as exc:
             return str(exc)
 
@@ -710,10 +737,11 @@ def _batched(dist, x, max_steps, **patches):
 def test_batched_walk_refuses_every_collision_under_a_tiny_modulus(dist, data, modulus,
                                                                     budget, small):
     # modulo a prime below 16 most fingerprint hits are false: each is
-    # refused and the walk goes on, so unless the modulus divides x's
-    # denominator or some Q, the batched walk itself returns the exact walk's
-    # result or error, never None, and that is ref_decode_periodic's; max_steps
-    # stops a period's walk just before, at or just after mu + lambda
+    # refused and the walk goes on. A modulus that shares a prime with x's
+    # denominator or some Q is passed over for the next modulus, and under
+    # the one chosen the batched walk itself returns the exact walk's result
+    # or error, and that is ref_decode_periodic's; max_steps stops a period's
+    # walk just before, at or just after mu + lambda
     seed = data.draw(st.integers(min_value=0, max_value=1 << 32))
     kind = data.draw(st.sampled_from(("period", "runs", "tail", "random")))
     if kind in ("period", "runs"):
@@ -729,20 +757,24 @@ def test_batched_walk_refuses_every_collision_under_a_tiny_modulus(dist, data, m
     else:
         x = data.draw(aperiodic_tails(dist) if kind == "tail" else large_rationals(8, 1200))
         max_steps = data.draw(st.sampled_from((301, 600)))
-    # decode_periodic starts the batched walk only when neither the modulus nor
-    # a prime of W divides x's denominator
-    started = x.denominator % modulus and math.gcd(x.denominator, dist.branch_primes()[1]) == 1
-    clean = started and all(dist.affine(c)[1] % modulus for c in range(1, 65))
+    # decode_periodic starts the batched walk unless a prime of W divides x's denominator
+    started = math.gcd(x.denominator, dist.branch_primes()[1]) == 1
+    chosen = ref_modulus(dist, x.denominator, modulus)
     patches = dict(_PRINT_MOD=modulus, **(SMALL_BATCHES if small else {}))
     with mock.patch.object(series, "MAX_DIGIT_SUM", budget or series.MAX_DIGIT_SUM):
         exact = _exact(dist, x, max_steps)
-        found = _batched(dist, x, max_steps, **patches) if started else None
-        assert _walk(dist, x, max_steps, **patches) == exact
+        found = _batched(dist, x, max_steps, chosen, **patches) if started else exact
+        with mock.patch.object(expansion, "_batched_walk",
+                               wraps=expansion._batched_walk) as batched:
+            assert _walk(dist, x, max_steps, **patches) == exact
+        assert batched.call_count == started
+        if started:
+            assert batched.call_args.args[4] == chosen
         try:
             ref = ref_decode_periodic(dist, x, max_steps)
         except ResourceLimitError as exc:
             ref = str(exc)
-    assert found == exact if clean else found in (None, exact)
+    assert found == exact
     if isinstance(found, DigitSeq):
         assert (found.preperiod, found.period) == ref_digit_seq(found.preperiod, found.period)
     if isinstance(exact, Aperiodic):

@@ -2,6 +2,7 @@
 
     python tools/ab.py --parent HEAD --in-process tools.ab_cases:word_tables --pairs 15
     python tools/ab.py --parent HEAD --in-process tools.ab_cases:digit_search --pairs 15
+    python tools/ab.py --parent HEAD --in-process tools.ab_cases:periodicity --pairs 15
 
 Every function returns a list of (label, zero-argument callable); the
 callables return plain values (tuples, lists, ints and Fractions), which
@@ -16,6 +17,8 @@ from fractions import Fraction
 GEOMETRIC = ("geometric:1/3", "geometric:2/5", "geometric:1/4")
 CUSTOM = ("custom:1/3,1/5;2/3", "custom:1/4,1/6;1/2", "custom:2/5,1/10;3/5")
 FAMILIES = ("dyadic", "geometric:1/3", "custom:1/3,1/4;1/2")
+# a law whose Q(1) is 5 times the fingerprint prime 1 073 739 179
+PRIME_HEAD = "custom:1073739179/2147483648,1/5;1/2"
 
 
 def _period_points(pkg, length: int, seed: int, specs=FAMILIES) -> list:
@@ -82,4 +85,40 @@ def digit_search(pkg) -> list:
             (seq.preperiod, seq.period)
             for seq in (pkg.decode_periodic(dist, x) for dist, x in walk_points)]),
         ("digit_of 1 - 2^-k, k = 10^2..10^5", lambda: [dist.digit_of(x) for x in huge]),
+    ]
+
+
+def _stream(found) -> tuple:
+    """decode_periodic's result as plain values: (preperiod, period), or the certificate's fields."""
+    return (found.preperiod, found.period) if hasattr(found, "period") else tuple(found)
+
+
+def periodicity(pkg) -> list:
+    """decode_periodic on short and 250-digit periods, and on points whose modulus steps.
+
+    The last two cases' points share a prime with the fingerprint prime p:
+    a 2 000-digit period under a law whose Q(1) is 5p, and the points of
+    250-digit periods with their denominators multiplied by p.
+    """
+    prime = pkg.expansion._PRINT_MOD
+    rng = random.Random(15)
+    short = []
+    for spec in FAMILIES:
+        dist = pkg.parse_distribution(spec)
+        for _ in range(100):
+            digits = tuple(rng.randint(1, 3) for _ in range(rng.randint(5, 15)))
+            short.append((dist, pkg.encode(dist, pkg.DigitSeq((), digits))))
+    walk_points = _period_points(pkg, 250, 12)
+    (head_law, head_point), = _period_points(pkg, 2000, 7, (PRIME_HEAD,))
+    over_prime = [(dist, Fraction(x.numerator, x.denominator * prime))
+                  for dist, x in _period_points(pkg, 250, 31, ("dyadic", "geometric:1/3"))]
+    return [
+        ("decode_periodic 5-15-digit periods, 300 points", lambda: [
+            _stream(pkg.decode_periodic(dist, x)) for dist, x in short]),
+        ("decode_periodic 250-digit periods", lambda: [
+            _stream(pkg.decode_periodic(dist, x)) for dist, x in walk_points]),
+        ("decode_periodic 2000-digit period, Q(1) = 5p", lambda: _stream(
+            pkg.decode_periodic(head_law, head_point))),
+        ("decode_periodic 250-digit points over p*d", lambda: [
+            _stream(pkg.decode_periodic(dist, x)) for dist, x in over_prime]),
     ]
