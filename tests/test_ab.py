@@ -1,6 +1,8 @@
-"""The summary arithmetic of tools/ab.py, over fixed records, with no timed run."""
+"""The summary arithmetic of tools/ab.py, over fixed records, with no timed run, and
+one untimed run of every case in tools/ab_cases.py."""
 
 import importlib.util
+import inspect
 import json
 import sys
 from fractions import Fraction
@@ -128,3 +130,31 @@ def test_load_package_gives_each_copy_its_own_modules():
     finally:
         for name in [name for name in sys.modules if name.split(".")[0] == "probmink_copy"]:
             del sys.modules[name]
+
+
+_cases_spec = importlib.util.spec_from_file_location("ab_cases", ROOT / "tools" / "ab_cases.py")
+ab_cases = importlib.util.module_from_spec(_cases_spec)
+_cases_spec.loader.exec_module(ab_cases)
+
+
+def _plain(value):
+    """True when value is built of numbers, strings, None, tuples and lists only."""
+    if isinstance(value, (tuple, list)):
+        return all(map(_plain, value))
+    return value is None or type(value) in (int, bool, float, str, Fraction)
+
+
+@pytest.mark.parametrize("name", [name for name, fn in vars(ab_cases).items()
+                                  if inspect.isfunction(fn) and not name.startswith("_")])
+def test_ab_cases_run_on_the_working_tree(name):
+    # every case of tools/ab_cases.py runs here once, so a stale one fails in
+    # the tests and not only during an A/B run
+    import probmink
+
+    cases = getattr(ab_cases, name)(probmink)
+    assert cases and len({label for label, _ in cases}) == len(cases)
+    for label, call in cases:
+        assert isinstance(label, str) and callable(call), label
+        first = call()
+        assert _plain(first), label
+        assert call() == first, label

@@ -30,7 +30,12 @@ from probmink import (
     cli,
     cylinder,
     cylinder_increment,
+    decode,
+    decode_periodic,
     encode,
+    encode_enclosure,
+    eval_minkowski,
+    eval_minkowski_enclosure,
     functional_equation_residuals,
     graph_points,
     ifs_maps,
@@ -161,9 +166,9 @@ def test_power_budget_exit_4(capsys):
 def test_point_past_the_power_budget_exits_4(capsys):
     # 1 - 2^-k under q = 1/1000 has a first digit of about 693 k, past the power
     # budget from k = 4 843 on: refused from two bit lengths, before any power.
-    # eval and decode --depth 2 take a batch first, whose 512-bit short point has the
-    # tail digit 354 022, in budget but of mass far below 2^-256: the batch is empty
-    # without searching it (a search of about 3 s), and x's own search refuses
+    # eval and decode --depth 2 take a batch first, whose 320-bit short point has the
+    # tail digit 220 311, in budget but of mass far below 2^-256: the batch is empty
+    # without searching it (a search of about 1 s), and x's own search refuses
     for k in (5000, 24000):
         x = f"{int_text((1 << k) - 1)}/{int_text(1 << k)}"
         for argv in (("decode", "--depth", "1"), ("decode", "--depth", "2"), ("eval",)):
@@ -425,12 +430,30 @@ _SEQ = DigitSeq((2,), (1, 3))
      "digits must be integers, got 2.7"),
     (lambda: alt_series_exact([2.5]), DomainError, "digits must be integers, got 2.5"),
     (lambda: prefix_enclosure([2.5]), DomainError, "digits must be integers, got 2.5"),
+    # a count that is no integer is refused, not rounded or run as a float
+    (lambda: decode(_DYADIC, Fraction(1, 3), 2.5), DomainError,
+     "digit count must be an integer, got 2.5"),
+    (lambda: eval_minkowski_enclosure(_DYADIC, Fraction(1, 3), 2.5), DomainError,
+     "digit count must be an integer, got 2.5"),
+    (lambda: decode_periodic(_DYADIC, Fraction(1, 3), max_steps=2.5), DomainError,
+     "max_steps must be an integer, got 2.5"),
+    (lambda: eval_minkowski(_DYADIC, Fraction(1, 3), max_steps=2.5), DomainError,
+     "max_steps must be an integer, got 2.5"),
+    (lambda: approximation_bound(_DYADIC, 2.5), DomainError, "depth must be an integer, got 2.5"),
+    (lambda: encode_enclosure(_DYADIC, (1, 2, 3), 2.5), DomainError,
+     "depth must be an integer, got 2.5"),
+    (lambda: DigitSeq((1,), (2,)).digits(2.5), DomainError,
+     "digit count must be an integer, got 2.5"),
 ], ids=["shifted", "cylinder", "approximation_bound", "functional_equation_residuals",
         "ifs_maps", "singularity_ratio_step", "alt_series_periodic_closed_form",
         "alt_series_truncated", "mass_transform", "render_decimal", "diagnose-zero-digit",
         "diagnose-superscript-digit", "DigitSeq-fractional-digit", "encode-fractional-digit",
         "cylinder-fractional-digit", "cylinder_increment-fractional-digit",
-        "alt_series_exact-fractional-digit", "prefix_enclosure-fractional-digit"])
+        "alt_series_exact-fractional-digit", "prefix_enclosure-fractional-digit",
+        "decode-fractional-count", "eval_minkowski_enclosure-fractional-count",
+        "decode_periodic-fractional-count", "eval_minkowski-fractional-count",
+        "approximation_bound-fractional-count", "encode_enclosure-fractional-count",
+        "digits-fractional-count"])
 def test_argument_checks(capsys, call, error, message):
     # a command line prints the error and exits 2; a call raises it
     if isinstance(call, tuple):

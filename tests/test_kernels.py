@@ -449,6 +449,33 @@ def test_decode_budget_on_running_digit_sum(monkeypatch):
             assert _budget_outcome(decode, dist, x, n) == want, (dist, k, n)
 
 
+def test_batch_fallback_at_default_sizes():
+    # x is the left end of a cylinder, with a 2 625-bit denominator, and the short
+    # point y0 <= x falls in the cylinder next door, so the batch's word fails its
+    # test on x and the bisection keeps the longest prefix that is x's own
+    g = Geometric(Fraction(1, 100))
+    x = cylinder(g, (100, 95, 102, 99)).inf
+    assert x.denominator.bit_length() > expansion._BATCH_BITS
+    remainder = expansion._remainder
+    failed = []
+
+    def spy(*args):
+        found = remainder(*args)
+        if found is None:
+            failed.append(args)
+        return found
+
+    for n in (4, 5, 8):
+        failed.clear()
+        with mock.patch.object(expansion, "_remainder", spy):
+            digits, rest = decode(g, x, n)
+        assert failed, n
+        want, want_rest = ref_decode(g, x, n)
+        assert digits == want == [100, 95, 102, 99, 1, 1, 1, 1][:n]
+        assert (rest.numerator, rest.denominator) == (want_rest.numerator, want_rest.denominator)
+        assert math.gcd(rest.numerator, rest.denominator) == 1
+
+
 def test_short_decode_with_zero_remainder_inside_a_word():
     # a lookup can propose a word such as (3, 1, 1) whose remainder is 0 after its
     # first digit; the unreduced pair (0, d*B) must come out as the plain loop's 0/1

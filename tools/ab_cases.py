@@ -3,6 +3,7 @@
     python tools/ab.py --parent HEAD --in-process tools.ab_cases:word_tables --pairs 15
     python tools/ab.py --parent HEAD --in-process tools.ab_cases:digit_search --pairs 15
     python tools/ab.py --parent HEAD --in-process tools.ab_cases:periodicity --pairs 15
+    python tools/ab.py --parent HEAD --in-process tools.ab_cases:batches --pairs 15
 
 Every function returns a list of (label, zero-argument callable); the
 callables return plain values (tuples, lists, ints and Fractions), which
@@ -19,6 +20,9 @@ CUSTOM = ("custom:1/3,1/5;2/3", "custom:1/4,1/6;1/2", "custom:2/5,1/10;3/5")
 FAMILIES = ("dyadic", "geometric:1/3", "custom:1/3,1/4;1/2")
 # a law whose Q(1) is 5 times the fingerprint prime 1 073 739 179
 PRIME_HEAD = "custom:1073739179/2147483648,1/5;1/2"
+# the left end of this cylinder has a 2 625-bit denominator, and the short
+# point of its first batch falls in the cylinder next door
+FALLBACK_LAW, FALLBACK_WORD = "geometric:1/100", (100, 95, 102, 99)
 
 
 def _period_points(pkg, length: int, seed: int, specs=FAMILIES) -> list:
@@ -122,3 +126,29 @@ def periodicity(pkg) -> list:
         ("decode_periodic 250-digit points over p*d", lambda: [
             _stream(pkg.decode_periodic(dist, x)) for dist, x in over_prime]),
     ]
+
+
+def batches(pkg) -> list:
+    """The batch walk: decode, decode_periodic and eval_minkowski_enclosure on long points.
+
+    Seeded periods of 500, 2 000 and 8 000 digits under exact_eval's three
+    families, and the cylinder end of FALLBACK_WORD, whose batches fail
+    their test on the point and bisect.
+    """
+    cases = []
+    for length, seed in ((500, 41), (2000, 7), (8000, 43)):
+        points = _period_points(pkg, length, seed)
+        cases += [
+            (f"decode {length}-digit periods", lambda points=points, n=length: [
+                pkg.decode(dist, x, n) for dist, x in points]),
+            (f"decode_periodic {length}-digit periods", lambda points=points, n=length: [
+                _stream(pkg.decode_periodic(dist, x, 2 * n)) for dist, x in points]),
+            (f"eval_minkowski_enclosure {length}-digit periods", lambda points=points, n=length: [
+                tuple(pkg.eval_minkowski_enclosure(dist, x, n)) for dist, x in points]),
+        ]
+    dist = pkg.parse_distribution(FALLBACK_LAW)
+    end = pkg.cylinder(dist, FALLBACK_WORD).inf
+    cases.append(("cylinder end under geometric:1/100, three ways", lambda: (
+        pkg.decode(dist, end, 8), _stream(pkg.decode_periodic(dist, end)),
+        tuple(pkg.eval_minkowski_enclosure(dist, end, 8)))))
+    return cases
